@@ -65,7 +65,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     lam = float(u[list(subset)].sum()) / perimeter(g, subset)
     sequence = [lam]
 
-    value_tol = RATIO_STAGNATION_RTOL * max(1.0, float(np.abs(u).sum()))
+    value_tol = RATIO_STAGNATION_RTOL * float(np.abs(u).sum())
     iterations = 0
     anomaly = False
     while True:

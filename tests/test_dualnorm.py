@@ -6,6 +6,7 @@ from tvconsensus import (
     SizeCapError,
     UnsupportedGraphError,
     complete_graph,
+    cycle_graph,
     div,
     dual_feasibility_gap,
     dual_norm_algorithm0,
@@ -153,6 +154,32 @@ class TestNormAxioms:
             u = u - u.mean()  # numerically exact zero mean
             value = dual_norm_algorithm0(g, u).value
             assert value <= np.abs(xi).max() + 1e-10
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("g", [cycle_graph(10), complete_graph(8)], ids=["C10", "K8"])
+    def test_exact_at_any_data_scale(self, g):
+        # Regression: absolute tolerances in the cut layer once lost 43% of
+        # the norm at scale 1e-13 on C10 and rejected the field at scale 1e6.
+        u = mean_zero_field(np.random.default_rng(3), g.n_vertices)
+        reference = dual_norm_bruteforce(g, u).value
+        for s in (1e-15, 1e-13, 1e-6, 1.0, 1e6):
+            value = dual_norm_algorithm0(g, s * u).value
+            assert abs(value - s * reference) <= 1e-12 * s * reference
+
+
+class TestCompleteGraphClosedForm:
+    @pytest.mark.parametrize("n", [5, 20, 60, 99, 150])
+    def test_matches_top_k_prefix_sums(self, n):
+        # On K_N a k-subset has perimeter k(N-k), and for each k the best
+        # subset holds the k largest (or smallest) values of u.
+        x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        u = x - x.mean()
+        k = np.arange(1, n)
+        prefix = np.cumsum(np.sort(u)[::-1])[:-1]
+        closed_form = float(np.max(np.abs(prefix) / (k * (n - k))))
+        value = dual_norm_algorithm0(complete_graph(n), u).value
+        assert abs(value - closed_form) <= 1e-12 * closed_form
 
 
 class TestFeasibilityGap:

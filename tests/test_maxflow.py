@@ -8,6 +8,8 @@ from tvconsensus import (
     Graph,
     build_network,
     complete_graph,
+    dual_norm_algorithm0,
+    erdos_renyi,
     maximize_cut_functional,
     min_cut,
     perimeter,
@@ -29,6 +31,31 @@ def cut_capacity(g, u, lam, subset):
     return total
 
 
+def arc_capacities(net):
+    """Capacity from node i to node j, summed over arcs, for every (i, j) with some."""
+    arcs = {}
+    for i, j, c in zip(net.tail.tolist(), net.head.tolist(), net.cap.tolist()):
+        if c != 0.0:
+            arcs[(i, j)] = arcs.get((i, j), 0.0) + c
+    return arcs
+
+
+def audit_flow(g, u, lam, net, result, tol):
+    """Capacity, conservation, duality and capacity-identity checks of one cut."""
+    assert np.all(result.flow <= net.cap + tol)
+    assert np.all(result.flow >= -tol)
+    n_nodes = g.n_vertices + 2
+    net_out = np.bincount(net.tail, result.flow, n_nodes) - np.bincount(
+        net.head, result.flow, n_nodes
+    )
+    assert np.all(np.abs(net_out[: g.n_vertices]) <= tol)
+    assert abs(net_out[net.source] - result.max_flow_value) <= tol
+    assert abs(result.cut_value - result.max_flow_value) <= tol
+    subset = result.source_side
+    identity = lam * perimeter(g, subset) - u[list(subset)].sum() + u[u > 0.0].sum()
+    assert abs(result.cut_value - identity) <= tol
+
+
 def brute_force_best_subset(g, u, lam):
     best_value = -np.inf
     best = None
@@ -44,14 +71,13 @@ class TestBuildNetwork:
     def test_zero_field_has_no_terminal_arcs(self):
         g = Graph(2, [(0, 1)])
         net = build_network(g, np.zeros(2), lam=1.0)
-        assert net.total_source_capacity == 0.0
-        assert net.capacity[:, net.sink].sum() == 0.0
+        assert net.cap[net.tail == net.source].sum() == 0.0
+        assert net.cap[net.head == net.sink].sum() == 0.0
 
     def test_single_edge_arcs(self):
         g = Graph(2, [(0, 1)])
         net = build_network(g, np.array([1.0, -1.0]), lam=2.0)
-        arcs = dict(((i, j), c) for i, j, c in net.arcs())
-        assert arcs == {
+        assert arc_capacities(net) == {
             (net.source, 0): 1.0,
             (1, net.sink): 1.0,
             (0, 1): 2.0,
@@ -61,11 +87,19 @@ class TestBuildNetwork:
     def test_k3_construction(self):
         g = complete_graph(3)
         net = build_network(g, np.array([2.0, -1.0, -1.0]), lam=0.5)
-        assert net.total_source_capacity == 2.0
-        assert net.capacity[1, net.sink] == 1.0 and net.capacity[2, net.sink] == 1.0
-        internal = net.capacity[:3, :3]
-        assert np.count_nonzero(internal) == 6
-        assert np.all(internal[internal != 0.0] == 0.5)
+        arcs = arc_capacities(net)
+        assert net.cap[net.tail == net.source].sum() == 2.0
+        assert arcs[(1, net.sink)] == 1.0 and arcs[(2, net.sink)] == 1.0
+        internal = {arc: c for arc, c in arcs.items() if max(arc) < 3}
+        assert len(internal) == 6
+        assert all(c == 0.5 for c in internal.values())
+
+    def test_arc_pairs_are_reverses(self):
+        g = complete_graph(4)
+        net = build_network(g, np.array([3.0, -1.0, -2.0, 0.0]), lam=0.5)
+        assert np.array_equal(net.tail[0::2], net.head[1::2])
+        assert np.array_equal(net.head[0::2], net.tail[1::2])
+        assert net.cap.size == 2 * (g.n_edges + 3)
 
     def test_rejects_bad_domain(self):
         g = Graph(2, [(0, 1)])
@@ -109,24 +143,27 @@ class TestMinCut:
             lam = float(rng.uniform(0.05, 1.5))
             net = build_network(g, u, lam)
             result = min_cut(net)
-            assert abs(result.cut_value - result.max_flow_value) <= 1e-10
-            # flow respects capacities
-            assert np.all(result.flow <= net.capacity + 1e-12)
-            assert np.all(result.flow >= -1e-12)
-            # conservation at internal nodes
-            inflow = result.flow.sum(axis=0)
-            outflow = result.flow.sum(axis=1)
-            for v in range(g.n_vertices):
-                assert abs(inflow[v] - outflow[v]) <= 1e-10
-            # flow out of source equals the flow value
-            assert np.isclose(
-                outflow[net.source] - inflow[net.source],
-                result.max_flow_value,
-                atol=1e-10,
-            )
+            audit_flow(g, u, lam, net, result, tol=1e-12)
             # returned cut is at least as good as every enumerated cut
             best = min(cut_capacity(g, u, lam, s) for s in all_subsets(g.n_vertices))
             assert result.cut_value <= best + 1e-10
+
+
+    def test_audits_at_production_size(self):
+        # K99 with the paper's seed-42 data, and a connected ER(400) of mean
+        # degree 10, each below, near and above its critical level.
+        x99 = np.random.default_rng(42).uniform(0.0, 1.0, 99)
+        seed = 400
+        while not (g400 := erdos_renyi(400, 10 / 399, seed)).is_connected:
+            seed += 1
+        x400 = np.random.default_rng(seed).uniform(0.0, 1.0, 400)
+        for g, x in ((complete_graph(99), x99), (g400, x400)):
+            u = x - x.mean()
+            critical = dual_norm_algorithm0(g, u).value
+            for multiple in (0.1, 0.99, 1.5):
+                lam = multiple * critical
+                net = build_network(g, u, lam)
+                audit_flow(g, u, lam, net, min_cut(net), tol=1e-12 * np.abs(u).sum())
 
 
 class TestMaximizeCutFunctional:
