@@ -16,7 +16,7 @@ import numpy as np
 from .dualnorm import dual_norm_algorithm0
 from .errors import SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field
-from .maxflow import maximize_cut_functional
+from .maxflow import center_field, maximize_cut_functional
 from .objectives import AggregateObjective
 
 CERTIFIED = "certified"
@@ -92,7 +92,7 @@ def certify_consensus_minimizer(
         if abs(mean_u) > tol:
             gap = np.inf
         else:
-            _, gap = maximize_cut_functional(g, u - u.mean(), lam)
+            _, gap = maximize_cut_functional(g, center_field(u), lam)
         verdict = CERTIFIED if gap <= tol else VIOLATED
         return OptimalityCertificate(
             x_star=float(x_star), u=u, mean_u=mean_u, dual_gap=float(gap), verdict=verdict
@@ -147,9 +147,7 @@ def certify_consensus_minimizer(
 
 def ac_critical_lambda(g: Graph, x0) -> float:
     """Smallest regularization level that certifies exact average consensus."""
-    x0 = check_node_field(g, x0)
-    centered = x0 - x0.mean()
-    return dual_norm_algorithm0(g, centered).value
+    return dual_norm_algorithm0(g, center_field(check_node_field(g, x0))).value
 
 
 def is_complete(g: Graph) -> bool:

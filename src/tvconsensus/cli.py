@@ -12,19 +12,12 @@ import sys
 import numpy as np
 
 from . import analysis
-from .config import load_config
+from .config import GraphConfig, build_graph, load_config
 from .dualnorm import dual_norm_algorithm0
 from .errors import IterationAnomalyError, TvConsensusError
-from .graph import (
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    load_edge_list,
-    path_graph,
-    read_node_field,
-    save_edge_list,
-)
+from .graph import load_edge_list, read_node_field, save_edge_list
 from .harness import run_experiment
+from .maxflow import center_field
 from .objectives import aggregate_absolute, aggregate_quadratic
 
 
@@ -45,7 +38,7 @@ def _cmd_run(args) -> int:
 def _cmd_dualnorm(args) -> int:
     g = load_edge_list(args.graph)
     u = read_node_field(args.field, g.n_vertices)
-    result = dual_norm_algorithm0(g, u - u.mean() if args.center else u)
+    result = dual_norm_algorithm0(g, center_field(u) if args.center else u)
     print(f"dual_norm = {result.value:.12g}")
     print(f"witness = {sorted(result.witness_subset)}")
     print(f"iterations = {result.iterations}")
@@ -58,7 +51,7 @@ def _cmd_dualnorm(args) -> int:
 def _cmd_critical_lambda(args) -> int:
     g = load_edge_list(args.graph)
     x0 = read_node_field(args.field, g.n_vertices)
-    result = dual_norm_algorithm0(g, x0 - x0.mean())
+    result = dual_norm_algorithm0(g, center_field(x0))
     print(f"critical_lambda = {result.value:.12g}")
     if result.anomaly:
         print("anomaly: iteration bound exceeded", file=sys.stderr)
@@ -101,14 +94,7 @@ def _cmd_predict_stubborn(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    if args.generator == "complete":
-        g = complete_graph(args.n)
-    elif args.generator == "path":
-        g = path_graph(args.n)
-    elif args.generator == "cycle":
-        g = cycle_graph(args.n)
-    else:
-        g = erdos_renyi(args.n, args.p, args.seed)
+    g = build_graph(GraphConfig(generator=args.generator, n=args.n, p=args.p, seed=args.seed))
     save_edge_list(g, args.output)
     print(f"wrote {g.n_vertices} vertices, {g.n_edges} edges to {args.output}")
     return 0

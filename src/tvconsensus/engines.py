@@ -9,7 +9,7 @@ round regardless of the engine.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,128 +98,6 @@ def harmonic_schedule(gamma0: float = 1.0) -> Callable[[int], float]:
         return gamma0 / (n + 1.0)
 
     return schedule
-
-
-# ---------------------------------------------------------------------------
-# Subgradient engine
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SubgradientState:
-    x: np.ndarray
-    n: int
-    step_schedule: Callable[[int], float] = field(repr=False)
-
-
-def subgradient_step(
-    g: Graph,
-    state: SubgradientState,
-    objs: AggregateObjective,
-    lam: float,
-    roles: AgentRoles,
-) -> SubgradientState:
-    """One descent round on the regularized energy.
-
-    Each regular vertex moves by gamma_n times the negative objective
-    subgradient plus lam times the sum of neighbor disagreement signs
-    (sign(0) = 0); sign terms are antisymmetric per edge, so the network
-    average is preserved whenever the objective subgradients sum to zero.
-    """
-    x = state.x
-    if x.shape[0] != g.n_vertices:
-        raise InvalidFieldError("state does not match the graph")
-    gamma = state.step_schedule(state.n)
-    s = np.sign(x[g.edge_dst] - x[g.edge_src])
-    n = g.n_vertices
-    sign_sum = np.bincount(g.edge_src, weights=s, minlength=n) - np.bincount(
-        g.edge_dst, weights=s, minlength=n
-    )
-    descent = -objs.subgradient_vector(x)
-    x_next = x + gamma * (descent + lam * sign_sum)
-    x_next = roles.pin(x_next)
-    return SubgradientState(x=x_next, n=state.n + 1, step_schedule=state.step_schedule)
-
-
-# ---------------------------------------------------------------------------
-# ADMM engine
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmmState:
-    """Per-round ADMM state.
-
-    ``mu`` holds one private scalar per directed neighbor pair (w, v), owned
-    by v and never transmitted; ``mu_mean`` caches its per-owner average so
-    the next round can form the 3/2, -1/2 extrapolation without recomputing.
-    """
-
-    x: np.ndarray
-    mu: np.ndarray
-    mu_mean: np.ndarray
-    rho: float
-    lam: float
-
-    @classmethod
-    def initial(cls, g: Graph, x0, rho: float, lam: float) -> "AdmmState":
-        x0 = check_node_field(g, x0)
-        if not rho > 0.0:
-            raise ValueError("rho must be positive")
-        if lam < 0.0:
-            raise ValueError("lam must be nonnegative")
-        if int(g.degrees.min()) < 1:
-            raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
-        return cls(
-            x=x0.copy(),
-            mu=np.zeros(2 * g.n_edges, dtype=float),
-            mu_mean=np.zeros(g.n_vertices, dtype=float),
-            rho=float(rho),
-            lam=float(lam),
-        )
-
-
-def _directed_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (talker, owner): each edge {v, w} yields (v, w) and (w, v)."""
-    talker = np.concatenate([g.edge_src, g.edge_dst])
-    owner = np.concatenate([g.edge_dst, g.edge_src])
-    return talker, owner
-
-
-def admm_step(
-    g: Graph,
-    state: AdmmState,
-    objs: AggregateObjective,
-    roles: AgentRoles,
-) -> AdmmState:
-    """One ADMM round: project the multipliers, then apply the proximal map.
-
-    mu(w, v) absorbs the observed disagreement x(w) - x(v), clipped to
-    [-2 lam / rho, 2 lam / rho]; the x update applies prox with weight
-    rho * degree(v) to x(v) + new_mean - 1/2 old_mean.  Only the x values
-    cross the network.
-
-    The extrapolation coefficients (1, -1/2) come from eliminating the
-    auxiliary edge variables of the underlying splitting: the scaled dual
-    mean enters once through the edge average and once more halved through
-    the dual term, and at a fixed point rho/2 times each multiplier is an
-    edge dual variable bounded by lam, matching the optimality system of
-    the TV-regularized energy.
-    """
-    x = state.x
-    if x.shape[0] != g.n_vertices:
-        raise InvalidFieldError("state does not match the graph")
-    talker, owner = _directed_pairs(g)
-    bound = 2.0 * state.lam / state.rho
-    # Parenthesized difference keeps the two orientations of each edge exact
-    # negations of one another, so the multipliers stay antisymmetric bitwise.
-    mu_next = np.clip(state.mu + (x[talker] - x[owner]), -bound, bound)
-    deg = g.degrees.astype(float)
-    mu_mean_next = np.bincount(owner, weights=mu_next, minlength=g.n_vertices) / deg
-    target = x + mu_mean_next - 0.5 * state.mu_mean
-    x_next = objs.prox_vector(state.rho * deg, target)
-    x_next = roles.pin(x_next)
-    return replace(state, x=x_next, mu=mu_next, mu_mean=mu_mean_next)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +205,7 @@ def gossip_limit(w: GossipMatrix, x_stubborn) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Engine wrappers and the trajectory driver
+# Engines and the trajectory driver
 # ---------------------------------------------------------------------------
 
 
@@ -352,66 +230,133 @@ class Trajectory:
     final_x: np.ndarray
     converged: bool
     n_steps: int
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
+
+
+def _pinned_start(g: Graph, x0, roles: AgentRoles) -> tuple[np.ndarray, ...]:
+    """Validated x(0) with the stubborn entries pinned, and the stubborn ids and values."""
+    x = check_node_field(g, roles.apply_to(check_node_field(g, x0)))
+    return x, np.array(roles.stubborn_ids, dtype=int), np.array(roles.pinned_values)
 
 
 class SubgradientEngine:
+    """Descent on the regularized energy with steps gamma_n from ``schedule``.
+
+    Each regular vertex moves by gamma_n times the negative objective
+    subgradient plus lam times the sum of neighbor disagreement signs
+    (sign(0) = 0); sign terms are antisymmetric per edge, so the network
+    average is preserved whenever the objective subgradients sum to zero.
+    """
+
     name = "subgradient"
 
     def __init__(self, lam: float, schedule: Callable[[int], float] | None = None):
         self.lam = float(lam)
         self.schedule = schedule if schedule is not None else harmonic_schedule()
 
-    def init_state(self, g: Graph, x0, roles: AgentRoles) -> SubgradientState:
-        x0 = check_node_field(g, x0)
-        return SubgradientState(x=roles.apply_to(x0), n=0, step_schedule=self.schedule)
+    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+        """Validate the run, fix its constants, reset the round counter; return x(0)."""
+        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
+        self.n = 0
+        self._objs = objs
+        self._src, self._dst, self._n_vertices = g.edge_src, g.edge_dst, g.n_vertices
+        return x
 
-    def step(self, g, state, objs, roles):
-        return subgradient_step(g, state, objs, self.lam, roles)
-
-    @staticmethod
-    def state_x(state: SubgradientState) -> np.ndarray:
-        return state.x
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One round: return x(n + 1) as a new array."""
+        gamma = self.schedule(self.n)
+        s = np.sign(x[self._dst] - x[self._src])
+        n = self._n_vertices
+        sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
+            self._dst, weights=s, minlength=n
+        )
+        descent = -self._objs.subgradient_vector(x)
+        x_next = x + gamma * (descent + self.lam * sign_sum)
+        x_next[self._pin_ids] = self._pin_values
+        self.n += 1
+        return x_next
 
 
 class AdmmEngine:
+    """ADMM rounds: project the multipliers, then apply the proximal map.
+
+    ``mu`` holds one private scalar per directed neighbor pair (w, v), owned
+    by v and never transmitted; ``mu_mean`` caches its per-owner average so
+    the next round can form the 3/2, -1/2 extrapolation without recomputing.
+
+    mu(w, v) absorbs the observed disagreement x(w) - x(v), clipped to
+    [-2 lam / rho, 2 lam / rho]; the x update applies prox with weight
+    rho * degree(v) to x(v) + new_mean - 1/2 old_mean.  Only the x values
+    cross the network.
+
+    The extrapolation coefficients (1, -1/2) come from eliminating the
+    auxiliary edge variables of the underlying splitting: the scaled dual
+    mean enters once through the edge average and once more halved through
+    the dual term, and at a fixed point rho/2 times each multiplier is an
+    edge dual variable bounded by lam, matching the optimality system of
+    the TV-regularized energy.
+    """
+
     name = "admm"
 
     def __init__(self, lam: float, rho: float = 1.0):
         self.lam = float(lam)
         self.rho = float(rho)
 
-    def init_state(self, g: Graph, x0, roles: AgentRoles) -> AdmmState:
-        x0 = check_node_field(g, x0)
-        return AdmmState.initial(g, roles.apply_to(x0), rho=self.rho, lam=self.lam)
+    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+        """Validate the run, fix its constants, zero the multipliers; return x(0)."""
+        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
+        if not self.rho > 0.0:
+            raise ValueError("rho must be positive")
+        if self.lam < 0.0:
+            raise ValueError("lam must be nonnegative")
+        if int(g.degrees.min()) < 1:
+            raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
+        self._objs = objs
+        # Each edge {v, w} yields the directed pairs (talker, owner) = (v, w) and (w, v).
+        self._talker = np.concatenate([g.edge_src, g.edge_dst])
+        self._owner = np.concatenate([g.edge_dst, g.edge_src])
+        self._n_vertices = g.n_vertices
+        self._deg = g.degrees.astype(float)
+        self._rho_deg = self.rho * self._deg
+        self._bound = 2.0 * self.lam / self.rho
+        self.mu = np.zeros(2 * g.n_edges, dtype=float)
+        self.mu_mean = np.zeros(g.n_vertices, dtype=float)
+        return x
 
-    def step(self, g, state, objs, roles):
-        return admm_step(g, state, objs, roles)
-
-    @staticmethod
-    def state_x(state: AdmmState) -> np.ndarray:
-        return state.x
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One round: update ``mu`` and ``mu_mean``, return x(n + 1) as a new array."""
+        # Parenthesized difference keeps the two orientations of each edge exact
+        # negations of one another, so the multipliers stay antisymmetric bitwise.
+        mu = np.clip(self.mu + (x[self._talker] - x[self._owner]), -self._bound, self._bound)
+        mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
+        target = x + mu_mean - 0.5 * self.mu_mean
+        x_next = self._objs.prox_vector(self._rho_deg, target)
+        x_next[self._pin_ids] = self._pin_values
+        self.mu, self.mu_mean = mu, mu_mean
+        return x_next
 
 
 class GossipEngine:
+    """Repeated multiplication by a row-stochastic gossip matrix."""
+
     name = "gossip"
 
     def __init__(self, matrix: GossipMatrix):
         self.matrix = matrix
         self.lam = 0.0
 
-    def init_state(self, g: Graph, x0, roles: AgentRoles) -> np.ndarray:
-        x0 = check_node_field(g, x0)
+    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+        """Validate the run and fix the pinned entries; return x(0)."""
+        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
         if self.matrix.n_vertices != g.n_vertices:
             raise InvalidFieldError("gossip matrix does not match the graph")
-        return roles.apply_to(x0)
+        return x
 
-    def step(self, g, state, objs, roles):
-        return roles.pin(gossip_step(self.matrix, state))
-
-    @staticmethod
-    def state_x(state: np.ndarray) -> np.ndarray:
-        return state
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One round: return W x, pinned, as a new array."""
+        x_next = self.matrix.matrix @ x
+        x_next[self._pin_ids] = self._pin_values
+        return x_next
 
 
 Engine = SubgradientEngine | AdmmEngine | GossipEngine
@@ -425,7 +370,6 @@ def run(
     roles: AgentRoles,
     stop: StopRule = StopRule(),
     record_every: int = 1,
-    snapshot_every: int = 0,
     metric_lambda: float | None = None,
 ) -> Trajectory:
     """Iterate an engine and record metrics until the stop rule fires.
@@ -438,15 +382,13 @@ def run(
         raise ValueError("record_every must be at least 1")
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
-    state = engine.init_state(g, x0, roles)
-    x = engine.state_x(state)
+    x = engine.start(g, x0, objs, roles)
 
     its: list[int] = []
     dis: list[float] = []
     means: list[float] = []
     objective_values: list[float] = []
     changes: list[float] = []
-    snapshots: list[tuple[int, np.ndarray]] = []
 
     def record(k: int, x_now: np.ndarray, change: float) -> None:
         its.append(k)
@@ -456,14 +398,11 @@ def run(
         changes.append(change)
 
     record(0, x, 0.0)
-    if snapshot_every > 0:
-        snapshots.append((0, x.copy()))
 
     converged = False
     k = 0
     while k < stop.max_iterations:
-        new_state = engine.step(g, state, objs, roles)
-        x_new = engine.state_x(new_state)
+        x_new = engine.step(x)
         change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
         k += 1
         settled = (
@@ -471,9 +410,7 @@ def run(
         )
         if k % record_every == 0 or settled or k == stop.max_iterations:
             record(k, x_new, change)
-        if snapshot_every > 0 and (k % snapshot_every == 0 or settled):
-            snapshots.append((k, x_new.copy()))
-        state, x = new_state, x_new
+        x = x_new
         if settled:
             converged = True
             break
@@ -484,8 +421,7 @@ def run(
         mean=np.array(means, dtype=float),
         objective=np.array(objective_values, dtype=float),
         max_change=np.array(changes, dtype=float),
-        final_x=x.copy(),
+        final_x=x,
         converged=converged,
         n_steps=k,
-        snapshots=snapshots,
     )

@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedGraphError,
 )
 from .graph import Graph
+from .maxflow import center_field
 from .metrics import emit_csv, metrics_from_trajectory
 from .objectives import aggregate_absolute, aggregate_quadratic
 
@@ -49,7 +50,7 @@ class ExperimentResult:
 
 def _critical_dual_norm(g: Graph, x0: np.ndarray) -> float:
     """Dual norm of the centered data; anomalies abort the run."""
-    result = dual_norm_algorithm0(g, x0 - x0.mean())
+    result = dual_norm_algorithm0(g, center_field(x0))
     if result.anomaly:
         raise IterationAnomalyError(
             "dual norm ratio iteration exceeded its edge-count bound"

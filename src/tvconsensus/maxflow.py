@@ -31,6 +31,24 @@ RESIDUAL_EPS = 1e-12
 MEAN_ZERO_TOL = 1e-12
 
 
+def is_mean_zero(u: np.ndarray) -> bool:
+    return abs(float(u.sum())) <= MEAN_ZERO_TOL * float(np.abs(u).sum())
+
+
+def center_field(u: np.ndarray) -> np.ndarray:
+    """Subtract the mean of u so that it passes the mean-zero test.
+
+    With a large offset (data near 1e6, spread near 1) one subtraction leaves
+    a rounding residue above the tolerance, so the residual mean is taken out
+    a second time.  Only then: repeating it on already-centered data would
+    move the last bit of the field and of every level computed from it.
+    """
+    centered = u - u.mean()
+    if not is_mean_zero(centered):
+        centered = centered - centered.mean()
+    return centered
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """Directed capacitated network over vertices 0..n-1 plus source and sink.
@@ -73,7 +91,7 @@ def build_network(g: Graph, u, lam: float) -> FlowNetwork:
     u = check_node_field(g, u)
     if not lam > 0.0:
         raise DomainError(f"penalty level must be positive, got {lam}")
-    if abs(float(u.sum())) > MEAN_ZERO_TOL * float(np.abs(u).sum()):
+    if not is_mean_zero(u):
         raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
     n = g.n_vertices
     terminal = np.flatnonzero(u)

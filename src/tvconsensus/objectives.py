@@ -42,8 +42,6 @@ class Quadratic:
         _require_positive_rho(rho)
         return (self.center + rho * x) / (1.0 + rho)
 
-    def growth_constant(self) -> float:
-        return max(1.0, abs(self.center))
 
 
 class Absolute:
@@ -70,8 +68,6 @@ class Absolute:
         _require_positive_rho(rho)
         return self.center + soft_threshold(x - self.center, 1.0 / rho)
 
-    def growth_constant(self) -> float:
-        return 1.0
 
 
 class QuadraticPlusStubborn:
@@ -155,8 +151,6 @@ class QuadraticPlusStubborn:
                 return y
         raise AssertionError("strictly convex prox scan must terminate")
 
-    def growth_constant(self) -> float:
-        return max(1.0, abs(self.center)) + self.weight * len(self.anchors)
 
 
 class CustomObjective:
@@ -190,8 +184,6 @@ class CustomObjective:
             raise UnsupportedOperationError("custom objective has no proximal map")
         return float(self._prox(rho, x))
 
-    def growth_constant(self) -> float | None:
-        return None
 
 
 Objective = Quadratic | Absolute | QuadraticPlusStubborn | CustomObjective

@@ -9,6 +9,7 @@ import numpy as np
 from .dualnorm import dual_norm_algorithm0
 from .errors import UnsupportedGraphError
 from .graph import Graph, check_node_field, grad, perimeter
+from .maxflow import center_field
 
 
 def tv_norm(g: Graph, x) -> float:
@@ -68,7 +69,6 @@ def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
     x = check_node_field(g, x)
     if abs(float(u.mean())) > tol:
         return False
-    centered = u - u.mean()
-    if dual_norm_algorithm0(g, centered).value > 1.0 + tol:
+    if dual_norm_algorithm0(g, center_field(u)).value > 1.0 + tol:
         return False
     return abs(float(u @ x) - tv_norm(g, x)) <= tol

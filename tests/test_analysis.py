@@ -138,6 +138,16 @@ class TestCriticalLambda:
             slow = dual_norm_bruteforce(g, x0 - x0.mean()).value
             assert abs(fast - slow) <= 1e-9
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6, -1e6])
+    def test_invariant_under_large_offsets(self, offset):
+        # At 1e6 one centering pass leaves a residual mean above the
+        # mean-zero tolerance on both draws.
+        for n, seed in ((99, 42), (30, 11)):
+            g = complete_graph(n)
+            x0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+            expected = ac_critical_lambda(g, x0)
+            assert ac_critical_lambda(g, x0 + offset) == pytest.approx(expected, rel=1e-9)
+
 
 class TestMedianLevel:
     def test_k3_exact(self):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from tvconsensus import ac_critical_lambda, complete_graph
 from tvconsensus.cli import main
 from tvconsensus.config import load_config
 from tvconsensus.harness import run_experiment
@@ -191,3 +192,23 @@ output: {{directory: {tmp_path / "out"}, prefix: mc}}
         final = result.trajectories["admm"].final_x
         assert np.abs(final - median).max() <= 1e-4
         assert result.summary["lambda"]["classification"] == "supercritical"
+
+    def test_large_offset_data_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "offset.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: complete, n: 30}}
+objective:
+  kind: quadratic
+  data: {{source: uniform, seed: 11, low: 1000000.0, high: 1000001.0}}
+lambda: {{multiplier: 1.5}}
+engines: [{{name: admm, max_iterations: 200}}]
+output: {{directory: {tmp_path / "out"}, prefix: offset}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "offset_summary.json").read_text())
+        unshifted = ac_critical_lambda(
+            complete_graph(30), np.random.default_rng(11).uniform(0.0, 1.0, 30)
+        )
+        assert np.isclose(summary["lambda"]["critical_lambda"], unshifted, rtol=1e-9, atol=0.0)

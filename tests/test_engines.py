@@ -3,16 +3,16 @@ import pytest
 
 from tvconsensus import (
     AdmmEngine,
-    AdmmState,
     AgentRoles,
     AssumptionError,
     GossipEngine,
     GossipMatrix,
     Graph,
+    InvalidFieldError,
     StopRule,
     SubgradientEngine,
-    SubgradientState,
-    admm_step,
+    UnsupportedGraphError,
+    aggregate_absolute,
     aggregate_quadratic,
     complete_graph,
     cycle_graph,
@@ -21,7 +21,6 @@ from tvconsensus import (
     gossip_step,
     harmonic_schedule,
     run,
-    subgradient_step,
     uniform_gossip_matrix,
 )
 from tvconsensus.objectives import QuadraticPlusStubborn, AggregateObjective, Quadratic
@@ -29,6 +28,32 @@ from tvconsensus.objectives import QuadraticPlusStubborn, AggregateObjective, Qu
 from conftest import random_connected_graph
 
 INF = float("inf")
+
+
+def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
+    """Round n of subgradient descent, recomputing every constant from g."""
+    gamma = schedule(n)
+    s = np.sign(x[g.edge_dst] - x[g.edge_src])
+    nv = g.n_vertices
+    sign_sum = np.bincount(g.edge_src, weights=s, minlength=nv) - np.bincount(
+        g.edge_dst, weights=s, minlength=nv
+    )
+    descent = -objs.subgradient_vector(x)
+    x_next = x + gamma * (descent + lam * sign_sum)
+    return roles.pin(x_next)
+
+
+def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
+    """One ADMM round from (x, mu, mu_mean), recomputing every constant from g."""
+    talker = np.concatenate([g.edge_src, g.edge_dst])
+    owner = np.concatenate([g.edge_dst, g.edge_src])
+    bound = 2.0 * lam / rho
+    mu_next = np.clip(mu + (x[talker] - x[owner]), -bound, bound)
+    deg = g.degrees.astype(float)
+    mu_mean_next = np.bincount(owner, weights=mu_next, minlength=g.n_vertices) / deg
+    target = x + mu_mean_next - 0.5 * mu_mean
+    x_next = objs.prox_vector(rho * deg, target)
+    return roles.pin(x_next), mu_next, mu_mean_next
 
 
 class TestAgentRoles:
@@ -51,53 +76,164 @@ class TestAgentRoles:
             AgentRoles(3, stubborn_ids=(5,), pinned_values=(1.0,))
 
 
+class TestEngineContract:
+    @staticmethod
+    def scenario(kind, pinned):
+        rng = np.random.default_rng(2024)
+        g = random_connected_graph(rng, n_max=40, p=0.3)
+        n = g.n_vertices
+        x0 = rng.normal(size=n)
+        roles = AgentRoles.from_pinned(n, {1: 2.5}) if pinned else AgentRoles.none(n)
+        aggregate = aggregate_quadratic if kind == "quadratic" else aggregate_absolute
+        return g, x0, aggregate(g, x0), roles
+
+    @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_subgradient_matches_reference_bitwise(self, kind, pinned):
+        g, x0, objs, roles = self.scenario(kind, pinned)
+        engine = SubgradientEngine(0.3)
+        x = engine.start(g, x0, objs, roles)
+        ref = roles.apply_to(x0)
+        assert np.array_equal(x, ref)
+        for n in range(50):
+            before = x.copy()
+            x_next = engine.step(x)
+            assert np.array_equal(x, before)
+            x = x_next
+            ref = reference_subgradient_step(g, ref, n, objs, 0.3, roles, harmonic_schedule())
+        assert engine.n == 50
+        assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_admm_matches_reference_bitwise(self, kind, pinned):
+        g, x0, objs, roles = self.scenario(kind, pinned)
+        rho, lam = 1.3, 2.0
+        engine = AdmmEngine(lam, rho)
+        x = engine.start(g, x0, objs, roles)
+        ref = roles.apply_to(x0)
+        mu, mu_mean = np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
+        for _ in range(50):
+            before = x.copy()
+            x_next = engine.step(x)
+            assert np.array_equal(x, before)
+            x = x_next
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(engine.mu, mu)
+        assert np.array_equal(engine.mu_mean, mu_mean)
+
+    def test_admm_start_validation(self):
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        objs = aggregate_quadratic(g, x0)
+        roles = AgentRoles.none(3)
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                AdmmEngine(0.5, rho).start(g, x0, objs, roles)
+        with pytest.raises(ValueError):
+            AdmmEngine(-0.1, 1.0).start(g, x0, objs, roles)
+        isolated = Graph(3, [(0, 1)])
+        with pytest.raises(UnsupportedGraphError):
+            AdmmEngine(0.5, 1.0).start(isolated, x0, aggregate_quadratic(isolated, x0), roles)
+
+    def test_start_rejects_mismatched_sizes(self):
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        objs = aggregate_quadratic(g, x0)
+        roles = AgentRoles.none(3)
+        engines = (
+            SubgradientEngine(0.5),
+            AdmmEngine(0.5, 1.0),
+            GossipEngine(uniform_gossip_matrix(g, roles)),
+        )
+        for engine in engines:
+            with pytest.raises(InvalidFieldError):
+                engine.start(g, x0[:2], objs, roles)
+        with pytest.raises(InvalidFieldError):
+            GossipEngine(GossipMatrix(np.eye(4))).start(g, x0, objs, roles)
+
+    def test_start_rejects_nonfinite_pinned_value(self):
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        roles = AgentRoles.from_pinned(3, {0: float("nan")})
+        for engine in (SubgradientEngine(0.5), AdmmEngine(0.5, 1.0)):
+            with pytest.raises(InvalidFieldError):
+                engine.start(g, x0, aggregate_quadratic(g, x0), roles)
+
+    def test_rerun_with_the_same_engine_is_identical(self, rng):
+        g = complete_graph(5)
+        other = cycle_graph(7)
+        x0 = rng.normal(size=5)
+        roles = AgentRoles.from_pinned(5, {0: 1.0})
+        objs = aggregate_quadratic(g, roles.apply_to(x0))
+        other_x0 = rng.normal(size=7)
+        stop = StopRule(max_iterations=40, disagreement_tol=-1.0, change_tol=-1.0)
+        engines = (
+            SubgradientEngine(0.3),
+            AdmmEngine(0.3, 1.0),
+            GossipEngine(uniform_gossip_matrix(g, roles)),
+        )
+        for engine in engines:
+            first = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
+            if not isinstance(engine, GossipEngine):
+                run(engine, other, other_x0, aggregate_quadratic(other, other_x0),
+                    AgentRoles.none(7), stop=stop)
+            second = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
+            for name in ("iterations", "disagreement", "mean", "objective", "max_change",
+                         "final_x"):
+                assert np.array_equal(getattr(first, name), getattr(second, name))
+            assert (first.converged, first.n_steps) == (second.converged, second.n_steps)
+
+
 class TestSubgradientStep:
     def test_fixed_point_at_shared_minimum(self):
         g = complete_graph(4)
         x = 2.0 * np.ones(4)
         objs = aggregate_quadratic(g, x)
-        state = SubgradientState(x=x, n=0, step_schedule=harmonic_schedule())
-        new = subgradient_step(g, state, objs, lam=0.7, roles=AgentRoles.none(4))
-        assert np.array_equal(new.x, x)
-        assert new.n == 1
+        engine = SubgradientEngine(0.7)
+        new = engine.step(engine.start(g, x, objs, AgentRoles.none(4)))
+        assert np.array_equal(new, x)
+        assert engine.n == 1
 
     def test_explicit_single_edge_update(self):
         g = Graph(2, [(0, 1)])
         x0 = np.array([0.0, 2.0])
         objs = aggregate_quadratic(g, x0)
-        state = SubgradientState(x=x0.copy(), n=0, step_schedule=lambda n: 0.1)
-        new = subgradient_step(g, state, objs, lam=1.0, roles=AgentRoles.none(2))
-        assert np.allclose(new.x, [0.1, 1.9], atol=1e-15)
+        engine = SubgradientEngine(1.0, schedule=lambda n: 0.1)
+        new = engine.step(engine.start(g, x0, objs, AgentRoles.none(2)))
+        assert np.allclose(new, [0.1, 1.9], atol=1e-15)
 
     def test_sign_zero_at_equal_values(self):
         g = Graph(2, [(0, 1)])
         x = np.array([1.0, 1.0])
         objs = aggregate_quadratic(g, np.array([0.0, 2.0]))
-        state = SubgradientState(x=x, n=0, step_schedule=lambda n: 0.5)
-        new = subgradient_step(g, state, objs, lam=10.0, roles=AgentRoles.none(2))
+        engine = SubgradientEngine(10.0, schedule=lambda n: 0.5)
+        new = engine.step(engine.start(g, x, objs, AgentRoles.none(2)))
         # only the objective pull acts; the edge term vanishes at equality
-        assert np.allclose(new.x, [1.0 + 0.5 * (0.0 - 1.0), 1.0 + 0.5 * (2.0 - 1.0)])
+        assert np.allclose(new, [1.0 + 0.5 * (0.0 - 1.0), 1.0 + 0.5 * (2.0 - 1.0)])
 
     def test_average_preserved_in_quadratic_case(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng)
             x0 = rng.normal(size=g.n_vertices)
             objs = aggregate_quadratic(g, x0)
-            roles = AgentRoles.none(g.n_vertices)
-            state = SubgradientState(x=x0.copy(), n=0, step_schedule=harmonic_schedule())
+            engine = SubgradientEngine(0.4)
+            x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
             for _ in range(200):
-                state = subgradient_step(g, state, objs, lam=0.4, roles=roles)
-                assert abs(state.x.mean() - x0.mean()) <= 1e-12
+                x = engine.step(x)
+                assert abs(x.mean() - x0.mean()) <= 1e-12
 
     def test_stubborn_pinned_exactly(self, rng):
         g = complete_graph(5)
         x0 = rng.normal(size=5)
         roles = AgentRoles.from_pinned(5, {2: x0[2]})
         objs = aggregate_quadratic(g, x0)
-        state = SubgradientState(x=x0.copy(), n=0, step_schedule=harmonic_schedule())
+        engine = SubgradientEngine(1.0)
+        x = engine.start(g, x0, objs, roles)
         for _ in range(50):
-            state = subgradient_step(g, state, objs, lam=1.0, roles=roles)
-            assert state.x[2] == x0[2]
+            x = engine.step(x)
+            assert x[2] == x0[2]
 
 
 class TestAdmmStep:
@@ -105,63 +241,64 @@ class TestAdmmStep:
         g = complete_graph(4)
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         objs = aggregate_quadratic(g, x0)
-        roles = AgentRoles.none(4)
-        state = AdmmState.initial(g, np.zeros(4), rho=1.0, lam=0.0)
+        engine = AdmmEngine(0.0, 1.0)
+        x = engine.start(g, np.zeros(4), objs, AgentRoles.none(4))
         for _ in range(600):
-            state = admm_step(g, state, objs, roles)
-            assert np.all(state.mu == 0.0)
-        assert np.allclose(state.x, x0, atol=1e-10)
+            x = engine.step(x)
+            assert np.all(engine.mu == 0.0)
+        assert np.allclose(x, x0, atol=1e-10)
 
     def test_quadratic_case_matches_closed_form_update(self, rng):
         g = cycle_graph(5)
         x0 = rng.normal(size=5)
         objs = aggregate_quadratic(g, x0)
-        roles = AgentRoles.none(5)
-        state = AdmmState.initial(g, x0, rho=1.3, lam=0.4)
+        engine = AdmmEngine(0.4, 1.3)
+        x = engine.start(g, x0, objs, AgentRoles.none(5))
         for _ in range(5):
-            previous = state
-            state = admm_step(g, state, objs, roles)
-        # reproduce the last x update by hand from the previous state
+            prev_x, prev_mu, prev_mu_mean = x, engine.mu, engine.mu_mean
+            x = engine.step(x)
+        # reproduce the last x update by hand from the previous round
         talker = np.concatenate([g.edge_src, g.edge_dst])
         owner = np.concatenate([g.edge_dst, g.edge_src])
-        bound = 2 * previous.lam / previous.rho
-        mu_next = np.clip(previous.mu + previous.x[talker] - previous.x[owner], -bound, bound)
+        bound = 2 * engine.lam / engine.rho
+        mu_next = np.clip(prev_mu + prev_x[talker] - prev_x[owner], -bound, bound)
         mu_mean_next = np.bincount(owner, weights=mu_next, minlength=5) / g.degrees
-        target = previous.x + mu_mean_next - 0.5 * previous.mu_mean
-        rho_d = previous.rho * g.degrees
+        target = prev_x + mu_mean_next - 0.5 * prev_mu_mean
+        rho_d = engine.rho * g.degrees
         expected = (x0 + rho_d * target) / (1.0 + rho_d)
-        assert np.allclose(state.x, expected, atol=1e-14)
+        assert np.allclose(x, expected, atol=1e-14)
 
     def test_multiplier_bound_enforced(self, rng):
         g = random_connected_graph(rng)
         x0 = rng.normal(scale=5.0, size=g.n_vertices)
         objs = aggregate_quadratic(g, x0)
-        roles = AgentRoles.none(g.n_vertices)
         rho, lam = 0.8, 0.25
-        state = AdmmState.initial(g, x0, rho=rho, lam=lam)
+        engine = AdmmEngine(lam, rho)
+        x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
         for _ in range(50):
-            state = admm_step(g, state, objs, roles)
-            assert np.all(np.abs(state.mu) <= 2 * lam / rho + 1e-15)
+            x = engine.step(x)
+            assert np.all(np.abs(engine.mu) <= 2 * lam / rho + 1e-15)
 
     def test_average_preserved_on_regular_graphs(self, rng):
         for g in (complete_graph(6), cycle_graph(7)):
             x0 = rng.normal(size=g.n_vertices)
             objs = aggregate_quadratic(g, x0)
-            roles = AgentRoles.none(g.n_vertices)
-            state = AdmmState.initial(g, x0, rho=1.0, lam=0.3)
+            engine = AdmmEngine(0.3, 1.0)
+            x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
             for _ in range(300):
-                state = admm_step(g, state, objs, roles)
-                assert abs(state.x.mean() - x0.mean()) <= 1e-12
+                x = engine.step(x)
+                assert abs(x.mean() - x0.mean()) <= 1e-12
 
     def test_multiplier_antisymmetry(self, rng):
         g = random_connected_graph(rng)
         m = g.n_edges
         x0 = rng.normal(size=g.n_vertices)
-        state = AdmmState.initial(g, x0, rho=1.0, lam=0.5)
         objs = aggregate_quadratic(g, x0)
+        engine = AdmmEngine(0.5, 1.0)
+        x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
         for _ in range(20):
-            state = admm_step(g, state, objs, AgentRoles.none(g.n_vertices))
-            assert np.array_equal(state.mu[:m], -state.mu[m:])
+            x = engine.step(x)
+            assert np.array_equal(engine.mu[:m], -engine.mu[m:])
 
     def test_stubborn_pinned_exactly(self, rng):
         g = complete_graph(5)
@@ -170,10 +307,11 @@ class TestAdmmStep:
         x_init = x0.copy()
         x_init[0] = 7.5
         objs = aggregate_quadratic(g, x_init)
-        state = AdmmState.initial(g, x_init, rho=1.0, lam=0.2)
+        engine = AdmmEngine(0.2, 1.0)
+        x = engine.start(g, x_init, objs, roles)
         for _ in range(100):
-            state = admm_step(g, state, objs, roles)
-            assert state.x[0] == 7.5
+            x = engine.step(x)
+            assert x[0] == 7.5
 
     def test_fixed_point_residuals_decay_at_certified_minimizer(self, rng):
         # Start from a certified consensus minimizer; the engine must stay put.
@@ -183,14 +321,14 @@ class TestAdmmStep:
         x0 = rng.normal(size=6)
         lam = 1.5 * ac_critical_lambda(g, x0)
         objs = aggregate_quadratic(g, x0)
-        roles = AgentRoles.none(6)
-        state = AdmmState.initial(g, np.full(6, x0.mean()), rho=1.0, lam=lam)
+        engine = AdmmEngine(lam, 1.0)
+        x = engine.start(g, np.full(6, x0.mean()), objs, AgentRoles.none(6))
         for _ in range(3000):
-            prev_x, prev_mu = state.x, state.mu
-            state = admm_step(g, state, objs, roles)
-        assert np.max(np.abs(state.x - prev_x)) < 1e-8
-        assert np.max(np.abs(state.mu - prev_mu)) < 1e-8
-        assert np.allclose(state.x, x0.mean(), atol=1e-6)
+            prev_x, prev_mu = x, engine.mu
+            x = engine.step(x)
+        assert np.max(np.abs(x - prev_x)) < 1e-8
+        assert np.max(np.abs(engine.mu - prev_mu)) < 1e-8
+        assert np.allclose(x, x0.mean(), atol=1e-6)
 
 
 class TestEngineAgreement:
@@ -388,18 +526,6 @@ class TestRunDriver:
         assert traj.converged
         assert traj.disagreement[-1] < 1e-9
         assert np.allclose(traj.final_x, x0.mean(), atol=1e-7)
-
-    def test_snapshots(self):
-        g = complete_graph(3)
-        x0 = np.array([0.0, 1.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
-        traj = run(
-            AdmmEngine(1.0, 1.0), g, x0, objs, AgentRoles.none(3),
-            stop=StopRule(max_iterations=6, disagreement_tol=-1, change_tol=-1),
-            snapshot_every=3,
-        )
-        assert [k for k, _ in traj.snapshots] == [0, 3, 6]
-        assert np.array_equal(traj.snapshots[0][1], x0)
 
     def test_gossip_engine_runs(self, rng):
         g = complete_graph(5)

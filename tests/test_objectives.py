@@ -85,13 +85,6 @@ class TestSubgradients:
             gx = np.array([obj.subgradient(t) for t in x])
             assert np.all(fy >= fx + gx * (y - x) - 1e-10)
 
-    def test_growth_bound(self, rng):
-        for obj in ALL_KINDS:
-            c = obj.growth_constant()
-            x = rng.normal(scale=10.0, size=2000)
-            g = np.array([obj.subgradient(t) for t in x])
-            assert np.all(np.abs(g) <= c * (1.0 + np.abs(x)) + 1e-12)
-
     def test_interval_contains_point_selection(self, rng):
         for obj in ALL_KINDS:
             for t in rng.normal(scale=3.0, size=50):
