@@ -80,6 +80,9 @@ def certify_consensus_minimizer(
     check is conclusive either way.  With genuine subgradient intervals a
     greedy search shifts mass away from violating subsets; if it fails, the
     verdict is ``inconclusive`` rather than ``violated``.
+
+    ``tol`` is relative, so scaling or shifting the data keeps the verdict: the
+    dual gap is held to tol * ||u||_1, the mean of u to tol * (|x*| + ||u||_inf).
     """
     if not g.is_connected:
         raise UnsupportedGraphError("certificates need a connected graph")
@@ -89,11 +92,11 @@ def certify_consensus_minimizer(
         # Unique subgradient selection: the check is conclusive either way.
         u = lo.copy()
         mean_u = float(u.mean())
-        if abs(mean_u) > tol:
+        if abs(mean_u) > tol * (abs(float(x_star)) + float(np.abs(u).max())):
             gap = np.inf
         else:
             _, gap = maximize_cut_functional(g, center_field(u), lam)
-        verdict = CERTIFIED if gap <= tol else VIOLATED
+        verdict = CERTIFIED if gap <= tol * float(np.abs(u).sum()) else VIOLATED
         return OptimalityCertificate(
             x_star=float(x_star), u=u, mean_u=mean_u, dual_gap=float(gap), verdict=verdict
         )
@@ -114,7 +117,8 @@ def certify_consensus_minimizer(
     gap = np.inf
     for _ in range(2 * g.n_vertices + 10):
         witness, gap = maximize_cut_functional(g, u, lam)
-        if gap <= tol:
+        floor = tol * float(np.abs(u).sum())
+        if gap <= floor:
             return OptimalityCertificate(
                 x_star=float(x_star),
                 u=u,
@@ -127,7 +131,7 @@ def certify_consensus_minimizer(
         down_room = np.where(inside, u - lo, 0.0)
         up_room = np.where(~inside, hi - u, 0.0)
         transfer = min(down_room.sum(), up_room.sum(), gap)
-        if transfer <= tol * 0.5:
+        if transfer <= floor * 0.5:
             break
         if down_room.sum() > 0.0:
             u = u - down_room * (transfer / down_room.sum())

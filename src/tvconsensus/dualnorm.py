@@ -92,11 +92,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n_vertices
-    for v, w in g.oriented_edges:
-        masks[v] |= 1 << w
-        masks[w] |= 1 << v
-    return masks
+    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n_vertices)]
 
 
 def _mask_is_connected(mask: int, neighbor_masks: list[int]) -> bool:

@@ -136,11 +136,6 @@ class GossipMatrix:
     def n_vertices(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def regular_ids(self) -> tuple[int, ...]:
-        stub = set(self.stubborn_ids)
-        return tuple(v for v in range(self.n_vertices) if v not in stub)
-
     def every_regular_reaches_stubborn(self) -> bool:
         """Directed-path condition from each regular vertex to some stubborn one."""
         if not self.stubborn_ids:
@@ -159,16 +154,13 @@ class GossipMatrix:
 
 def uniform_gossip_matrix(g: Graph, roles: AgentRoles) -> GossipMatrix:
     """Neighborhood averaging with weight 1 / (degree + 1), self included."""
-    n = g.n_vertices
-    w = np.zeros((n, n), dtype=float)
-    for v in range(n):
-        share = 1.0 / (g.degree(v) + 1.0)
-        w[v, v] = share
-        for nb in g.neighbors(v):
-            w[v, nb] = share
-    for v in roles.stubborn_ids:
-        w[v] = 0.0
-        w[v, v] = 1.0
+    share = 1.0 / (g.degrees + 1.0)
+    w = np.diag(share)
+    w[g.edge_src, g.edge_dst] = share[g.edge_src]
+    w[g.edge_dst, g.edge_src] = share[g.edge_dst]
+    stubborn = list(roles.stubborn_ids)
+    w[stubborn] = 0.0
+    w[stubborn, stubborn] = 1.0
     return GossipMatrix(matrix=w, stubborn_ids=roles.stubborn_ids)
 
 
@@ -196,8 +188,8 @@ def gossip_limit(w: GossipMatrix, x_stubborn) -> np.ndarray:
         raise AssumptionError(
             "some regular vertex has no directed path to a stubborn vertex"
         )
-    regular = list(w.regular_ids)
     stubborn = list(w.stubborn_ids)
+    regular = np.delete(np.arange(w.n_vertices), stubborn)
     w_rr = w.matrix[np.ix_(regular, regular)]
     w_rs = w.matrix[np.ix_(regular, stubborn)]
     eye = np.eye(len(regular))
@@ -234,6 +226,8 @@ class Trajectory:
 
 def _pinned_start(g: Graph, x0, roles: AgentRoles) -> tuple[np.ndarray, ...]:
     """Validated x(0) with the stubborn entries pinned, and the stubborn ids and values."""
+    if roles.n_vertices != g.n_vertices:
+        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
     x = check_node_field(g, roles.apply_to(check_node_field(g, x0)))
     return x, np.array(roles.stubborn_ids, dtype=int), np.array(roles.pinned_values)
 

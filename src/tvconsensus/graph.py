@@ -8,7 +8,6 @@ test suite with explicit orientation flips.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -19,82 +18,49 @@ from .errors import InvalidFieldError, InvalidSubsetError
 class Graph:
     """Immutable undirected graph without self-loops or duplicate edges.
 
-    Connectivity is computed once at construction and cached; operations that
-    require a connected graph check the ``is_connected`` flag.
+    Held as index arrays: oriented edges ``edge_src``/``edge_dst`` in canonical
+    (low, high) order and a CSR adjacency ``indptr``/``indices`` with ascending
+    neighbor lists.  Connectivity is computed once, at construction.
     """
 
-    __slots__ = (
-        "_n",
-        "_src",
-        "_dst",
-        "_adjacency",
-        "_degrees",
-        "_connected",
-        "_edge_set",
-    )
+    __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees", "_connected")
 
     def __init__(
         self,
         n_vertices: int,
-        edges: Iterable[tuple[int, int]],
-        oriented_edges: Iterable[tuple[int, int]] | None = None,
+        edges: Iterable[tuple[int, int]] | np.ndarray,
+        oriented_edges: Iterable[tuple[int, int]] | np.ndarray | None = None,
     ) -> None:
         if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        self._n = int(n_vertices)
-
-        canonical: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for pair in edges:
-            v, w = int(pair[0]), int(pair[1])
-            if not (0 <= v < self._n and 0 <= w < self._n):
-                raise ValueError(f"edge ({v}, {w}) references an unknown vertex")
-            if v == w:
-                raise ValueError(f"self-loop at vertex {v} is not allowed")
-            key = (min(v, w), max(v, w))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append(key)
-        canonical.sort()
-        self._edge_set = frozenset(canonical)
-
-        if oriented_edges is None:
-            oriented = canonical
-        else:
-            oriented = [(int(v), int(w)) for v, w in oriented_edges]
-            keys = sorted((min(v, w), max(v, w)) for v, w in oriented)
-            if keys != canonical or len(oriented) != len(canonical):
+        n = self._n = int(n_vertices)
+        pairs = _edge_array(edges)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            bad = tuple(pairs[outside][0].tolist())
+            raise ValueError(f"edge {bad} references an unknown vertex")
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {pairs[loops][0, 0]} is not allowed")
+        _, ends = _by_key(pairs, n)
+        repeated = (ends[1:] == ends[:-1]).all(axis=1)
+        if repeated.any():
+            raise ValueError(f"duplicate edge {tuple(ends[1:][repeated][0].tolist())}")
+        if oriented_edges is not None:
+            oriented = _edge_array(oriented_edges)
+            order, oriented_ends = _by_key(oriented, n)
+            if not np.array_equal(oriented_ends, ends):
                 raise ValueError("oriented_edges must contain exactly one orientation per edge")
-            oriented = sorted(oriented, key=lambda e: (min(e), max(e)))
-
-        self._src = np.array([e[0] for e in oriented], dtype=np.intp)
-        self._dst = np.array([e[1] for e in oriented], dtype=np.intp)
-        self._src.setflags(write=False)
-        self._dst.setflags(write=False)
-
-        neighbors: list[list[int]] = [[] for _ in range(self._n)]
-        for v, w in canonical:
-            neighbors[v].append(w)
-            neighbors[w].append(v)
-        self._adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-        self._degrees = np.array([len(ns) for ns in self._adjacency], dtype=np.intp)
-        self._degrees.setflags(write=False)
-        self._connected = self._compute_connected()
-
-    def _compute_connected(self) -> bool:
-        if self._n == 1:
-            return True
-        seen = np.zeros(self._n, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            v = queue.popleft()
-            for w in self._adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        return bool(seen.all())
+            ends = oriented[order]
+        self._src, self._dst = ends.T.copy()
+        # Each edge appears twice in the CSR, once from each end.
+        tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
+        self._degrees = np.bincount(tails, minlength=n)
+        self._indptr = np.concatenate([[0], np.cumsum(self._degrees)])
+        self._indices = heads[np.lexsort((heads, tails))]
+        for array in (self._src, self._dst, self._indptr, self._indices, self._degrees):
+            array.setflags(write=False)
+        self._connected = len(connected_components(self, range(n))) == 1
 
     @property
     def n_vertices(self) -> int:
@@ -106,7 +72,7 @@ class Graph:
 
     @property
     def oriented_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((int(v), int(w)) for v, w in zip(self._src, self._dst))
+        return tuple(zip(self._src.tolist(), self._dst.tolist()))
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -117,6 +83,15 @@ class Graph:
         return self._dst
 
     @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers: the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._indices
+
+    @property
     def degrees(self) -> np.ndarray:
         return self._degrees
 
@@ -125,30 +100,37 @@ class Graph:
         return self._connected
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency[int(v)]
-
-    def degree(self, v: int) -> int:
-        return int(self._degrees[int(v)])
+        v = int(v)
+        return tuple(self._indices[self._indptr[v] : self._indptr[v + 1]].tolist())
 
     def has_edge(self, v: int, w: int) -> bool:
-        return (min(int(v), int(w)), max(int(v), int(w))) in self._edge_set
+        return 0 <= int(v) < self._n and int(w) in self.neighbors(v)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices``; returns (graph, sorted original ids)."""
-        subset = check_subset(self, vertices)
-        kept = tuple(sorted(subset))
-        if not kept:
+        kept = np.array(sorted(check_subset(self, vertices)), dtype=np.intp)
+        if not kept.size:
             raise InvalidSubsetError("induced subgraph needs at least one vertex")
-        index = {old: new for new, old in enumerate(kept)}
-        edges = [
-            (index[v], index[w])
-            for v, w in self._edge_set
-            if v in subset and w in subset
-        ]
-        return Graph(len(kept), sorted(edges)), kept
+        index = np.full(self._n, -1, dtype=np.intp)
+        index[kept] = np.arange(kept.size)
+        edges = index[np.column_stack([self._src, self._dst])]
+        return Graph(kept.size, edges[(edges >= 0).all(axis=1)]), tuple(kept.tolist())
 
     def __repr__(self) -> str:
         return f"Graph(n_vertices={self._n}, n_edges={self.n_edges})"
+
+
+def _edge_array(edges) -> np.ndarray:
+    """Edges as an (m, 2) integer array; anything but m pairs raises ValueError."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    return np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+
+
+def _by_key(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order sorting the edges by (low end, high end), and those ends in that order."""
+    ends = np.sort(pairs, axis=1)
+    order = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
+    return order, ends[order]
 
 
 def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -216,24 +198,29 @@ def perimeter(g: Graph, subset: Iterable[int]) -> int:
 
 
 def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
-    """Maximal connected pieces of the subgraph induced by ``subset``."""
-    chosen = check_subset(g, subset)
-    remaining = set(chosen)
-    pieces: list[frozenset[int]] = []
-    while remaining:
-        root = min(remaining)
-        component = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors(v):
-                if w in remaining and w not in component:
-                    component.add(w)
-                    queue.append(w)
-        remaining -= component
-        pieces.append(frozenset(component))
-    pieces.sort(key=min)
-    return pieces
+    """Maximal connected pieces of the subgraph induced by ``subset``, by smallest member.
+
+    Each vertex points to a root no larger than itself.  A round hooks every
+    root onto the smallest root across its CSR entries inside the subset and
+    shortcuts the pointers; pointers only decrease, so the rounds end.
+    """
+    n = g.n_vertices
+    inside = np.zeros(n, dtype=bool)
+    inside[list(check_subset(g, subset))] = True
+    owner = np.repeat(np.arange(n), g.degrees)
+    kept = inside[owner] & inside[g.indices]
+    owner, other = owner[kept], g.indices[kept]
+    root, hooked = None, np.arange(n)
+    while not np.array_equal(hooked, root):
+        root = hooked
+        hooked = root.copy()
+        np.minimum.at(hooked, root[owner], root[other])
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+    members = np.flatnonzero(inside)
+    members = members[np.argsort(root[members], kind="stable")]
+    breaks = np.flatnonzero(np.diff(root[members])) + 1
+    return [frozenset(piece.tolist()) for piece in np.split(members, breaks) if piece.size]
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +229,28 @@ def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(v, w) for v in range(n) for w in range(v + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph(n, np.column_stack([v, v + 1]))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    v = np.arange(n)
+    return Graph(n, np.column_stack([v, (v + 1) % n]))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a seeded generator; connectivity is not guaranteed."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    edges = [
-        (v, w)
-        for v in range(n)
-        for w in range(v + 1, n)
-        if rng.random() < p
-    ]
-    return Graph(n, edges)
+    # One draw per pair in row-major order: the stream of a scalar draw per pair.
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    return Graph(n, pairs[np.random.default_rng(seed).random(len(pairs)) < p])
 
 
 # ---------------------------------------------------------------------------

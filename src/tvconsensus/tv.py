@@ -61,7 +61,8 @@ def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
     """Check that u is a subgradient of the TV norm at x.
 
     Requires mean(u) close to zero, dual norm at most 1 + tol, and the pairing
-    <u, x> to match tv_norm(x) within tol.
+    <u, x - min(x)> (equal to <u, x> for mean-zero u, without the offset of x)
+    to match tv_norm(x) within tol * tv_norm(x).
     """
     if not g.is_connected:
         raise UnsupportedGraphError("dual certificates need a connected graph")
@@ -71,4 +72,5 @@ def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
         return False
     if dual_norm_algorithm0(g, center_field(u)).value > 1.0 + tol:
         return False
-    return abs(float(u @ x) - tv_norm(g, x)) <= tol
+    tv = tv_norm(g, x)
+    return abs(float(u @ (x - x.min())) - tv) <= tol * tv

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvconsensus import (
     AdmmEngine,
@@ -120,6 +122,41 @@ class TestCertify:
         with pytest.raises(UnsupportedGraphError):
             certify_consensus_minimizer(g, objs, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "scale, offset",
+        [(1e-12, 0.0), (1e-10, 0.0), (1.0, 0.0), (1e6, 0.0), (1.0, 1e8), (1.0, -1e8)],
+    )
+    def test_verdicts_at_any_data_scale_and_offset(self, scale, offset):
+        # Regression: with absolute tolerances, scales 1e-12 and 1e-10 certified
+        # 0.5 * lambda_c (the gap fell below 1e-9), and offsets of 1e8 rejected
+        # 1.5 * lambda_c (the mean of u rounded to -1.6e-8).
+        g = complete_graph(30)
+        x0 = np.random.default_rng(11).uniform(0.0, 1.0, 30)
+        crit = ac_critical_lambda(g, x0)
+        data = scale * x0 + offset
+        objs = aggregate_quadratic(g, data)
+        for factor, verdict in ((0.5, "violated"), (1.5, "certified")):
+            cert = certify_consensus_minimizer(g, objs, float(data.mean()), factor * scale * crit)
+            assert cert.verdict == verdict
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-12.0, 6.0),
+        offset=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_verdicts_ignore_shift_and_scale(self, seed, log_scale, offset):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng)
+        x0 = rng.uniform(0.0, 1.0, g.n_vertices)
+        crit = ac_critical_lambda(g, x0)
+        scale = 10.0**log_scale
+        for data, level in ((x0, crit), (scale * x0, scale * crit), (x0 + offset, crit)):
+            objs = aggregate_quadratic(g, data)
+            for factor, verdict in ((0.5, "violated"), (1.5, "certified")):
+                cert = certify_consensus_minimizer(g, objs, float(data.mean()), factor * level)
+                assert cert.verdict == verdict
+
 
 class TestCriticalLambda:
     def test_constant_data_needs_no_regularization(self):
@@ -147,6 +184,17 @@ class TestCriticalLambda:
             x0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
             expected = ac_critical_lambda(g, x0)
             assert ac_critical_lambda(g, x0 + offset) == pytest.approx(expected, rel=1e-9)
+
+
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e6, 1e6))
+    @settings(max_examples=30, deadline=None)
+    def test_shift_invariant_on_random_graphs(self, seed, offset):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng)
+        # Data on the grid that x0 + offset can hold, so the offset is the only difference.
+        x0 = (rng.uniform(0.0, 1.0, g.n_vertices) + offset) - offset
+        expected = ac_critical_lambda(g, x0)
+        assert ac_critical_lambda(g, x0 + offset) == pytest.approx(expected, rel=1e-9)
 
 
 class TestMedianLevel:

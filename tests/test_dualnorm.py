@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvconsensus import (
     Graph,
@@ -166,6 +168,16 @@ class TestScaleInvariance:
         for s in (1e-15, 1e-13, 1e-6, 1.0, 1e6):
             value = dual_norm_algorithm0(g, s * u).value
             assert abs(value - s * reference) <= 1e-12 * s * reference
+
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-12.0, 6.0))
+    @settings(max_examples=30, deadline=None)
+    def test_homogeneous_on_random_graphs(self, seed, log_scale):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng)
+        u = mean_zero_field(rng, g.n_vertices)
+        s = 10.0**log_scale
+        expected = s * dual_norm_algorithm0(g, u).value
+        assert dual_norm_algorithm0(g, s * u).value == pytest.approx(expected, rel=1e-9)
 
 
 class TestCompleteGraphClosedForm:

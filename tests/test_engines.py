@@ -56,6 +56,21 @@ def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
     return roles.pin(x_next), mu_next, mu_mean_next
 
 
+def reference_uniform_gossip_matrix(g, roles):
+    """The original double loop: weight 1 / (degree + 1) on v and each neighbor."""
+    n = g.n_vertices
+    w = np.zeros((n, n), dtype=float)
+    for v in range(n):
+        share = 1.0 / (int(g.degrees[v]) + 1.0)
+        w[v, v] = share
+        for nb in g.neighbors(v):
+            w[v, nb] = share
+    for v in roles.stubborn_ids:
+        w[v] = 0.0
+        w[v, v] = 1.0
+    return w
+
+
 class TestAgentRoles:
     def test_sorting_and_lookup(self):
         roles = AgentRoles(5, stubborn_ids=(3, 1), pinned_values=(0.3, 0.1))
@@ -152,6 +167,20 @@ class TestEngineContract:
                 engine.start(g, x0[:2], objs, roles)
         with pytest.raises(InvalidFieldError):
             GossipEngine(GossipMatrix(np.eye(4))).start(g, x0, objs, roles)
+
+    def test_start_rejects_roles_of_another_size(self):
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        objs = aggregate_quadratic(g, x0)
+        engines = (
+            SubgradientEngine(0.5),
+            AdmmEngine(0.3),
+            GossipEngine(uniform_gossip_matrix(g, AgentRoles.none(3))),
+        )
+        for roles in (AgentRoles.from_pinned(5, {4: 1.0}), AgentRoles.none(7)):
+            for engine in engines:
+                with pytest.raises(InvalidFieldError, match="roles"):
+                    run(engine, g, x0, objs, roles, stop=StopRule(max_iterations=1))
 
     def test_start_rejects_nonfinite_pinned_value(self):
         g = complete_graph(3)
@@ -411,6 +440,15 @@ class TestEngineAgreement:
 
 
 class TestGossip:
+    def test_uniform_matrix_matches_the_loop(self, rng):
+        graphs = [random_connected_graph(rng) for _ in range(5)]
+        graphs += [complete_graph(7), cycle_graph(8), Graph(5, [(0, 1), (3, 1)])]
+        for g in graphs:
+            for pinned in ({}, {0: 1.0}, {g.n_vertices - 1: -2.0, 1: 0.5}):
+                roles = AgentRoles.from_pinned(g.n_vertices, pinned)
+                w = uniform_gossip_matrix(g, roles)
+                assert np.array_equal(w.matrix, reference_uniform_gossip_matrix(g, roles))
+
     def test_identity_matrix_is_fixed(self):
         w = GossipMatrix(np.eye(4))
         x = np.array([1.0, 2.0, 3.0, 4.0])

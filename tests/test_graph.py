@@ -22,6 +22,43 @@ from tvconsensus import (
 from conftest import random_connected_graph
 
 
+def reference_erdos_renyi_edges(n, p, seed):
+    """The generator's original loop: one scalar draw per pair in row-major order."""
+    rng = np.random.default_rng(seed)
+    return tuple((v, w) for v in range(n) for w in range(v + 1, n) if rng.random() < p)
+
+
+def reference_pieces(n, edges, subset):
+    """Components of the subgraph induced by ``subset``, by union-find over the edges."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for v, w in edges:
+        if v in subset and w in subset:
+            parent[find(v)] = find(w)
+    pieces = {}
+    for v in sorted(subset):
+        pieces.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(p) for p in pieces.values()), key=min)
+
+
+def csr_test_graphs():
+    """Seeded random graphs, disconnected ones and explicitly oriented ones."""
+    rng = np.random.default_rng(2024)
+    graphs = [random_connected_graph(rng) for _ in range(6)]
+    graphs += [erdos_renyi(12, 0.15, seed) for seed in range(4)]
+    graphs += [Graph(7, [(0, 1), (2, 3), (3, 4), (6, 2)]), Graph(4, []), Graph(1, [])]
+    for g in graphs[:4]:
+        flips = rng.random(g.n_edges) < 0.5
+        oriented = [(w, v) if flip else (v, w) for (v, w), flip in zip(g.oriented_edges, flips)]
+        graphs.append(Graph(g.n_vertices, oriented[::-1], oriented_edges=oriented))
+    return graphs
+
+
 class TestConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -63,6 +100,60 @@ class TestConstruction:
         assert sub.n_edges == 3  # edges 01, 12, 40
         assert not sub.is_connected or sub.is_connected  # smoke: valid graph
         assert sub.has_edge(0, 3)  # old (0, 4) relabeled
+
+
+class TestCsrAdjacency:
+    @pytest.mark.parametrize("g", csr_test_graphs())
+    def test_matches_the_edge_arrays(self, g):
+        n = g.n_vertices
+        edges = list(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+        undirected = {frozenset(e) for e in edges}
+        assert np.array_equal(g.indptr, np.concatenate([[0], np.cumsum(g.degrees)]))
+        for v in range(n):
+            expected = tuple(sorted(w for a, b in edges for w in (a, b) if v in (a, b) and w != v))
+            assert g.neighbors(v) == expected
+            assert g.degrees[v] == len(expected)
+            for w in range(-1, n + 1):
+                assert g.has_edge(v, w) == (frozenset((v, w)) in undirected)
+        everything = set(range(n))
+        assert g.is_connected == (len(reference_pieces(n, edges, everything)) == 1)
+
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            subset = {int(v) for v in np.flatnonzero(rng.random(n) < 0.6)}
+            assert connected_components(g, subset) == reference_pieces(n, edges, subset)
+            if not subset:
+                continue
+            sub, kept = g.induced_subgraph(subset)
+            assert kept == tuple(sorted(subset))
+            index = {old: new for new, old in enumerate(kept)}
+            expected_edges = sorted(
+                (min(index[v], index[w]), max(index[v], index[w]))
+                for v, w in edges
+                if v in subset and w in subset
+            )
+            assert sub.n_vertices == len(kept)
+            assert list(sub.oriented_edges) == expected_edges
+
+    def test_index_arrays_are_read_only(self):
+        g = cycle_graph(5)
+        for array in (g.edge_src, g.edge_dst, g.indptr, g.indices, g.degrees):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_accepts_an_index_array_and_no_edges(self):
+        listed = Graph(4, [(2, 0), (1, 2), (3, 2)])
+        stacked = Graph(4, np.array([[2, 0], [1, 2], [3, 2]], dtype=np.int32))
+        assert stacked.oriented_edges == listed.oriented_edges == ((0, 2), (1, 2), (2, 3))
+        assert np.array_equal(stacked.indices, listed.indices)
+        for empty in ([], np.empty((0, 2), dtype=int)):
+            g = Graph(3, empty)
+            assert g.n_edges == 0 and g.oriented_edges == ()
+            assert list(g.degrees) == [0, 0, 0] and g.neighbors(1) == ()
+            assert not g.is_connected
+        assert connected_components(Graph(3, []), range(3)) == [
+            frozenset({0}), frozenset({1}), frozenset({2})
+        ]
 
 
 class TestOperators:
@@ -200,6 +291,18 @@ class TestGeneratorsAndIo:
         assert cycle_graph(5).n_edges == 5
         assert path_graph(5).n_edges == 4
         assert all(d == 2 for d in cycle_graph(7).degrees)
+
+    def test_complete_graph_edge_order(self):
+        assert complete_graph(5).oriented_edges == tuple(
+            (v, w) for v in range(5) for w in range(v + 1, 5)
+        )
+        assert complete_graph(1).n_edges == 0
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(1, 0.5, 0), (2, 1.0, 1), (10, 0.5, 3), (40, 0.1, 7), (60, 0.9, 11)]
+    )
+    def test_erdos_renyi_keeps_the_scalar_stream(self, n, p, seed):
+        assert erdos_renyi(n, p, seed).oriented_edges == reference_erdos_renyi_edges(n, p, seed)
 
     def test_erdos_renyi_deterministic(self):
         a = erdos_renyi(10, 0.5, seed=3)

@@ -9,13 +9,14 @@ from tvconsensus import (
     coarea_decompose,
     complete_graph,
     connected_components,
+    dual_norm_algorithm0,
     is_dual_certificate,
     path_graph,
     perimeter,
     tv_norm,
 )
 
-from conftest import random_connected_graph
+from conftest import mean_zero_field, random_connected_graph
 
 
 class TestTvNorm:
@@ -127,3 +128,33 @@ class TestDualCertificate:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(UnsupportedGraphError):
             is_dual_certificate(g, np.zeros(4), np.zeros(4))
+
+    def test_pairing_tolerance_is_relative(self):
+        # <u, x> = 1 against tv(x) = 3; at scale 1e-12 an absolute tolerance
+        # took the miss of 2e-12 for a match.
+        g = path_graph(4)
+        u = np.array([-1.0, 1.0, 0.0, 0.0])
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        for s in (1.0, 1e-12):
+            assert not is_dual_certificate(g, u, s * x)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-12.0, 6.0),
+        offset=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_verdicts_ignore_shift_and_scale(self, seed, log_scale, offset):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng)
+        # u / ||u||_* pairs with the indicator of its witness set S to exactly
+        # perimeter(S) = tv(1_S), so it certifies 1_S and not 1 - 1_S.
+        field = mean_zero_field(rng, g.n_vertices)
+        result = dual_norm_algorithm0(g, field)
+        u = field / result.value
+        inside = np.zeros(g.n_vertices)
+        inside[list(result.witness_subset)] = 1.0
+        scale = 10.0**log_scale
+        for x, verdict in ((inside, True), (1.0 - inside, False)):
+            for shown in (x, scale * x, x + offset):
+                assert is_dual_certificate(g, u, shown) == verdict
