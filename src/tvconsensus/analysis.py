@@ -81,8 +81,10 @@ def certify_consensus_minimizer(
     greedy search shifts mass away from violating subsets; if it fails, the
     verdict is ``inconclusive`` rather than ``violated``.
 
-    ``tol`` is relative, so scaling or shifting the data keeps the verdict: the
-    dual gap is held to tol * ||u||_1, the mean of u to tol * (|x*| + ||u||_inf).
+    ``tol`` is relative, so scaling the data keeps the verdict: the dual gap is
+    held to tol * ||u||_1 and the mean of u to tol * ||u||_inf.  Shifting the
+    data keeps it too: the mean test also allows n * eps * |x*|, the rounding
+    that forming u at the offset x* can leave, and no more.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("certificates need a connected graph")
@@ -92,7 +94,8 @@ def certify_consensus_minimizer(
         # Unique subgradient selection: the check is conclusive either way.
         u = lo.copy()
         mean_u = float(u.mean())
-        if abs(mean_u) > tol * (abs(float(x_star)) + float(np.abs(u).max())):
+        rounding = u.size * np.finfo(float).eps * abs(float(x_star))
+        if abs(mean_u) > tol * float(np.abs(u).max()) + rounding:
             gap = np.inf
         else:
             _, gap = maximize_cut_functional(g, center_field(u), lam)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError, UnsupportedGraphError
-from .graph import Graph, check_node_field, perimeter
+from .graph import Graph, check_node_field, connected_components, perimeter
 from .maxflow import maximize_cut_functional
 
 # Relative stagnation tolerance on the ratio sequence.
@@ -91,25 +91,6 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     )
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n_vertices)]
-
-
-def _mask_is_connected(mask: int, neighbor_masks: list[int]) -> bool:
-    frontier = mask & (-mask)
-    seen = frontier
-    while frontier:
-        reached = 0
-        rest = frontier
-        while rest:
-            bit = rest & (-rest)
-            rest ^= bit
-            reached |= neighbor_masks[bit.bit_length() - 1]
-        frontier = reached & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def dual_norm_bruteforce(g: Graph, u, max_vertices: int = 16) -> DualNormResult:
     """Dual norm by enumerating connected subsets of size at most |V|/2.
 
@@ -141,20 +122,14 @@ def dual_norm_bruteforce(g: Graph, u, max_vertices: int = 16) -> DualNormResult:
 
     # Scanning eligible masks in decreasing ratio order, the first connected
     # one realizes the maximum over the whole enumeration family.
-    neighbor_masks = _neighbor_masks(g)
-    best_value = 0.0
-    best_mask = 0
     for idx in np.argsort(-ratios, kind="stable"):
-        if not eligible[idx]:
-            continue
-        mask = int(masks[idx])
-        if _mask_is_connected(mask, neighbor_masks):
-            best_value = float(ratios[idx])
-            best_mask = mask
-            break
-
-    witness = frozenset(v for v in range(n) if (best_mask >> v) & 1)
-    return DualNormResult(value=best_value, witness_subset=witness, iterations=0)
+        if eligible[idx]:
+            subset = np.flatnonzero((masks[idx] >> np.arange(n)) & 1).tolist()
+            if len(connected_components(g, subset)) == 1:
+                return DualNormResult(
+                    value=float(ratios[idx]), witness_subset=frozenset(subset), iterations=0
+                )
+    return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 
 
 def dual_feasibility_gap(g: Graph, u, lam: float) -> float:

@@ -60,7 +60,7 @@ class Graph:
         self._indices = heads[np.lexsort((heads, tails))]
         for array in (self._src, self._dst, self._indptr, self._indices, self._degrees):
             array.setflags(write=False)
-        self._connected = len(connected_components(self, range(n))) == 1
+        self._connected = not _component_roots(n, tails, heads).any()  # all roots 0
 
     @property
     def n_vertices(self) -> int:
@@ -101,6 +101,8 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         v = int(v)
+        if not 0 <= v < self._n:
+            raise InvalidSubsetError(f"unknown vertex id {v}")
         return tuple(self._indices[self._indptr[v] : self._indptr[v + 1]].tolist())
 
     def has_edge(self, v: int, w: int) -> bool:
@@ -200,27 +202,40 @@ def perimeter(g: Graph, subset: Iterable[int]) -> int:
 def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
     """Maximal connected pieces of the subgraph induced by ``subset``, by smallest member.
 
-    Each vertex points to a root no larger than itself.  A round hooks every
-    root onto the smallest root across its CSR entries inside the subset and
-    shortcuts the pointers; pointers only decrease, so the rounds end.
+    Only the CSR rows of the members are read.
     """
-    n = g.n_vertices
-    inside = np.zeros(n, dtype=bool)
-    inside[list(check_subset(g, subset))] = True
-    owner = np.repeat(np.arange(n), g.degrees)
-    kept = inside[owner] & inside[g.indices]
-    owner, other = owner[kept], g.indices[kept]
-    root, hooked = None, np.arange(n)
-    while not np.array_equal(hooked, root):
-        root = hooked
+    members = np.array(sorted(check_subset(g, subset)), dtype=np.intp)
+    local = np.full(g.n_vertices, -1, dtype=np.intp)
+    local[members] = np.arange(members.size)
+    counts = g.degrees[members]
+    firsts = g.indptr[members] - (np.cumsum(counts) - counts)
+    other = local[g.indices[np.repeat(firsts, counts) + np.arange(counts.sum())]]
+    owner = np.repeat(np.arange(members.size), counts)
+    roots = members[_component_roots(members.size, owner[other >= 0], other[other >= 0])]
+    order = np.argsort(roots, kind="stable")
+    breaks = np.flatnonzero(np.diff(roots[order])) + 1
+    return [frozenset(piece.tolist()) for piece in np.split(members[order], breaks) if piece.size]
+
+
+def _component_roots(size: int, owner: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Smallest vertex in the component of each of 0..size-1.
+
+    ``owner``/``other`` list every edge in both directions.  Each vertex points
+    to a root no larger than itself.  A round hooks every root onto the smallest
+    root across its edges and shortcuts the pointers.  A round that changes
+    anything lowers a root, so there are at most ``size`` rounds.  On a path
+    only the local minima among the roots stay roots, so the roots halve each
+    round and ceil(log2 size) + 1 rounds suffice.
+    """
+    root = np.arange(size)
+    while True:
         hooked = root.copy()
         np.minimum.at(hooked, root[owner], root[other])
-        while not np.array_equal(hooked[hooked], hooked):
+        while (hooked[hooked] != hooked).any():
             hooked = hooked[hooked]
-    members = np.flatnonzero(inside)
-    members = members[np.argsort(root[members], kind="stable")]
-    breaks = np.flatnonzero(np.diff(root[members])) + 1
-    return [frozenset(piece.tolist()) for piece in np.split(members, breaks) if piece.size]
+        if (hooked == root).all():
+            return root
+        root = hooked
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +263,12 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a seeded generator; connectivity is not guaranteed."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    # One draw per pair in row-major order: the stream of a scalar draw per pair.
-    pairs = np.column_stack(np.triu_indices(n, 1))
-    return Graph(n, pairs[np.random.default_rng(seed).random(len(pairs)) < p])
+    # One draw per pair in row-major order, a row at a time: the stream of a
+    # scalar draw per pair, in O(n + |E|) memory.
+    rng = np.random.default_rng(seed)
+    heads = [v + 1 + np.flatnonzero(rng.random(n - v - 1) < p) for v in range(n)]
+    tails = np.repeat(np.arange(n), [len(h) for h in heads])
+    return Graph(n, np.column_stack([tails, np.concatenate([np.empty(0, np.intp), *heads])]))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,20 @@ class TestCertify:
         for factor, verdict in ((0.5, "violated"), (1.5, "certified")):
             cert = certify_consensus_minimizer(g, objs, float(data.mean()), factor * scale * crit)
             assert cert.verdict == verdict
+        # A point 5% of the data spread off the mean is no minimizer at any offset.
+        off_mean = float(data.mean()) + 0.05 * scale
+        cert = certify_consensus_minimizer(g, objs, off_mean, 1.5 * scale * crit)
+        assert cert.verdict == "violated"
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8, -1e8])
+    def test_unbalanced_signs_violate_at_any_offset(self, offset):
+        # 21 of 40 absolute-value subgradients are +1 and 19 are -1: mean 0.05.
+        g = complete_graph(40)
+        data = offset + np.arange(40.0)
+        objs = aggregate_absolute(g, data)
+        cert = certify_consensus_minimizer(g, objs, offset + 20.5, 100.0)
+        assert cert.mean_u == pytest.approx(0.05)
+        assert cert.verdict == "violated"
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -135,6 +135,30 @@ class TestCsrAdjacency:
             assert sub.n_vertices == len(kept)
             assert list(sub.oriented_edges) == expected_edges
 
+    def test_paths_with_shuffled_labels(self):
+        # Shuffled labels make the hooking rounds grow with the path length.
+        n = 3000
+        labels = np.random.default_rng(5).permutation(n)
+        v = np.arange(n - 1)
+        pairs = np.column_stack([labels[v], labels[v + 1]])
+        whole = Graph(n, pairs)
+        assert whole.is_connected
+        split = [frozenset(labels[:1000].tolist()), frozenset(labels[1000:].tolist())]
+        split.sort(key=min)
+        cut = Graph(n, np.delete(pairs, 999, axis=0))
+        assert not cut.is_connected
+        assert connected_components(cut, range(n)) == split
+        gap = [frozenset(labels[:1000].tolist()), frozenset(labels[1001:].tolist())]
+        gap.sort(key=min)
+        assert connected_components(whole, set(range(n)) - {int(labels[1000])}) == gap
+
+    def test_neighbors_of_an_unknown_vertex(self):
+        # A negative id would otherwise index the row pointers from the end.
+        g = complete_graph(3)
+        for v in (-2, -1, 3):
+            with pytest.raises(InvalidSubsetError, match="unknown vertex"):
+                g.neighbors(v)
+
     def test_index_arrays_are_read_only(self):
         g = cycle_graph(5)
         for array in (g.edge_src, g.edge_dst, g.indptr, g.indices, g.degrees):
