@@ -12,13 +12,12 @@ import sys
 import numpy as np
 
 from . import analysis
-from .config import GraphConfig, build_graph, load_config
+from .config import GENERATORS, OBJECTIVES, GraphConfig, build_graph, load_config, reads_file
 from .dualnorm import dual_norm_algorithm0
 from .errors import IterationAnomalyError, TvConsensusError
 from .graph import load_edge_list, read_node_field, save_edge_list
 from .harness import run_experiment
 from .maxflow import center_field
-from .objectives import aggregate_absolute, aggregate_quadratic
 
 
 def _cmd_run(args) -> int:
@@ -62,10 +61,7 @@ def _cmd_critical_lambda(args) -> int:
 def _cmd_certify(args) -> int:
     g = load_edge_list(args.graph)
     x0 = read_node_field(args.x0, g.n_vertices)
-    if args.kind == "quadratic":
-        objs = aggregate_quadratic(g, x0)
-    else:
-        objs = aggregate_absolute(g, x0)
+    objs = OBJECTIVES[args.kind](g, x0)
     cert = analysis.certify_consensus_minimizer(g, objs, args.x_star, args.lam)
     print(f"verdict = {cert.verdict}")
     print(f"mean_u = {cert.mean_u:.12g}")
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="check a consensus candidate for optimality")
     p.add_argument("--graph", required=True)
     p.add_argument("--x0", required=True, help="initial data file")
-    p.add_argument("--kind", choices=("quadratic", "absolute"), required=True)
+    p.add_argument("--kind", choices=tuple(OBJECTIVES), required=True)
     p.add_argument("--x-star", type=float, required=True, dest="x_star")
     p.add_argument("--lam", type=float, required=True)
     p.set_defaults(func=_cmd_certify)
@@ -143,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict_stubborn)
 
     p = sub.add_parser("gen-graph", help="write a generated graph as an edge list")
-    p.add_argument("generator", choices=("complete", "path", "cycle", "erdos_renyi"))
+    p.add_argument("generator", choices=[name for name in GENERATORS if not reads_file(name)])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

@@ -2,15 +2,31 @@
 
 A configuration fully determines a run; all randomness is seeded.  See the
 README for the documented schema.
+
+Each YAML section is a frozen dataclass: its fields are the section's keys
+and its field defaults are the schema's defaults.  One reader, ``_read``,
+fills every section from its dataclass and rejects keys that are not fields.
+The generator, objective and engine names are the keys of ``GENERATORS``,
+``OBJECTIVES`` and ``ENGINES``, which map each name to what it builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
+from .engines import (
+    AdmmEngine,
+    GossipEngine,
+    StopRule,
+    SubgradientEngine,
+    harmonic_schedule,
+    uniform_gossip_matrix,
+)
 from .errors import ConfigError
 from .graph import (
     Graph,
@@ -20,10 +36,46 @@ from .graph import (
     load_edge_list,
     path_graph,
 )
+from .objectives import aggregate_absolute, aggregate_quadratic
 
-KNOWN_GENERATORS = ("complete", "path", "cycle", "erdos_renyi", "edgelist")
-KNOWN_OBJECTIVES = ("quadratic", "absolute")
-KNOWN_ENGINES = ("subgradient", "admm", "gossip")
+
+def _read_edge_list(cfg: GraphConfig) -> Graph:
+    # ``load_edge_list`` is looked up at call time, so a wrapper set on this module is seen.
+    return load_edge_list(cfg.path)
+
+
+GENERATORS = {
+    "complete": lambda cfg: complete_graph(cfg.n),
+    "path": lambda cfg: path_graph(cfg.n),
+    "cycle": lambda cfg: cycle_graph(cfg.n),
+    "erdos_renyi": lambda cfg: erdos_renyi(cfg.n, cfg.p, cfg.seed),
+    "edgelist": _read_edge_list,
+}
+OBJECTIVES = {"quadratic": aggregate_quadratic, "absolute": aggregate_absolute}
+ENGINES = {
+    SubgradientEngine.name:
+        lambda cfg, lam, g, roles: SubgradientEngine(lam, harmonic_schedule(cfg.gamma0)),
+    AdmmEngine.name: lambda cfg, lam, g, roles: AdmmEngine(lam, rho=cfg.rho),
+    GossipEngine.name: lambda cfg, lam, g, roles: GossipEngine(uniform_gossip_matrix(g, roles)),
+}
+
+
+def reads_file(generator: str) -> bool:
+    """True when the generator reads ``path`` rather than building ``n`` vertices."""
+    return GENERATORS[generator] is _read_edge_list
+
+
+def _require(condition: bool, where: str, message: str) -> None:
+    if not condition:
+        raise ConfigError(f"{where}: {message}")
+
+
+def _one_of(value: str, names, where: str) -> None:
+    _require(value in names, where, f"unknown value {value!r}, expected one of {tuple(names)}")
+
+
+def _positive(value: float, where: str) -> None:
+    _require(0.0 < value < math.inf, where, "must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -34,6 +86,21 @@ class GraphConfig:
     seed: int = 0
     path: str = ""
 
+    def checked(self, where: str) -> GraphConfig:
+        """Validated; the keys the generator does not take echo their defaults."""
+        _one_of(self.generator, GENERATORS, f"{where}.generator")
+        if reads_file(self.generator):
+            _require(bool(self.path), f"{where}.path", f"{self.generator} graphs need a file path")
+            return GraphConfig(generator=self.generator, path=self.path)
+        _require(self.n >= 1, f"{where}.n", "need a positive vertex count")
+        _require(0.0 <= self.p <= 1.0, f"{where}.p", "edge probability must be in [0, 1]")
+        return replace(self, path=GraphConfig.path)
+
+
+class Outlier(NamedTuple):
+    vertex: int
+    value: float
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -42,7 +109,16 @@ class DataConfig:
     low: float = 0.0
     high: float = 1.0
     values: tuple[float, ...] = ()
-    outliers: tuple[tuple[int, float], ...] = ()
+    outliers: tuple[Outlier, ...] = ()
+
+    def checked(self, where: str) -> DataConfig:
+        """Validated; the keys the source does not take echo their defaults."""
+        _one_of(self.source, ("uniform", "explicit"), f"{where}.source")
+        if self.source == "explicit":
+            _require(bool(self.values), f"{where}.values",
+                     "explicit data needs a nonempty 'values' list")
+            return DataConfig(source=self.source, values=self.values, outliers=self.outliers)
+        return replace(self, values=DataConfig.values)
 
 
 @dataclass(frozen=True)
@@ -50,16 +126,36 @@ class LambdaConfig:
     value: float | None = None
     multiplier: float | None = None
 
+    def checked(self, where: str) -> LambdaConfig:
+        _require((self.value is None) != (self.multiplier is None), where,
+                 "give exactly one of 'value' or 'multiplier'")
+        for key, level in (("value", self.value), ("multiplier", self.multiplier)):
+            if level is not None:
+                _positive(level, f"{where}.{key}")
+        return self
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     name: str
     gamma0: float = 1.0
     rho: float = 1.0
-    max_iterations: int = 100_000
-    disagreement_tol: float = 1e-9
-    change_tol: float = 1e-10
+    max_iterations: int = StopRule.max_iterations
+    disagreement_tol: float = StopRule.disagreement_tol
+    change_tol: float = StopRule.change_tol
     record_every: int = 1
+
+    def checked(self, where: str) -> EngineConfig:
+        _one_of(self.name, ENGINES, f"{where}.name")
+        _positive(self.gamma0, f"{where}.gamma0")
+        _positive(self.rho, f"{where}.rho")
+        _require(self.max_iterations >= 0, f"{where}.max_iterations", "must be nonnegative")
+        _require(self.record_every >= 1, f"{where}.record_every", "must be at least 1")
+        return self
+
+    @property
+    def stop(self) -> StopRule:
+        return StopRule(self.max_iterations, self.disagreement_tol, self.change_tol)
 
 
 @dataclass(frozen=True)
@@ -67,42 +163,44 @@ class StubbornConfig:
     vertices: tuple[int, ...] = ()
     values: tuple[float, ...] = ()
 
+    def checked(self, where: str) -> StubbornConfig:
+        _require(len(self.vertices) == len(self.values), where,
+                 "need one pinned value per stubborn vertex")
+        return self
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """The whole run.  A field's YAML key is its name unless ``metadata["key"]`` says otherwise."""
+
     graph: GraphConfig
-    objective_kind: str
-    data: DataConfig
-    lam: LambdaConfig
+    objective_kind: str = field(metadata={"key": "objective.kind"})
+    data: DataConfig = field(default=DataConfig(), metadata={"key": "objective.data"})
+    lam: LambdaConfig = field(metadata={"key": "lambda"})
     engines: tuple[EngineConfig, ...]
     stubborn: StubbornConfig = StubbornConfig()
-    output_dir: str = "out"
-    prefix: str = "experiment"
+    output_dir: str = field(default="out", metadata={"key": "output.directory"})
+    prefix: str = field(default="experiment", metadata={"key": "output.prefix"})
+
+    def checked(self, where: str) -> ExperimentConfig:
+        _one_of(self.objective_kind, OBJECTIVES, "objective.kind")
+        _require(bool(self.engines), "engines", "need a nonempty list of engines")
+        return self
 
     def resolved_dict(self) -> dict:
         """All fields with defaults materialized, for the summary echo."""
-        return {
-            "graph": asdict(self.graph),
-            "objective_kind": self.objective_kind,
-            "data": {
-                **asdict(self.data),
-                "values": list(self.data.values),
-                "outliers": [list(o) for o in self.data.outliers],
-            },
-            "lambda": asdict(self.lam),
-            "engines": [asdict(e) for e in self.engines],
-            "stubborn": {
-                "vertices": list(self.stubborn.vertices),
-                "values": list(self.stubborn.values),
-            },
-            "output_dir": self.output_dir,
-            "prefix": self.prefix,
-        }
+        echo = _plain(self)
+        echo["lambda"] = echo.pop("lam")
+        return echo
 
 
-def _require(condition: bool, where: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{where}: {message}")
+def _plain(value):
+    """Sections as dicts and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
 
 
 def _as_mapping(node, where: str) -> dict:
@@ -110,141 +208,67 @@ def _as_mapping(node, where: str) -> dict:
     return node
 
 
-def _parse_graph(node, where: str) -> GraphConfig:
+def _schema(cls) -> list[tuple[str, str, object, bool]]:
+    """(YAML key, field name, type, required) for each field of a dataclass or NamedTuple."""
+    hints = get_type_hints(cls)
+    if is_dataclass(cls):
+        return [(f.metadata.get("key", f.name), f.name, hints[f.name], f.default is MISSING)
+                for f in fields(cls)]
+    return [(name, name, hints[name], name not in cls._field_defaults) for name in cls._fields]
+
+
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _read(cls, node, where: str):
+    """Fill ``cls`` from a YAML mapping, then run its ``checked`` if it has one.
+
+    Absent keys keep the field defaults; a key that is not a field is an error.
+    """
     node = _as_mapping(node, where)
-    generator = str(node.get("generator", "complete"))
-    _require(generator in KNOWN_GENERATORS, f"{where}.generator",
-             f"unknown generator {generator!r}, expected one of {KNOWN_GENERATORS}")
-    if generator == "edgelist":
-        path = node.get("path", "")
-        _require(bool(path), f"{where}.path", "edgelist graphs need a file path")
-        return GraphConfig(generator=generator, path=str(path))
-    n = node.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{where}.n", "need a positive vertex count")
-    cfg = GraphConfig(
-        generator=generator,
-        n=int(n),
-        p=float(node.get("p", 0.5)),
-        seed=int(node.get("seed", 0)),
-    )
-    if generator == "erdos_renyi":
-        _require(0.0 <= cfg.p <= 1.0, f"{where}.p", "edge probability must be in [0, 1]")
-    return cfg
+    schema = _schema(cls)
+    known = [key for key, *_ in schema]
+    for key in node:
+        _require(key in known, _at(where, key), f"unknown key, expected one of {known}")
+    values = {}
+    for key, name, tp, required in schema:
+        if key in node:
+            values[name] = _convert(tp, node[key], _at(where, key))
+        else:
+            _require(not required, _at(where, key), "missing")
+    section = cls(**values)
+    return section.checked(where) if hasattr(section, "checked") else section
 
 
-def _parse_data(node, where: str) -> DataConfig:
-    node = _as_mapping(node, where)
-    source = str(node.get("source", "uniform"))
-    _require(source in ("uniform", "explicit"), f"{where}.source",
-             "data source must be 'uniform' or 'explicit'")
-    outliers_node = node.get("outliers", [])
-    _require(isinstance(outliers_node, list), f"{where}.outliers", "expected a list")
-    outliers = []
-    for k, item in enumerate(outliers_node):
-        item = _as_mapping(item, f"{where}.outliers[{k}]")
-        _require("vertex" in item and "value" in item, f"{where}.outliers[{k}]",
-                 "need 'vertex' and 'value'")
-        outliers.append((int(item["vertex"]), float(item["value"])))
-    if source == "explicit":
-        values = node.get("values")
-        _require(isinstance(values, list) and values, f"{where}.values",
-                 "explicit data needs a nonempty 'values' list")
-        return DataConfig(
-            source=source,
-            values=tuple(float(v) for v in values),
-            outliers=tuple(outliers),
-        )
-    return DataConfig(
-        source=source,
-        seed=int(node.get("seed", 0)),
-        low=float(node.get("low", 0.0)),
-        high=float(node.get("high", 1.0)),
-        outliers=tuple(outliers),
-    )
-
-
-def _parse_lambda(node, where: str) -> LambdaConfig:
-    node = _as_mapping(node, where)
-    value = node.get("value")
-    multiplier = node.get("multiplier")
-    _require((value is None) != (multiplier is None), where,
-             "give exactly one of 'value' or 'multiplier'")
-    if value is not None:
-        value = float(value)
-        _require(value > 0.0, f"{where}.value", "lambda must be positive")
-        return LambdaConfig(value=value)
-    multiplier = float(multiplier)
-    _require(multiplier > 0.0, f"{where}.multiplier", "multiplier must be positive")
-    return LambdaConfig(multiplier=multiplier)
-
-
-def _parse_engine(node, where: str) -> EngineConfig:
-    node = _as_mapping(node, where)
-    name = str(node.get("name", ""))
-    _require(name in KNOWN_ENGINES, f"{where}.name",
-             f"unknown engine {name!r}, expected one of {KNOWN_ENGINES}")
-    cfg = EngineConfig(
-        name=name,
-        gamma0=float(node.get("gamma0", 1.0)),
-        rho=float(node.get("rho", 1.0)),
-        max_iterations=int(node.get("max_iterations", 100_000)),
-        disagreement_tol=float(node.get("disagreement_tol", 1e-9)),
-        change_tol=float(node.get("change_tol", 1e-10)),
-        record_every=int(node.get("record_every", 1)),
-    )
-    _require(cfg.gamma0 > 0.0, f"{where}.gamma0", "must be positive")
-    _require(cfg.rho > 0.0, f"{where}.rho", "must be positive")
-    _require(cfg.max_iterations >= 0, f"{where}.max_iterations", "must be nonnegative")
-    _require(cfg.record_every >= 1, f"{where}.record_every", "must be at least 1")
-    return cfg
-
-
-def _parse_stubborn(node, where: str) -> StubbornConfig:
-    node = _as_mapping(node, where)
-    vertices = node.get("vertices", [])
-    values = node.get("values", [])
-    _require(isinstance(vertices, list) and isinstance(values, list), where,
-             "'vertices' and 'values' must be lists")
-    _require(len(vertices) == len(values), where,
-             "need one pinned value per stubborn vertex")
-    return StubbornConfig(
-        vertices=tuple(int(v) for v in vertices),
-        values=tuple(float(v) for v in values),
-    )
+def _convert(tp, value, where: str):
+    """A YAML value as the field type ``tp``."""
+    if is_dataclass(tp) or hasattr(tp, "_fields"):  # a section or an Outlier
+        return _read(tp, value, where)
+    if get_origin(tp) is tuple:
+        _require(isinstance(value, list), where, "expected a list")
+        item = get_args(tp)[0]
+        return tuple(_convert(item, v, f"{where}[{k}]") for k, v in enumerate(value))
+    if tp is int:
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        _require(integral and not isinstance(value, bool), where,
+                 f"expected an integer, got {value!r}")
+        return int(value)
+    if tp is str:
+        return str(value)
+    try:  # float and float | None
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    raw = _as_mapping(raw, "config")
-    _require("graph" in raw, "config", "missing 'graph' section")
-    _require("objective" in raw, "config", "missing 'objective' section")
-    _require("lambda" in raw, "config", "missing 'lambda' section")
-    _require("engines" in raw, "config", "missing 'engines' section")
-
-    graph = _parse_graph(raw["graph"], "graph")
-    objective = _as_mapping(raw["objective"], "objective")
-    kind = str(objective.get("kind", ""))
-    _require(kind in KNOWN_OBJECTIVES, "objective.kind",
-             f"unknown kind {kind!r}, expected one of {KNOWN_OBJECTIVES}")
-    data = _parse_data(objective.get("data", {}), "objective.data")
-    lam = _parse_lambda(raw["lambda"], "lambda")
-    engines_node = raw["engines"]
-    _require(isinstance(engines_node, list) and engines_node, "engines",
-             "need a nonempty list of engines")
-    engines = tuple(
-        _parse_engine(e, f"engines[{k}]") for k, e in enumerate(engines_node)
-    )
-    stubborn = _parse_stubborn(raw.get("stubborn", {}), "stubborn")
-    output = _as_mapping(raw.get("output", {}), "output")
-    return ExperimentConfig(
-        graph=graph,
-        objective_kind=kind,
-        data=data,
-        lam=lam,
-        engines=engines,
-        stubborn=stubborn,
-        output_dir=str(output.get("directory", "out")),
-        prefix=str(output.get("prefix", "experiment")),
-    )
+    raw = dict(_as_mapping(raw, "config"))
+    for section in ("objective", "output"):
+        if section in raw:
+            for key, value in _as_mapping(raw.pop(section), section).items():
+                raw[f"{section}.{key}"] = value
+    return _read(ExperimentConfig, raw, "")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -261,17 +285,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_graph(cfg: GraphConfig) -> Graph:
-    if cfg.generator == "complete":
-        return complete_graph(cfg.n)
-    if cfg.generator == "path":
-        return path_graph(cfg.n)
-    if cfg.generator == "cycle":
-        return cycle_graph(cfg.n)
-    if cfg.generator == "erdos_renyi":
-        return erdos_renyi(cfg.n, cfg.p, cfg.seed)
-    if cfg.generator == "edgelist":
-        return load_edge_list(cfg.path)
-    raise ConfigError(f"graph.generator: unknown generator {cfg.generator!r}")
+    return GENERATORS[cfg.generator](cfg)
 
 
 def build_initial_data(cfg: DataConfig, n_vertices: int) -> np.ndarray:

@@ -13,19 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .config import ExperimentConfig, build_graph, build_initial_data
+from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_initial_data
 from .dualnorm import dual_norm_algorithm0
-from .engines import (
-    AdmmEngine,
-    AgentRoles,
-    GossipEngine,
-    StopRule,
-    SubgradientEngine,
-    Trajectory,
-    harmonic_schedule,
-    run,
-    uniform_gossip_matrix,
-)
+from .engines import AgentRoles, GossipEngine, Trajectory, run
 from .errors import (
     ConfigError,
     IterationAnomalyError,
@@ -35,7 +25,7 @@ from .errors import (
 from .graph import Graph
 from .maxflow import center_field
 from .metrics import emit_csv, metrics_from_trajectory
-from .objectives import aggregate_absolute, aggregate_quadratic
+from .objectives import aggregate_quadratic
 
 
 @dataclass
@@ -58,21 +48,25 @@ def _critical_dual_norm(g: Graph, x0: np.ndarray) -> float:
     return result.value
 
 
+def _regular_critical_level(g: Graph, x0: np.ndarray, roles: AgentRoles) -> float | None:
+    """Critical level of the regular agents' data on their subgraph; None if it is disconnected."""
+    regular = list(roles.regular_ids)
+    sub, _ = g.induced_subgraph(regular)
+    return _critical_dual_norm(sub, x0[regular]) if sub.is_connected else None
+
+
 def _resolve_lambda(
     cfg: ExperimentConfig,
+    average: bool,
     g: Graph,
     x0: np.ndarray,
     roles: AgentRoles,
+    regular_level: float | None,
 ) -> tuple[float, dict]:
     """Resolve lambda and report the reference levels used for classification."""
     info: dict = {"source": "value" if cfg.lam.value is not None else "multiplier"}
-    regular = list(roles.regular_ids)
-    if cfg.objective_kind == "quadratic":
-        if roles.stubborn_ids:
-            sub, _ = g.induced_subgraph(regular)
-            reference = _critical_dual_norm(sub, x0[regular]) if sub.is_connected else None
-        else:
-            reference = _critical_dual_norm(g, x0)
+    if average:
+        reference = regular_level if roles.stubborn_ids else _critical_dual_norm(g, x0)
         info["critical_lambda"] = reference
     else:
         try:
@@ -96,7 +90,7 @@ def _resolve_lambda(
         lam = cfg.lam.multiplier * reference
 
     if reference is not None:
-        if cfg.objective_kind == "quadratic":
+        if average:
             info["classification"] = "supercritical" if lam >= reference else "subcritical"
         else:
             info["classification"] = "supercritical" if lam > reference else "subcritical"
@@ -104,16 +98,6 @@ def _resolve_lambda(
         info["classification"] = None
     info["resolved"] = lam
     return lam, info
-
-
-def _build_engine(engine_cfg, lam: float, g: Graph, roles: AgentRoles):
-    if engine_cfg.name == "subgradient":
-        return SubgradientEngine(lam, harmonic_schedule(engine_cfg.gamma0))
-    if engine_cfg.name == "admm":
-        return AdmmEngine(lam, rho=engine_cfg.rho)
-    if engine_cfg.name == "gossip":
-        return GossipEngine(uniform_gossip_matrix(g, roles))
-    raise ConfigError(f"engines: unknown engine {engine_cfg.name!r}")
 
 
 def _is_scenario1(g: Graph, roles: AgentRoles) -> bool:
@@ -126,8 +110,8 @@ def _is_scenario1(g: Graph, roles: AgentRoles) -> bool:
     return all(regular <= set(g.neighbors(s)) for s in roles.stubborn_ids)
 
 
-def _certificate_block(g, objs, kind, x0, lam) -> dict:
-    candidate = float(np.mean(x0)) if kind == "quadratic" else float(np.median(x0))
+def _certificate_block(g, objs, average: bool, x0, lam) -> dict:
+    candidate = float(np.mean(x0)) if average else float(np.median(x0))
     cert = analysis.certify_consensus_minimizer(g, objs, candidate, lam)
     return {
         "candidate": candidate,
@@ -152,11 +136,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pinned_values=cfg.stubborn.values,
     )
 
-    lam, lam_info = _resolve_lambda(cfg, g, x0, roles)
-    if cfg.objective_kind == "quadratic":
-        objs = aggregate_quadratic(g, x0)
-    else:
-        objs = aggregate_absolute(g, x0)
+    aggregate = OBJECTIVES[cfg.objective_kind]
+    average = aggregate is aggregate_quadratic  # average consensus; median otherwise
+    scenario1 = _is_scenario1(g, roles)
+    # One dual norm of the regular data serves both lambda and the stubborn prediction.
+    regular_level = (
+        _regular_critical_level(g, x0, roles)
+        if roles.stubborn_ids and (average or scenario1) else None
+    )
+    lam, lam_info = _resolve_lambda(cfg, average, g, x0, roles, regular_level)
+    objs = aggregate(g, x0)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     names = [e.name for e in cfg.engines]
@@ -168,20 +157,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     trajectories: dict[str, Trajectory] = {}
     csv_paths: dict[str, str] = {}
     engine_summaries: dict[str, dict] = {}
+    minimizers: list[str] = []  # engines that minimize the regularized energy
     for key, engine_cfg in zip(keys, cfg.engines):
-        engine = _build_engine(engine_cfg, lam, g, roles)
-        stop = StopRule(
-            max_iterations=engine_cfg.max_iterations,
-            disagreement_tol=engine_cfg.disagreement_tol,
-            change_tol=engine_cfg.change_tol,
-        )
+        engine = ENGINES[engine_cfg.name](engine_cfg, lam, g, roles)
+        if not isinstance(engine, GossipEngine):
+            minimizers.append(key)
         traj = run(
             engine,
             g,
             x0,
             objs,
             roles,
-            stop=stop,
+            stop=engine_cfg.stop,
             record_every=engine_cfg.record_every,
             metric_lambda=lam,
         )
@@ -220,31 +207,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     }
 
     if not roles.stubborn_ids:
-        summary["certificate"] = _certificate_block(g, objs, cfg.objective_kind, x0, lam)
+        summary["certificate"] = _certificate_block(g, objs, average, x0, lam)
         summary["stubborn_analysis"] = None
     else:
         summary["certificate"] = None
-        block: dict = {"scenario1": _is_scenario1(g, roles)}
-        if block["scenario1"]:
-            sub, kept = g.induced_subgraph(regular)
+        block: dict = {"scenario1": scenario1}
+        if scenario1:
             prediction = analysis.stubborn_limit(
                 x0[regular],
                 a=roles.pinned_values[0],
                 lam=lam,
                 s_count=len(roles.stubborn_ids),
-                graph_regular=sub if sub.is_connected else None,
             )
             achieved = {
-                key: float(trajectories[key].final_x[regular].mean())
-                for key, e in zip(keys, cfg.engines)
-                if e.name in ("subgradient", "admm")
+                key: float(trajectories[key].final_x[regular].mean()) for key in minimizers
             }
             block["prediction"] = {
                 "x_star": prediction.x_star,
                 "case": prediction.case,
                 "margin": prediction.margin,
                 "regular_mean": prediction.regular_mean,
-                "lambda_ok": prediction.lambda_ok,
+                "lambda_ok": None if regular_level is None else lam >= regular_level,
             }
             block["achieved_regular_mean"] = achieved
             block["prediction_error"] = {

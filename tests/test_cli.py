@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tvconsensus import ac_critical_lambda, complete_graph
 from tvconsensus.cli import main
@@ -212,3 +213,64 @@ output: {{directory: {tmp_path / "out"}, prefix: offset}}
             complete_graph(30), np.random.default_rng(11).uniform(0.0, 1.0, 30)
         )
         assert np.isclose(summary["lambda"]["critical_lambda"], unshifted, rtol=1e-9, atol=0.0)
+
+    def test_misspelled_key_is_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "typo.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: complete, n: 5}}
+objective: {{kind: quadratic, data: {{source: uniform, seed: 1}}}}
+lambda: {{value: 0.5}}
+engines: [{{name: admm, max_iteration: 3}}]
+output: {{directory: {tmp_path / "out"}, prefix: typo}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        assert "engines[0].max_iteration: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_lambda_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "inf.yaml"
+        cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out").replace(
+            "{multiplier: 1.5}", "{value: .inf}"))
+        assert main(["run", str(cfg_path)]) == 1
+        assert "lambda.value: must be positive and finite" in capsys.readouterr().err
+
+
+class TestStubbornLevel:
+    """The regular agents' critical level is computed once and serves lambda_ok too."""
+
+    CONFIG = """
+graph: {{generator: complete, n: 9}}
+objective:
+  kind: {kind}
+  data: {{source: uniform, seed: 5}}
+lambda: {{value: {lam}}}
+engines: [{{name: admm, max_iterations: 50}}]
+output: {{directory: {outdir}, prefix: stub}}
+stubborn: {{vertices: [8], values: [5.0]}}
+"""
+
+    @pytest.mark.parametrize("kind, lam, lambda_ok", [
+        ("quadratic", 0.2, True), ("quadratic", 0.01, False),
+        ("absolute", 0.2, True), ("absolute", 0.01, False),
+    ])
+    def test_one_dual_norm_per_level(self, tmp_path, monkeypatch, kind, lam, lambda_ok):
+        import tvconsensus.analysis as analysis
+        import tvconsensus.harness as harness
+
+        x0 = np.random.default_rng(5).uniform(0.0, 1.0, 9)[:8]
+        assert (lam >= ac_critical_lambda(complete_graph(8), x0)) is lambda_ok
+        calls = []
+        for module in (harness, analysis):
+            def counted(g, u, _inner=module.dual_norm_algorithm0):
+                calls.append(g.n_vertices)
+                return _inner(g, u)
+
+            monkeypatch.setattr(module, "dual_norm_algorithm0", counted)
+        cfg_path = tmp_path / "stub.yaml"
+        cfg_path.write_text(self.CONFIG.format(kind=kind, lam=lam, outdir=tmp_path / "out"))
+        result = run_experiment(load_config(str(cfg_path)))
+        assert result.summary["stubborn_analysis"]["prediction"]["lambda_ok"] is lambda_ok
+        # The regular level on K8, plus the median pattern level on K9 for absolute objectives.
+        assert sorted(calls) == ([8] if kind == "quadratic" else [8, 9])

@@ -1,14 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from tvconsensus import ConfigError, MetricsRow, emit_csv, parse_csv
+from tvconsensus import AgentRoles, ConfigError, MetricsRow, StopRule, emit_csv, parse_csv
+from tvconsensus.cli import build_parser
 from tvconsensus.config import (
+    ENGINES,
+    GENERATORS,
+    OBJECTIVES,
+    EngineConfig,
     build_graph,
     build_initial_data,
     load_config,
     parse_config,
+    reads_file,
 )
 from tvconsensus.metrics import CSV_HEADER, render_csv
 
@@ -177,3 +184,145 @@ class TestBuilders:
         )
         with pytest.raises(ConfigError, match="values"):
             build_initial_data(cfg.data, 3)
+
+
+# The summary echo of BASE_CONFIG, written out by hand.
+BASE_ECHO = {
+    "graph": {"generator": "complete", "n": 5, "p": 0.5, "seed": 0, "path": ""},
+    "objective_kind": "quadratic",
+    "data": {"source": "uniform", "seed": 3, "low": 0.0, "high": 1.0, "values": [],
+             "outliers": []},
+    "lambda": {"value": 0.5, "multiplier": None},
+    "engines": [{"name": "admm", "gamma0": 1.0, "rho": 1.0, "max_iterations": 50,
+                 "disagreement_tol": 1e-9, "change_tol": 1e-10, "record_every": 1}],
+    "stubborn": {"vertices": [], "values": []},
+    "output_dir": "out",
+    "prefix": "experiment",
+}
+
+
+class TestSchema:
+    def test_resolved_dict_of_base_config(self):
+        assert parse_config(with_overrides()).resolved_dict() == BASE_ECHO
+
+    def test_keys_outside_their_generator_or_source_echo_defaults(self):
+        cfg = parse_config(with_overrides(
+            graph={"generator": "edgelist", "path": "g.txt", "n": 7, "p": 0.1, "seed": 4},
+            objective={"kind": "absolute", "data": {
+                "source": "explicit", "values": [1, 2], "seed": 9, "low": -1, "high": 2}},
+        ))
+        echo = cfg.resolved_dict()
+        assert echo["graph"] == {"generator": "edgelist", "n": 0, "p": 0.5, "seed": 0,
+                                 "path": "g.txt"}
+        assert echo["data"] == {"source": "explicit", "seed": 0, "low": 0.0, "high": 1.0,
+                                "values": [1.0, 2.0], "outliers": []}
+        cfg = parse_config(with_overrides(
+            graph={"generator": "cycle", "n": 6, "p": 0.25, "seed": 2, "path": "g.txt"},
+            objective={"kind": "quadratic", "data": {"seed": 1, "values": [1.0]}},
+        ))
+        assert cfg.resolved_dict()["graph"] == {"generator": "cycle", "n": 6, "p": 0.25,
+                                                "seed": 2, "path": ""}
+        assert cfg.data.values == ()
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"bogus": 1}, "bogus"),
+        ({"graph": {"generator": "complete", "n": 5, "size": 5}}, "graph.size"),
+        ({"objective": {"kind": "quadratic", "kinds": "absolute"}}, "objective.kinds"),
+        ({"objective": {"kind": "quadratic", "data": {"sed": 3}}}, "objective.data.sed"),
+        ({"objective": {"kind": "quadratic", "data": {"outliers": [
+            {"vertex": 0, "value": 1.0}, {"vertex": 1, "value": 2.0, "weight": 1.0}]}}},
+         "objective.data.outliers[1].weight"),
+        ({"lambda": {"value": 0.5, "scale": 2.0}}, "lambda.scale"),
+        ({"engines": [{"name": "admm"}, {"name": "admm", "max_iteration": 3}]},
+         "engines[1].max_iteration"),
+        ({"stubborn": {"vertices": [0], "values": [1.0], "value": 1.0}}, "stubborn.value"),
+        ({"output": {"directory": "out", "dir": "elsewhere"}}, "output.dir"),
+    ])
+    def test_unknown_key_names_its_path(self, overrides, path):
+        with pytest.raises(ConfigError, match=re.escape(path) + ": unknown key"):
+            parse_config(with_overrides(**overrides))
+
+    def test_missing_key_names_its_path(self):
+        with pytest.raises(ConfigError, match=r"engines\[0\]\.name: missing"):
+            parse_config(with_overrides(engines=[{"rho": 2.0}]))
+        with pytest.raises(ConfigError, match=r"objective\.data\.outliers\[0\]\.value"):
+            parse_config(with_overrides(objective={
+                "kind": "quadratic", "data": {"outliers": [{"vertex": 0}]}}))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("lambda", "value", math.inf),
+        ("lambda", "value", math.nan),
+        ("lambda", "multiplier", math.inf),
+        ("lambda", "multiplier", -1.0),
+        ("engines", "gamma0", math.inf),
+        ("engines", "gamma0", 0.0),
+        ("engines", "rho", math.inf),
+        ("engines", "rho", math.nan),
+    ])
+    def test_levels_must_be_positive_and_finite(self, section, key, value):
+        if section == "lambda":
+            bad, path = with_overrides(**{"lambda": {key: value}}), f"lambda.{key}"
+        else:
+            bad, path = with_overrides(engines=[{"name": "admm", key: value}]), f"engines[0].{key}"
+        with pytest.raises(ConfigError, match=re.escape(path) + ": must be positive and finite"):
+            parse_config(bad)
+
+    def test_tolerances_take_infinite_and_negative_values(self):
+        cfg = parse_config(with_overrides(engines=[
+            {"name": "admm", "disagreement_tol": math.inf, "change_tol": -1.0}]))
+        assert cfg.engines[0].stop == StopRule(disagreement_tol=math.inf, change_tol=-1.0)
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"graph": {"generator": "complete", "n": True}}, "graph.n"),
+        ({"graph": {"generator": "complete", "n": 4.5}}, "graph.n"),
+        ({"graph": {"generator": "erdos_renyi", "n": 5, "seed": 1.5}}, "graph.seed"),
+        ({"objective": {"kind": "quadratic", "data": {"seed": False}}}, "objective.data.seed"),
+        ({"engines": [{"name": "admm", "max_iterations": 2.7}]}, "engines[0].max_iterations"),
+        ({"engines": [{"name": "admm", "record_every": True}]}, "engines[0].record_every"),
+        ({"engines": [{"name": "admm", "max_iterations": "50"}]}, "engines[0].max_iterations"),
+    ])
+    def test_integer_fields_reject_other_types(self, overrides, path):
+        with pytest.raises(ConfigError, match=re.escape(path) + ": expected an integer"):
+            parse_config(with_overrides(**overrides))
+
+    def test_integral_floats_are_integers(self):
+        cfg = parse_config(with_overrides(engines=[{"name": "admm", "max_iterations": 50.0}]))
+        assert cfg.engines[0].max_iterations == 50
+        assert isinstance(cfg.engines[0].max_iterations, int)
+
+    def test_stop_defaults_come_from_stop_rule(self):
+        assert EngineConfig(name="admm").stop == StopRule()
+
+    def test_tables_name_what_they_build(self, tmp_path):
+        g = build_graph(parse_config(with_overrides()).graph)
+        for name, build in ENGINES.items():
+            assert build(EngineConfig(name=name), 0.5, g, AgentRoles.none(5)).name == name
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n")
+        for name in GENERATORS:
+            graph = {"generator": name, "path": str(path)} if reads_file(name) else {
+                "generator": name, "n": 3}
+            assert build_graph(parse_config(with_overrides(graph=graph)).graph).n_vertices == 3
+        for kind in OBJECTIVES:
+            cfg = parse_config(with_overrides(objective={"kind": kind}))
+            assert cfg.objective_kind == kind
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"graph": {"generator": "lattice", "n": 4}}, "graph.generator"),
+        ({"objective": {"kind": "huber"}}, "objective.kind"),
+        ({"objective": {"kind": "quadratic", "data": {"source": "normal"}}},
+         "objective.data.source"),
+    ])
+    def test_unknown_names_are_rejected(self, overrides, path):
+        with pytest.raises(ConfigError, match=re.escape(path) + ": unknown value"):
+            parse_config(with_overrides(**overrides))
+
+    def test_cli_choices_are_the_table_keys(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+
+        def choices(command, dest):
+            return next(a.choices for a in commands[command]._actions if a.dest == dest)
+
+        assert list(choices("certify", "kind")) == list(OBJECTIVES)
+        assert list(choices("gen-graph", "generator")) == [
+            name for name in GENERATORS if not reads_file(name)]
