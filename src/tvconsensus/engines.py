@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionError, InvalidFieldError, UnsupportedGraphError
+from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
 from .graph import Graph, check_node_field
 from .objectives import AggregateObjective
 from .tv import tv_norm
@@ -263,9 +263,9 @@ class SubgradientEngine:
         sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
             self._dst, weights=s, minlength=n
         )
-        descent = -self._objs.subgradient_vector(x)
-        x_next = x + gamma * (descent + self.lam * sign_sum)
-        x_next[self._pin_ids] = self._pin_values
+        x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient_vector(x))
+        if self._pin_ids.size:
+            x_next[self._pin_ids] = self._pin_values
         self.n += 1
         return x_next
 
@@ -325,7 +325,8 @@ class AdmmEngine:
         mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
         target = x + mu_mean - 0.5 * self.mu_mean
         x_next = self._objs.prox_vector(self._rho_deg, target)
-        x_next[self._pin_ids] = self._pin_values
+        if self._pin_ids.size:
+            x_next[self._pin_ids] = self._pin_values
         self.mu, self.mu_mean = mu, mu_mean
         return x_next
 
@@ -349,7 +350,8 @@ class GossipEngine:
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return W x, pinned, as a new array."""
         x_next = self.matrix.matrix @ x
-        x_next[self._pin_ids] = self._pin_values
+        if self._pin_ids.size:
+            x_next[self._pin_ids] = self._pin_values
         return x_next
 
 
@@ -370,7 +372,8 @@ def run(
 
     The recorded objective is F(x) + metric_lambda * tv(x) (defaulting to the
     engine's own regularization level).  Iteration 0 carries the initial
-    metrics with zero change; the final iteration is always recorded.
+    metrics with zero change; the final iteration is always recorded.  A state
+    that overflows or turns NaN raises ``DomainError``.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -391,23 +394,32 @@ def run(
         objective_values.append(objs.value(x_now) + lam_metric * tv_norm(g, x_now))
         changes.append(change)
 
-    record(0, x, 0.0)
-
+    # Change and disagreement are >= 0, so a tolerance <= 0 is never met.
+    can_settle = stop.change_tol > 0.0 and stop.disagreement_tol > 0.0
     converged = False
     k = 0
-    while k < stop.max_iterations:
-        x_new = engine.step(x)
-        change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
-        k += 1
-        settled = (
-            change < stop.change_tol and disagreement(x_new) < stop.disagreement_tol
-        )
-        if k % record_every == 0 or settled or k == stop.max_iterations:
-            record(k, x_new, change)
-        x = x_new
-        if settled:
-            converged = True
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            record(0, x, 0.0)
+            while k < stop.max_iterations:
+                k += 1
+                x_new = engine.step(x)
+                due = k % record_every == 0 or k == stop.max_iterations
+                if due or can_settle:
+                    change = float(np.abs(x_new - x).max())
+                    converged = (
+                        change < stop.change_tol
+                        and disagreement(x_new) < stop.disagreement_tol
+                    )
+                    if due or converged:
+                        record(k, x_new, change)
+                x = x_new
+                if converged:
+                    break
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"{engine.name} engine: the state left the finite range at step {k} ({exc})"
+        ) from exc
 
     return Trajectory(
         iterations=np.array(its, dtype=int),

@@ -146,6 +146,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     )
     lam, lam_info = _resolve_lambda(cfg, average, g, x0, roles, regular_level)
     objs = aggregate(g, x0)
+    # The certificate needs no trajectory: a graph it rejects fails before any engine runs.
+    certificate = None if roles.stubborn_ids else _certificate_block(g, objs, average, x0, lam)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     names = [e.name for e in cfg.engines]
@@ -204,13 +206,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "regular_mean": float(x0[regular].mean()) if regular else None,
         },
         "engines": engine_summaries,
+        "certificate": certificate,
     }
 
     if not roles.stubborn_ids:
-        summary["certificate"] = _certificate_block(g, objs, average, x0, lam)
         summary["stubborn_analysis"] = None
     else:
-        summary["certificate"] = None
         block: dict = {"scenario1": scenario1}
         if scenario1:
             prediction = analysis.stubborn_limit(

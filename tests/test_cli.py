@@ -237,6 +237,56 @@ output: {{directory: {tmp_path / "out"}, prefix: typo}}
         assert "lambda.value: must be positive and finite" in capsys.readouterr().err
 
 
+    def test_disconnected_graph_fails_before_any_engine_step(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from tvconsensus import AdmmEngine
+
+        steps = []
+
+        def counted(self, x, _inner=AdmmEngine.step):
+            steps.append(1)
+            return _inner(self, x)
+
+        monkeypatch.setattr(AdmmEngine, "step", counted)
+        gpath = tmp_path / "two_triangles.txt"
+        gpath.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        cfg_path = tmp_path / "disconnected.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: edgelist, path: {gpath}}}
+objective: {{kind: absolute, data: {{source: uniform, seed: 1}}}}
+lambda: {{value: 0.5}}
+engines: [{{name: admm, max_iterations: 50000}}]
+output: {{directory: {tmp_path / "out"}, prefix: p}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        assert "certificates need a connected graph" in capsys.readouterr().err
+        assert steps == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_non_finite_state_is_a_typed_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: path, n: 4}}
+objective: {{kind: quadratic, data: {{source: uniform, seed: 1}}}}
+lambda: {{value: 1.0e+300}}
+engines: [{{name: admm, max_iterations: 20}}, {{name: subgradient, max_iterations: 20}}]
+output: {{directory: {tmp_path / "out"}, prefix: huge}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "subgradient engine: the state left the finite range at step 1" in err
+        out = tmp_path / "out"
+        assert not (out / "huge_subgradient.csv").exists()
+        assert not (out / "huge_summary.json").exists()
+        for path in out.rglob("*"):
+            text = path.read_text().lower()
+            assert "inf" not in text and "nan" not in text
+
+
 class TestStubbornLevel:
     """The regular agents' critical level is computed once and serves lambda_ok too."""
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from tvconsensus import (
     InvalidFieldError,
     StopRule,
     SubgradientEngine,
+    Trajectory,
     UnsupportedGraphError,
+    ac_critical_lambda,
     aggregate_absolute,
     aggregate_quadratic,
     complete_graph,
@@ -21,6 +25,7 @@ from tvconsensus import (
     gossip_step,
     harmonic_schedule,
     run,
+    tv_norm,
     uniform_gossip_matrix,
 )
 from tvconsensus.objectives import QuadraticPlusStubborn, AggregateObjective, Quadratic
@@ -28,6 +33,8 @@ from tvconsensus.objectives import QuadraticPlusStubborn, AggregateObjective, Qu
 from conftest import random_connected_graph
 
 INF = float("inf")
+# A stop-rule tolerance that can never be met.
+NEVER = -1.0
 
 
 def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
@@ -41,6 +48,74 @@ def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
     descent = -objs.subgradient_vector(x)
     x_next = x + gamma * (descent + lam * sign_sum)
     return roles.pin(x_next)
+
+
+class ReferenceSubgradientEngine:
+    """Engine shape around ``reference_subgradient_step``, for ``run`` and ``reference_run``."""
+
+    name = "subgradient"
+
+    def __init__(self, lam):
+        self.lam = float(lam)
+        self.schedule = harmonic_schedule()
+
+    def start(self, g, x0, objs, roles):
+        self.g, self.objs, self.roles, self.n = g, objs, roles, 0
+        return roles.apply_to(x0)
+
+    def step(self, x):
+        x_next = reference_subgradient_step(
+            self.g, x, self.n, self.objs, self.lam, self.roles, self.schedule
+        )
+        self.n += 1
+        return x_next
+
+
+def reference_run(engine, g, x0, objs, roles, stop=StopRule(), record_every=1,
+                  metric_lambda=None):
+    """The eager `run` loop: the max change after every step, recorded or not."""
+    lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
+    x = engine.start(g, x0, objs, roles)
+    its, dis, means, objective_values, changes = [], [], [], [], []
+
+    def record(k, x_now, change):
+        its.append(k)
+        dis.append(disagreement(x_now))
+        means.append(float(x_now.mean()))
+        objective_values.append(objs.value(x_now) + lam_metric * tv_norm(g, x_now))
+        changes.append(change)
+
+    record(0, x, 0.0)
+    converged = False
+    k = 0
+    while k < stop.max_iterations:
+        x_new = engine.step(x)
+        change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
+        k += 1
+        settled = (
+            change < stop.change_tol and disagreement(x_new) < stop.disagreement_tol
+        )
+        if k % record_every == 0 or settled or k == stop.max_iterations:
+            record(k, x_new, change)
+        x = x_new
+        if settled:
+            converged = True
+            break
+    return Trajectory(
+        iterations=np.array(its, dtype=int),
+        disagreement=np.array(dis, dtype=float),
+        mean=np.array(means, dtype=float),
+        objective=np.array(objective_values, dtype=float),
+        max_change=np.array(changes, dtype=float),
+        final_x=x,
+        converged=converged,
+        n_steps=k,
+    )
+
+
+def assert_same_trajectory(traj, ref):
+    for f in fields(Trajectory):
+        assert np.array_equal(getattr(traj, f.name), getattr(ref, f.name)), f.name
 
 
 def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
@@ -577,3 +652,131 @@ class TestRunDriver:
                    stop=StopRule(20_000, 1e-11, 1e-12), metric_lambda=0.3)
         assert traj.converged
         assert np.allclose(traj.final_x, 1.0, atol=1e-9)
+
+
+class TestLazyChange:
+    """``run`` computes the max change only when a row or the stop rule reads it."""
+
+    @staticmethod
+    def scenario(engine_name, pinned):
+        g = cycle_graph(6)
+        x0 = np.random.default_rng(3).uniform(size=6)
+        roles = AgentRoles.from_pinned(6, {2: 0.4}) if pinned else AgentRoles.none(6)
+        lam = 2.0 * ac_critical_lambda(g, x0)
+        x0 = roles.apply_to(x0)
+        engine = {
+            "subgradient": lambda: SubgradientEngine(lam),
+            "admm": lambda: AdmmEngine(lam, 1.0),
+            "gossip": lambda: GossipEngine(uniform_gossip_matrix(g, roles)),
+        }[engine_name]
+        return g, x0, aggregate_quadratic(g, x0), roles, engine
+
+    @pytest.mark.parametrize("engine_name", ["subgradient", "admm", "gossip"])
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("record_every", [1, 7, 100])
+    @pytest.mark.parametrize("stop", [
+        StopRule(300, NEVER, NEVER),
+        StopRule(300, 1e-9, 1e-10),
+        StopRule(300, NEVER, 1e-10),
+        StopRule(300, 1e-9, NEVER),
+        StopRule(300, INF, INF),
+        StopRule(0, 1e-9, 1e-10),
+    ], ids=["never", "both", "change_only", "disagreement_only", "always", "zero_steps"])
+    def test_matches_the_eager_loop(self, engine_name, pinned, record_every, stop):
+        g, x0, objs, roles, engine = self.scenario(engine_name, pinned)
+        traj = run(engine(), g, x0, objs, roles, stop=stop, record_every=record_every)
+        ref = reference_run(engine(), g, x0, objs, roles, stop=stop, record_every=record_every)
+        assert_same_trajectory(traj, ref)
+
+    def test_stop_rule_fires_for_admm_and_gossip(self):
+        stop = StopRule(300, 1e-9, 1e-10)
+        for name in ("admm", "gossip"):
+            for pinned in (False, True):
+                g, x0, objs, roles, engine = self.scenario(name, pinned)
+                traj = run(engine(), g, x0, objs, roles, stop=stop, record_every=100)
+                assert traj.converged and traj.n_steps < 300
+                assert traj.max_change[-1] < 1e-10
+
+    def test_benchmark_sweep_shape(self):
+        """20,000 subgradient steps on K7, every 100th recorded, tolerances never met."""
+        g = complete_graph(7)
+        x0 = np.random.default_rng(2026).uniform(size=7)
+        objs = aggregate_quadratic(g, x0)
+        lam = 1.25 * ac_critical_lambda(g, x0)
+        roles = AgentRoles.none(7)
+        stop = StopRule(20_000, NEVER, NEVER)
+        traj = run(SubgradientEngine(lam), g, x0, objs, roles, stop=stop, record_every=100)
+        ref = reference_run(ReferenceSubgradientEngine(lam), g, x0, objs, roles, stop=stop,
+                            record_every=100)
+        assert_same_trajectory(traj, ref)
+        assert len(traj.iterations) == 201
+
+
+class TestDegenerateGraphs:
+    """One vertex, an isolated vertex, no edges, every vertex pinned."""
+
+    CASES = {
+        "single_vertex": (Graph(1, []), {}),
+        "isolated_vertex": (Graph(4, [(0, 1), (1, 2)]), {}),
+        "edgeless": (Graph(3, []), {}),
+        "all_pinned": (complete_graph(4), {0: 1.0, 1: -2.0, 2: 0.5, 3: 3.0}),
+    }
+
+    @staticmethod
+    def scenario(case):
+        g, pinned = TestDegenerateGraphs.CASES[case]
+        n = g.n_vertices
+        roles = AgentRoles.from_pinned(n, pinned)
+        x0 = roles.apply_to(np.random.default_rng(8).normal(size=n))
+        return g, x0, aggregate_quadratic(g, x0), roles
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_subgradient_matches_reference(self, case):
+        g, x0, objs, roles = self.scenario(case)
+        engine = SubgradientEngine(0.7)
+        x = engine.start(g, x0, objs, roles)
+        ref = x0.copy()
+        for n in range(20):
+            x = engine.step(x)
+            ref = reference_subgradient_step(g, ref, n, objs, 0.7, roles, harmonic_schedule())
+            assert np.array_equal(x, ref)
+        stop = StopRule(20, NEVER, NEVER)
+        assert_same_trajectory(
+            run(SubgradientEngine(0.7), g, x0, objs, roles, stop=stop),
+            reference_run(ReferenceSubgradientEngine(0.7), g, x0, objs, roles, stop=stop),
+        )
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_gossip_matches_reference(self, case):
+        g, x0, objs, roles = self.scenario(case)
+        w = uniform_gossip_matrix(g, roles)
+        engine = GossipEngine(w)
+        x = engine.start(g, x0, objs, roles)
+        ref = x0.copy()
+        for _ in range(20):
+            x = engine.step(x)
+            ref = roles.pin(gossip_step(w, ref))
+            assert np.array_equal(x, ref)
+        stop = StopRule(20, 1e-9, 1e-10)
+        assert_same_trajectory(
+            run(GossipEngine(w), g, x0, objs, roles, stop=stop),
+            reference_run(GossipEngine(w), g, x0, objs, roles, stop=stop),
+        )
+
+    @pytest.mark.parametrize("case", ["single_vertex", "isolated_vertex", "edgeless"])
+    def test_admm_rejects_a_vertex_without_neighbours(self, case):
+        g, x0, objs, roles = self.scenario(case)
+        with pytest.raises(UnsupportedGraphError):
+            run(AdmmEngine(0.7), g, x0, objs, roles, stop=StopRule(5))
+
+    def test_admm_all_pinned_matches_reference(self):
+        g, x0, objs, roles = self.scenario("all_pinned")
+        engine = AdmmEngine(0.7, 1.3)
+        x = engine.start(g, x0, objs, roles)
+        ref, mu, mu_mean = x0.copy(), np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
+        for _ in range(20):
+            x = engine.step(x)
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, 1.3, 0.7, roles)
+            assert np.array_equal(x, ref)
+            assert np.array_equal(x, x0)
+        assert np.array_equal(engine.mu, mu)
