@@ -46,7 +46,6 @@ from .errors import (
     SizeCapError,
     TvConsensusError,
     UnsupportedGraphError,
-    UnsupportedOperationError,
 )
 from .graph import (
     Graph,
@@ -66,16 +65,7 @@ from .graph import (
 from .harness import ExperimentResult, run_experiment
 from .maxflow import CutResult, FlowNetwork, build_network, maximize_cut_functional, min_cut
 from .metrics import MetricsRow, emit_csv, metrics_from_trajectory, parse_csv
-from .objectives import (
-    Absolute,
-    AggregateObjective,
-    CustomObjective,
-    Quadratic,
-    QuadraticPlusStubborn,
-    aggregate_absolute,
-    aggregate_quadratic,
-    soft_threshold,
-)
+from .objectives import Absolute, Quadratic
 from .tv import LevelSetDecomposition, coarea_decompose, is_dual_certificate, tv_norm
 
 __version__ = "0.1.0"
@@ -84,10 +74,8 @@ __all__ = [
     "Absolute",
     "AdmmEngine",
     "AgentRoles",
-    "AggregateObjective",
     "AssumptionError",
     "ConfigError",
-    "CustomObjective",
     "CutResult",
     "DomainError",
     "DualNormResult",
@@ -104,7 +92,6 @@ __all__ = [
     "MetricsRow",
     "OptimalityCertificate",
     "Quadratic",
-    "QuadraticPlusStubborn",
     "SizeCapError",
     "StopRule",
     "StubbornPrediction",
@@ -112,10 +99,7 @@ __all__ = [
     "Trajectory",
     "TvConsensusError",
     "UnsupportedGraphError",
-    "UnsupportedOperationError",
     "ac_critical_lambda",
-    "aggregate_absolute",
-    "aggregate_quadratic",
     "build_network",
     "certify_consensus_minimizer",
     "coarea_decompose",
@@ -149,7 +133,6 @@ __all__ = [
     "run",
     "run_experiment",
     "save_edge_list",
-    "soft_threshold",
     "stubborn_limit",
     "tv_norm",
     "uniform_gossip_matrix",

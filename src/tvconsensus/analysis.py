@@ -17,7 +17,7 @@ from .dualnorm import dual_norm_algorithm0
 from .errors import SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field
 from .maxflow import center_field, maximize_cut_functional
-from .objectives import AggregateObjective
+from .objectives import Absolute, Quadratic
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
@@ -31,14 +31,6 @@ class OptimalityCertificate:
     mean_u: float
     dual_gap: float
     verdict: str
-
-
-def _subgradient_box(objs: AggregateObjective, x_star: float) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.empty(len(objs.objectives))
-    hi = np.empty(len(objs.objectives))
-    for v, obj in enumerate(objs.objectives):
-        lo[v], hi[v] = obj.subgradient_interval(x_star)
-    return lo, hi
 
 
 def _project_mean_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -69,7 +61,7 @@ def _project_mean_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
 
 def certify_consensus_minimizer(
     g: Graph,
-    objs: AggregateObjective,
+    objs: Quadratic | Absolute,
     x_star: float,
     lam: float,
     tol: float = 1e-9,
@@ -88,7 +80,7 @@ def certify_consensus_minimizer(
     """
     if not g.is_connected:
         raise UnsupportedGraphError("certificates need a connected graph")
-    lo, hi = _subgradient_box(objs, float(x_star))
+    lo, hi = objs.subgradient_box(float(x_star))
 
     if np.all(lo == hi):
         # Unique subgradient selection: the check is conclusive either way.

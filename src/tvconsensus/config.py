@@ -36,7 +36,7 @@ from .graph import (
     load_edge_list,
     path_graph,
 )
-from .objectives import aggregate_absolute, aggregate_quadratic
+from .objectives import Absolute, Quadratic
 
 
 def _read_edge_list(cfg: GraphConfig) -> Graph:
@@ -51,7 +51,7 @@ GENERATORS = {
     "erdos_renyi": lambda cfg: erdos_renyi(cfg.n, cfg.p, cfg.seed),
     "edgelist": _read_edge_list,
 }
-OBJECTIVES = {"quadratic": aggregate_quadratic, "absolute": aggregate_absolute}
+OBJECTIVES = {"quadratic": Quadratic, "absolute": Absolute}
 ENGINES = {
     SubgradientEngine.name:
         lambda cfg, lam, g, roles: SubgradientEngine(lam, harmonic_schedule(cfg.gamma0)),

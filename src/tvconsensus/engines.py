@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
 from .graph import Graph, check_node_field
-from .objectives import AggregateObjective
+from .objectives import Absolute, Quadratic
 from .tv import tv_norm
 
 
@@ -247,7 +247,7 @@ class SubgradientEngine:
         self.lam = float(lam)
         self.schedule = schedule if schedule is not None else harmonic_schedule()
 
-    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
         """Validate the run, fix its constants, reset the round counter; return x(0)."""
         x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
         self.n = 0
@@ -263,7 +263,7 @@ class SubgradientEngine:
         sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
             self._dst, weights=s, minlength=n
         )
-        x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient_vector(x))
+        x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient(x))
         if self._pin_ids.size:
             x_next[self._pin_ids] = self._pin_values
         self.n += 1
@@ -296,7 +296,7 @@ class AdmmEngine:
         self.lam = float(lam)
         self.rho = float(rho)
 
-    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
         """Validate the run, fix its constants, zero the multipliers; return x(0)."""
         x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
         if not self.rho > 0.0:
@@ -324,7 +324,7 @@ class AdmmEngine:
         mu = np.clip(self.mu + (x[self._talker] - x[self._owner]), -self._bound, self._bound)
         mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
         target = x + mu_mean - 0.5 * self.mu_mean
-        x_next = self._objs.prox_vector(self._rho_deg, target)
+        x_next = self._objs.prox(self._rho_deg, target)
         if self._pin_ids.size:
             x_next[self._pin_ids] = self._pin_values
         self.mu, self.mu_mean = mu, mu_mean
@@ -340,7 +340,7 @@ class GossipEngine:
         self.matrix = matrix
         self.lam = 0.0
 
-    def start(self, g: Graph, x0, objs: AggregateObjective, roles: AgentRoles) -> np.ndarray:
+    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
         """Validate the run and fix the pinned entries; return x(0)."""
         x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
         if self.matrix.n_vertices != g.n_vertices:
@@ -362,7 +362,7 @@ def run(
     engine: Engine,
     g: Graph,
     x0,
-    objs: AggregateObjective,
+    objs: Quadratic | Absolute,
     roles: AgentRoles,
     stop: StopRule = StopRule(),
     record_every: int = 1,

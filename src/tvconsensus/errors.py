@@ -25,10 +25,6 @@ class SizeCapError(TvConsensusError, ValueError):
     """An exhaustive computation was requested above its configured size cap."""
 
 
-class UnsupportedOperationError(TvConsensusError, ValueError):
-    """The objective does not provide the requested operation (e.g. a proximal map)."""
-
-
 class AssumptionError(TvConsensusError, ValueError):
     """A structural assumption of the gossip model is violated."""
 

@@ -25,7 +25,7 @@ from .errors import (
 from .graph import Graph
 from .maxflow import center_field
 from .metrics import emit_csv, metrics_from_trajectory
-from .objectives import aggregate_quadratic
+from .objectives import Quadratic
 
 
 @dataclass
@@ -136,8 +136,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pinned_values=cfg.stubborn.values,
     )
 
-    aggregate = OBJECTIVES[cfg.objective_kind]
-    average = aggregate is aggregate_quadratic  # average consensus; median otherwise
+    kind = OBJECTIVES[cfg.objective_kind]
+    average = kind is Quadratic  # average consensus; median otherwise
     scenario1 = _is_scenario1(g, roles)
     # One dual norm of the regular data serves both lambda and the stubborn prediction.
     regular_level = (
@@ -145,11 +145,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if roles.stubborn_ids and (average or scenario1) else None
     )
     lam, lam_info = _resolve_lambda(cfg, average, g, x0, roles, regular_level)
-    objs = aggregate(g, x0)
+    objs = kind(g, x0)
     # The certificate needs no trajectory: a graph it rejects fails before any engine runs.
     certificate = None if roles.stubborn_ids else _certificate_block(g, objs, average, x0, lam)
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
     names = [e.name for e in cfg.engines]
     keys = [
         name if names.count(name) == 1 else f"{name}_{k}"
@@ -176,7 +175,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
         trajectories[key] = traj
         path = os.path.join(cfg.output_dir, f"{cfg.prefix}_{key}.csv")
-        emit_csv(metrics_from_trajectory(traj), path)
         csv_paths[key] = path
         engine_summaries[key] = {
             "engine": engine_cfg.name,
@@ -236,6 +234,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             }
         summary["stubborn_analysis"] = block
 
+    # Files are written only once every engine has run, so a failed run leaves none.
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for key, traj in trajectories.items():
+        emit_csv(metrics_from_trajectory(traj), csv_paths[key])
     summary_path = os.path.join(cfg.output_dir, f"{cfg.prefix}_summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

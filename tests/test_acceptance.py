@@ -10,13 +10,13 @@ import time
 import numpy as np
 
 from tvconsensus import (
+    Absolute,
     AdmmEngine,
     AgentRoles,
+    Quadratic,
     StopRule,
     SubgradientEngine,
     ac_critical_lambda,
-    aggregate_absolute,
-    aggregate_quadratic,
     build_network,
     certify_consensus_minimizer,
     coarea_decompose,
@@ -135,7 +135,7 @@ def test_criterion_04_ac_supercritical():
         AdmmEngine(lam, rho=1.0),
         g,
         x0,
-        aggregate_quadratic(g, x0),
+        Quadratic(g, x0),
         AgentRoles.none(99),
         stop=StopRule(max_iterations=2000, disagreement_tol=1e-6, change_tol=INF),
     )
@@ -155,7 +155,7 @@ def test_criterion_05_ac_subcritical():
         AdmmEngine(lam, rho=1.0),
         g,
         x0,
-        aggregate_quadratic(g, x0),
+        Quadratic(g, x0),
         AgentRoles.none(99),
         stop=StopRule(max_iterations=3000, disagreement_tol=-1.0, change_tol=-1.0),
     )
@@ -173,7 +173,7 @@ def test_criterion_06_median_consensus():
     x0[:5] = 3.0  # outliers separate the mean from the median
     median = float(np.median(x0))
     lam = 0.5
-    objs = aggregate_absolute(g, x0)
+    objs = Absolute(g, x0)
     roles = AgentRoles.none(99)
 
     adm = run(
@@ -210,7 +210,7 @@ def test_criterion_07_stubborn_three_cases():
         x0 = np.concatenate([x0r, [a]])
         roles = AgentRoles.from_pinned(n_reg + 1, {n_reg: a})
         traj = run(
-            AdmmEngine(lam, rho=1.0), g, x0, aggregate_quadratic(g, x0), roles,
+            AdmmEngine(lam, rho=1.0), g, x0, Quadratic(g, x0), roles,
             stop=StopRule(max_iterations=30_000, disagreement_tol=INF, change_tol=1e-12),
             record_every=10**9,
         )
@@ -261,7 +261,7 @@ def test_criterion_09_engine_cross_agreement():
         x0 = rng.uniform(-1.0, 2.0, n)
         crit = ac_critical_lambda(g, x0)
         lam = float(rng.uniform(0.3, 1.8)) * max(crit, 1e-3)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         roles = AgentRoles.none(n)
         adm = run(
             AdmmEngine(lam, 1.0), g, x0, objs, roles,

@@ -4,18 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvconsensus import (
+    Absolute,
     AdmmEngine,
     AgentRoles,
     Graph,
+    Quadratic,
     SizeCapError,
     StopRule,
     UnsupportedGraphError,
     ac_critical_lambda,
-    aggregate_absolute,
-    aggregate_quadratic,
     certify_consensus_minimizer,
     complete_graph,
     cycle_graph,
+    dual_norm_algorithm0,
     dual_norm_bruteforce,
     mc_lambda0_exact,
     mc_lambda0_upper,
@@ -25,7 +26,10 @@ from tvconsensus import (
     tv_norm,
 )
 
+from tvconsensus.maxflow import center_field
+
 from conftest import random_connected_graph
+from reference_objectives import reference_subgradient_box
 
 INF = float("inf")
 
@@ -43,7 +47,7 @@ class TestCertify:
         g = complete_graph(6)
         x0 = rng.normal(size=6)
         crit = ac_critical_lambda(g, x0)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         cert = certify_consensus_minimizer(g, objs, float(x0.mean()), 1.2 * crit)
         assert cert.verdict == "certified"
         assert abs(cert.mean_u) <= 1e-12
@@ -53,14 +57,14 @@ class TestCertify:
         g = complete_graph(6)
         x0 = rng.normal(size=6)
         crit = ac_critical_lambda(g, x0)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         cert = certify_consensus_minimizer(g, objs, float(x0.mean()), 0.5 * crit)
         assert cert.verdict == "violated"
         assert cert.dual_gap > 0.0
 
     def test_single_edge_example(self):
         g = Graph(2, [(0, 1)])
-        objs = aggregate_quadratic(g, np.array([0.0, 2.0]))
+        objs = Quadratic(g, np.array([0.0, 2.0]))
         cert = certify_consensus_minimizer(g, objs, 1.0, 1.0)
         assert cert.verdict == "certified"
         assert np.allclose(cert.u, [1.0, -1.0], atol=1e-12)
@@ -68,7 +72,7 @@ class TestCertify:
     def test_wrong_candidate_violated(self, rng):
         g = complete_graph(5)
         x0 = rng.normal(size=5)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         lam = 2.0 * ac_critical_lambda(g, x0)
         cert = certify_consensus_minimizer(g, objs, float(x0.mean()) + 0.5, lam)
         assert cert.verdict == "violated"
@@ -76,7 +80,7 @@ class TestCertify:
     def test_median_certified_for_absolute_objectives(self, rng):
         g = complete_graph(7)
         x0 = rng.normal(size=7)
-        objs = aggregate_absolute(g, x0)
+        objs = Absolute(g, x0)
         lam = 0.5  # far above the worst-case pattern level for K7
         cert = certify_consensus_minimizer(g, objs, float(np.median(x0)), lam)
         assert cert.verdict == "certified"
@@ -85,7 +89,7 @@ class TestCertify:
         for _ in range(5):
             g = random_connected_graph(rng, n_max=7)
             x0 = rng.normal(size=g.n_vertices)
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             crit = ac_critical_lambda(g, x0)
             lam = 1.3 * max(crit, 1e-3)
             cert = certify_consensus_minimizer(g, objs, float(x0.mean()), lam)
@@ -101,7 +105,7 @@ class TestCertify:
     def test_violated_candidate_does_not_minimize(self, rng):
         g = complete_graph(6)
         x0 = rng.normal(size=6)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         crit = ac_critical_lambda(g, x0)
         lam = 0.3 * crit
         cert = certify_consensus_minimizer(g, objs, float(x0.mean()), lam)
@@ -118,7 +122,7 @@ class TestCertify:
 
     def test_disconnected_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        objs = aggregate_quadratic(g, np.zeros(4))
+        objs = Quadratic(g, np.zeros(4))
         with pytest.raises(UnsupportedGraphError):
             certify_consensus_minimizer(g, objs, 0.0, 1.0)
 
@@ -134,7 +138,7 @@ class TestCertify:
         x0 = np.random.default_rng(11).uniform(0.0, 1.0, 30)
         crit = ac_critical_lambda(g, x0)
         data = scale * x0 + offset
-        objs = aggregate_quadratic(g, data)
+        objs = Quadratic(g, data)
         for factor, verdict in ((0.5, "violated"), (1.5, "certified")):
             cert = certify_consensus_minimizer(g, objs, float(data.mean()), factor * scale * crit)
             assert cert.verdict == verdict
@@ -148,7 +152,7 @@ class TestCertify:
         # 21 of 40 absolute-value subgradients are +1 and 19 are -1: mean 0.05.
         g = complete_graph(40)
         data = offset + np.arange(40.0)
-        objs = aggregate_absolute(g, data)
+        objs = Absolute(g, data)
         cert = certify_consensus_minimizer(g, objs, offset + 20.5, 100.0)
         assert cert.mean_u == pytest.approx(0.05)
         assert cert.verdict == "violated"
@@ -166,10 +170,63 @@ class TestCertify:
         crit = ac_critical_lambda(g, x0)
         scale = 10.0**log_scale
         for data, level in ((x0, crit), (scale * x0, scale * crit), (x0 + offset, crit)):
-            objs = aggregate_quadratic(g, data)
+            objs = Quadratic(g, data)
             for factor, verdict in ((0.5, "violated"), (1.5, "certified")):
                 cert = certify_consensus_minimizer(g, objs, float(data.mean()), factor * level)
                 assert cert.verdict == verdict
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    @pytest.mark.parametrize("candidate", ["lower middle", "upper middle", "midpoint", "tie"])
+    def test_array_box_keeps_the_median_certificate(self, kind, candidate):
+        # With even n the two middle data values are kinks, and so is the median
+        # when they tie; there the absolute boxes are intervals and the greedy
+        # repair runs.  The verdict, gap and selection match the per-agent loop.
+        class LoopBox(kind):
+            def subgradient_box(self, x_star):
+                return reference_subgradient_box(self, x_star)
+
+        x0 = np.array([0.3, -1.2, 2.5, 0.9, -0.4, 1.7, 0.1, 3.3])
+        if candidate == "tie":
+            x0[3] = 0.3
+        x_star = {"lower middle": 0.3, "upper middle": 0.9}.get(candidate, float(np.median(x0)))
+        for g in (complete_graph(8), cycle_graph(8)):
+            for lam in (0.05, 0.5, 5.0):
+                cert = certify_consensus_minimizer(g, kind(g, x0), x_star, lam)
+                ref = certify_consensus_minimizer(g, LoopBox(g, x0), x_star, lam)
+                assert (cert.verdict, cert.dual_gap) == (ref.verdict, ref.dual_gap)
+                assert np.array_equal(cert.u, ref.u)
+
+    EDGE_CASES = {
+        # name: graph, data, lam, dual norm of the centered data, {kind: (verdict, gap)}
+        "one vertex": (Graph(1, []), [0.7], 1.0, 0.0,
+                       {Quadratic: ("certified", 0.0), Absolute: ("certified", 0.0)}),
+        "edgeless": (Graph(3, []), [0.0, 1.0, 2.0], 1.0, UnsupportedGraphError, None),
+        "isolated vertex": (Graph(3, [(0, 1)]), [0.0, 1.0, 2.0], 1.0, UnsupportedGraphError, None),
+        "lambda near zero": (path_graph(2), [0.0, 1.0], 1e-300, 0.5,
+                             {Quadratic: ("violated", 0.5), Absolute: ("violated", 1.0)}),
+        "huge lambda": (path_graph(2), [0.0, 1.0], 1e300, 0.5,
+                        {Quadratic: ("certified", 0.0), Absolute: ("certified", 0.0)}),
+    }
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_dual_norm_and_certificates_on_edge_cases(self, case):
+        g, data, lam, level, verdicts = self.EDGE_CASES[case]
+        data = np.array(data)
+        candidates = {Quadratic: float(data.mean()), Absolute: float(np.median(data))}
+        if verdicts is None:
+            calls = [lambda: dual_norm_algorithm0(g, center_field(data)),
+                     lambda: ac_critical_lambda(g, data)]
+            calls += [lambda kind=kind: certify_consensus_minimizer(g, kind(g, data), x, lam)
+                      for kind, x in candidates.items()]
+            for call in calls:
+                with pytest.raises(UnsupportedGraphError):
+                    call()
+            return
+        assert dual_norm_algorithm0(g, center_field(data)).value == level
+        assert ac_critical_lambda(g, data) == level
+        for kind, expected in verdicts.items():
+            cert = certify_consensus_minimizer(g, kind(g, data), candidates[kind], lam)
+            assert (cert.verdict, cert.dual_gap) == expected
 
 
 class TestCriticalLambda:
@@ -249,7 +306,7 @@ class TestMedianLevel:
         x0 = rng.uniform(0.0, 1.0, 8)
         lam = 2.0 * mc_lambda0_exact(g)
         traj = run(
-            AdmmEngine(lam, 1.0), g, x0, aggregate_absolute(g, x0),
+            AdmmEngine(lam, 1.0), g, x0, Absolute(g, x0),
             AgentRoles.none(8),
             stop=StopRule(300_000, INF, 1e-12), record_every=10**9,
         )
@@ -315,7 +372,7 @@ class TestStubbornLimit:
             assert pred.lambda_ok
             x0 = np.concatenate([x0r, [a]])
             roles = AgentRoles.from_pinned(n_reg + 1, {n_reg: a})
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             traj = run(
                 AdmmEngine(lam, 1.0), g, x0, objs, roles,
                 stop=StopRule(300_000, INF, 1e-13), record_every=10**9,

@@ -286,6 +286,23 @@ output: {{directory: {tmp_path / "out"}, prefix: huge}}
             text = path.read_text().lower()
             assert "inf" not in text and "nan" not in text
 
+    def test_failure_in_a_later_engine_writes_no_file(self, tmp_path, capsys):
+        # ADMM finishes, then the subgradient engine overflows at step 1.
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "huge.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: path, n: 4}}
+objective: {{kind: quadratic, data: {{source: explicit, values: [0, 1, 2, 3]}}}}
+lambda: {{value: 1.0e+300}}
+engines: [{{name: admm}}, {{name: subgradient}}]
+output: {{directory: {out}, prefix: huge}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        assert "subgradient engine: the state left the finite range" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestStubbornLevel:
     """The regular agents' critical level is computed once and serves lambda_ok too."""

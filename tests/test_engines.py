@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvconsensus import (
+    Absolute,
     AdmmEngine,
     AgentRoles,
     AssumptionError,
@@ -11,13 +12,12 @@ from tvconsensus import (
     GossipMatrix,
     Graph,
     InvalidFieldError,
+    Quadratic,
     StopRule,
     SubgradientEngine,
     Trajectory,
     UnsupportedGraphError,
     ac_critical_lambda,
-    aggregate_absolute,
-    aggregate_quadratic,
     complete_graph,
     cycle_graph,
     disagreement,
@@ -28,9 +28,9 @@ from tvconsensus import (
     tv_norm,
     uniform_gossip_matrix,
 )
-from tvconsensus.objectives import QuadraticPlusStubborn, AggregateObjective, Quadratic
 
 from conftest import random_connected_graph
+from reference_objectives import AnchoredQuadratic
 
 INF = float("inf")
 # A stop-rule tolerance that can never be met.
@@ -45,7 +45,7 @@ def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
     sign_sum = np.bincount(g.edge_src, weights=s, minlength=nv) - np.bincount(
         g.edge_dst, weights=s, minlength=nv
     )
-    descent = -objs.subgradient_vector(x)
+    descent = -objs.subgradient(x)
     x_next = x + gamma * (descent + lam * sign_sum)
     return roles.pin(x_next)
 
@@ -127,7 +127,7 @@ def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
     deg = g.degrees.astype(float)
     mu_mean_next = np.bincount(owner, weights=mu_next, minlength=g.n_vertices) / deg
     target = x + mu_mean_next - 0.5 * mu_mean
-    x_next = objs.prox_vector(rho * deg, target)
+    x_next = objs.prox(rho * deg, target)
     return roles.pin(x_next), mu_next, mu_mean_next
 
 
@@ -174,8 +174,8 @@ class TestEngineContract:
         n = g.n_vertices
         x0 = rng.normal(size=n)
         roles = AgentRoles.from_pinned(n, {1: 2.5}) if pinned else AgentRoles.none(n)
-        aggregate = aggregate_quadratic if kind == "quadratic" else aggregate_absolute
-        return g, x0, aggregate(g, x0), roles
+        objective = Quadratic if kind == "quadratic" else Absolute
+        return g, x0, objective(g, x0), roles
 
     @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -216,7 +216,7 @@ class TestEngineContract:
     def test_admm_start_validation(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         roles = AgentRoles.none(3)
         for rho in (0.0, -1.0):
             with pytest.raises(ValueError):
@@ -225,12 +225,12 @@ class TestEngineContract:
             AdmmEngine(-0.1, 1.0).start(g, x0, objs, roles)
         isolated = Graph(3, [(0, 1)])
         with pytest.raises(UnsupportedGraphError):
-            AdmmEngine(0.5, 1.0).start(isolated, x0, aggregate_quadratic(isolated, x0), roles)
+            AdmmEngine(0.5, 1.0).start(isolated, x0, Quadratic(isolated, x0), roles)
 
     def test_start_rejects_mismatched_sizes(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         roles = AgentRoles.none(3)
         engines = (
             SubgradientEngine(0.5),
@@ -246,7 +246,7 @@ class TestEngineContract:
     def test_start_rejects_roles_of_another_size(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engines = (
             SubgradientEngine(0.5),
             AdmmEngine(0.3),
@@ -263,14 +263,14 @@ class TestEngineContract:
         roles = AgentRoles.from_pinned(3, {0: float("nan")})
         for engine in (SubgradientEngine(0.5), AdmmEngine(0.5, 1.0)):
             with pytest.raises(InvalidFieldError):
-                engine.start(g, x0, aggregate_quadratic(g, x0), roles)
+                engine.start(g, x0, Quadratic(g, x0), roles)
 
     def test_rerun_with_the_same_engine_is_identical(self, rng):
         g = complete_graph(5)
         other = cycle_graph(7)
         x0 = rng.normal(size=5)
         roles = AgentRoles.from_pinned(5, {0: 1.0})
-        objs = aggregate_quadratic(g, roles.apply_to(x0))
+        objs = Quadratic(g, roles.apply_to(x0))
         other_x0 = rng.normal(size=7)
         stop = StopRule(max_iterations=40, disagreement_tol=-1.0, change_tol=-1.0)
         engines = (
@@ -281,7 +281,7 @@ class TestEngineContract:
         for engine in engines:
             first = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
             if not isinstance(engine, GossipEngine):
-                run(engine, other, other_x0, aggregate_quadratic(other, other_x0),
+                run(engine, other, other_x0, Quadratic(other, other_x0),
                     AgentRoles.none(7), stop=stop)
             second = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
             for name in ("iterations", "disagreement", "mean", "objective", "max_change",
@@ -294,7 +294,7 @@ class TestSubgradientStep:
     def test_fixed_point_at_shared_minimum(self):
         g = complete_graph(4)
         x = 2.0 * np.ones(4)
-        objs = aggregate_quadratic(g, x)
+        objs = Quadratic(g, x)
         engine = SubgradientEngine(0.7)
         new = engine.step(engine.start(g, x, objs, AgentRoles.none(4)))
         assert np.array_equal(new, x)
@@ -303,7 +303,7 @@ class TestSubgradientStep:
     def test_explicit_single_edge_update(self):
         g = Graph(2, [(0, 1)])
         x0 = np.array([0.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = SubgradientEngine(1.0, schedule=lambda n: 0.1)
         new = engine.step(engine.start(g, x0, objs, AgentRoles.none(2)))
         assert np.allclose(new, [0.1, 1.9], atol=1e-15)
@@ -311,7 +311,7 @@ class TestSubgradientStep:
     def test_sign_zero_at_equal_values(self):
         g = Graph(2, [(0, 1)])
         x = np.array([1.0, 1.0])
-        objs = aggregate_quadratic(g, np.array([0.0, 2.0]))
+        objs = Quadratic(g, np.array([0.0, 2.0]))
         engine = SubgradientEngine(10.0, schedule=lambda n: 0.5)
         new = engine.step(engine.start(g, x, objs, AgentRoles.none(2)))
         # only the objective pull acts; the edge term vanishes at equality
@@ -321,7 +321,7 @@ class TestSubgradientStep:
         for _ in range(10):
             g = random_connected_graph(rng)
             x0 = rng.normal(size=g.n_vertices)
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             engine = SubgradientEngine(0.4)
             x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
             for _ in range(200):
@@ -332,7 +332,7 @@ class TestSubgradientStep:
         g = complete_graph(5)
         x0 = rng.normal(size=5)
         roles = AgentRoles.from_pinned(5, {2: x0[2]})
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = SubgradientEngine(1.0)
         x = engine.start(g, x0, objs, roles)
         for _ in range(50):
@@ -344,7 +344,7 @@ class TestAdmmStep:
     def test_lambda_zero_collapses_to_private_minima(self):
         g = complete_graph(4)
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = AdmmEngine(0.0, 1.0)
         x = engine.start(g, np.zeros(4), objs, AgentRoles.none(4))
         for _ in range(600):
@@ -355,7 +355,7 @@ class TestAdmmStep:
     def test_quadratic_case_matches_closed_form_update(self, rng):
         g = cycle_graph(5)
         x0 = rng.normal(size=5)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = AdmmEngine(0.4, 1.3)
         x = engine.start(g, x0, objs, AgentRoles.none(5))
         for _ in range(5):
@@ -375,7 +375,7 @@ class TestAdmmStep:
     def test_multiplier_bound_enforced(self, rng):
         g = random_connected_graph(rng)
         x0 = rng.normal(scale=5.0, size=g.n_vertices)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         rho, lam = 0.8, 0.25
         engine = AdmmEngine(lam, rho)
         x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
@@ -386,7 +386,7 @@ class TestAdmmStep:
     def test_average_preserved_on_regular_graphs(self, rng):
         for g in (complete_graph(6), cycle_graph(7)):
             x0 = rng.normal(size=g.n_vertices)
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             engine = AdmmEngine(0.3, 1.0)
             x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
             for _ in range(300):
@@ -397,7 +397,7 @@ class TestAdmmStep:
         g = random_connected_graph(rng)
         m = g.n_edges
         x0 = rng.normal(size=g.n_vertices)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = AdmmEngine(0.5, 1.0)
         x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
         for _ in range(20):
@@ -410,7 +410,7 @@ class TestAdmmStep:
         roles = AgentRoles.from_pinned(5, {0: 7.5})
         x_init = x0.copy()
         x_init[0] = 7.5
-        objs = aggregate_quadratic(g, x_init)
+        objs = Quadratic(g, x_init)
         engine = AdmmEngine(0.2, 1.0)
         x = engine.start(g, x_init, objs, roles)
         for _ in range(100):
@@ -424,7 +424,7 @@ class TestAdmmStep:
         g = complete_graph(6)
         x0 = rng.normal(size=6)
         lam = 1.5 * ac_critical_lambda(g, x0)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         engine = AdmmEngine(lam, 1.0)
         x = engine.start(g, np.full(6, x0.mean()), objs, AgentRoles.none(6))
         for _ in range(3000):
@@ -443,7 +443,7 @@ class TestEngineAgreement:
             from tvconsensus import ac_critical_lambda
 
             lam = 0.7 * max(ac_critical_lambda(g, x0), 1e-2)
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             roles = AgentRoles.none(g.n_vertices)
             adm = run(
                 AdmmEngine(lam, 1.0), g, x0, objs, roles,
@@ -465,7 +465,7 @@ class TestEngineAgreement:
         for g in (path_graph(4), cycle_graph(5)):
             x0 = rng.uniform(0.0, 1.0, g.n_vertices)
             lam = 1.5 * max(ac_critical_lambda(g, x0), 1e-2)
-            objs = aggregate_quadratic(g, x0)
+            objs = Quadratic(g, x0)
             roles = AgentRoles.none(g.n_vertices)
             adm = run(
                 AdmmEngine(lam, 1.0), g, x0, objs, roles,
@@ -488,23 +488,17 @@ class TestEngineAgreement:
             x_init[v] = a
         roles = AgentRoles.from_pinned(7, stubborn)
         lam = 0.15
-        objs = aggregate_quadratic(g, x_init)
+        objs = Quadratic(g, x_init)
         full = run(
             AdmmEngine(lam, 1.0), g, x_init, objs, roles,
             stop=StopRule(300_000, INF, 1e-13), record_every=10**9,
         )
         regular = list(roles.regular_ids)
         sub_graph, kept = g.induced_subgraph(regular)
-        anchored = AggregateObjective(
-            sub_graph,
-            [
-                QuadraticPlusStubborn(
-                    x_init[v],
-                    [a for w, a in stubborn.items() if g.has_edge(v, w)],
-                    lam,
-                )
-                for v in kept
-            ],
+        anchored = AnchoredQuadratic(
+            x_init[list(kept)],
+            [[a for w, a in stubborn.items() if g.has_edge(v, w)] for v in kept],
+            lam,
         )
         reduced = run(
             AdmmEngine(lam, 1.0), sub_graph, x_init[regular], anchored,
@@ -603,7 +597,7 @@ class TestRunDriver:
     def test_zero_iteration_run_reports_initial_metrics(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         traj = run(
             AdmmEngine(0.5, 1.0), g, x0, objs, AgentRoles.none(3),
             stop=StopRule(max_iterations=0),
@@ -617,7 +611,7 @@ class TestRunDriver:
     def test_record_every_keeps_first_and_last(self):
         g = complete_graph(4)
         x0 = np.array([0.0, 1.0, 2.0, 3.0])
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         traj = run(
             AdmmEngine(10.0, 1.0), g, x0, objs, AgentRoles.none(4),
             stop=StopRule(max_iterations=25, disagreement_tol=-1, change_tol=-1),
@@ -631,7 +625,7 @@ class TestRunDriver:
         from tvconsensus import ac_critical_lambda
 
         lam = 2.0 * ac_critical_lambda(g, x0)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         traj = run(
             AdmmEngine(lam, 1.0), g, x0, objs, AgentRoles.none(8),
             stop=StopRule(max_iterations=50_000, disagreement_tol=1e-9, change_tol=1e-10),
@@ -646,7 +640,7 @@ class TestRunDriver:
         roles = AgentRoles.from_pinned(5, {0: 1.0})
         x_init = x0.copy()
         x_init[0] = 1.0
-        objs = aggregate_quadratic(g, x_init)
+        objs = Quadratic(g, x_init)
         engine = GossipEngine(uniform_gossip_matrix(g, roles))
         traj = run(engine, g, x_init, objs, roles,
                    stop=StopRule(20_000, 1e-11, 1e-12), metric_lambda=0.3)
@@ -669,7 +663,7 @@ class TestLazyChange:
             "admm": lambda: AdmmEngine(lam, 1.0),
             "gossip": lambda: GossipEngine(uniform_gossip_matrix(g, roles)),
         }[engine_name]
-        return g, x0, aggregate_quadratic(g, x0), roles, engine
+        return g, x0, Quadratic(g, x0), roles, engine
 
     @pytest.mark.parametrize("engine_name", ["subgradient", "admm", "gossip"])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -701,7 +695,7 @@ class TestLazyChange:
         """20,000 subgradient steps on K7, every 100th recorded, tolerances never met."""
         g = complete_graph(7)
         x0 = np.random.default_rng(2026).uniform(size=7)
-        objs = aggregate_quadratic(g, x0)
+        objs = Quadratic(g, x0)
         lam = 1.25 * ac_critical_lambda(g, x0)
         roles = AgentRoles.none(7)
         stop = StopRule(20_000, NEVER, NEVER)
@@ -728,7 +722,7 @@ class TestDegenerateGraphs:
         n = g.n_vertices
         roles = AgentRoles.from_pinned(n, pinned)
         x0 = roles.apply_to(np.random.default_rng(8).normal(size=n))
-        return g, x0, aggregate_quadratic(g, x0), roles
+        return g, x0, Quadratic(g, x0), roles
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_subgradient_matches_reference(self, case):

@@ -3,26 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvconsensus import (
-    Absolute,
-    AggregateObjective,
-    CustomObjective,
-    Quadratic,
-    QuadraticPlusStubborn,
-    UnsupportedOperationError,
-    aggregate_quadratic,
-    complete_graph,
-    soft_threshold,
-)
+from tvconsensus import Absolute, InvalidFieldError, Quadratic, complete_graph, path_graph
 
-ALL_KINDS = [
-    Quadratic(0.0),
-    Quadratic(3.0),
-    Absolute(1.0),
-    Absolute(-2.5),
-    QuadraticPlusStubborn(0.0, [2.0], 1.0),
-    QuadraticPlusStubborn(1.5, [-1.0, 0.5, 0.5, 4.0], 0.3),
-]
+from reference_objectives import AnchoredQuadratic, reference_subgradient_box
+
+# Two agents share the center 1.0, so their kinks coincide.
+CENTERS = np.array([0.0, 3.0, 1.0, -2.5, 1.0, 1.5])
+ANCHORS = [[2.0], [], [-1.0, 0.5, 0.5, 4.0], [1.0, 1.0], [], [0.0]]
+N = CENTERS.size
+KINDS = [Quadratic, Absolute, AnchoredQuadratic]
+
+
+def objective(kind, vertices=range(N)):
+    """The objective of ``kind`` on the given agents of CENTERS (and ANCHORS)."""
+    vertices = list(vertices)
+    if kind is AnchoredQuadratic:
+        return AnchoredQuadratic(CENTERS[vertices], [ANCHORS[v] for v in vertices], 0.3)
+    return kind(path_graph(len(vertices)), CENTERS[vertices])
+
+
+def scalar(kind, v):
+    """f_v of ``kind`` as a function of one float."""
+    f = objective(kind, [v])
+    return lambda t: f.value(np.array([t]))
 
 
 def golden_section(f, lo, hi, tol=1e-12, max_iter=300):
@@ -48,198 +51,197 @@ def golden_section(f, lo, hi, tol=1e-12, max_iter=300):
 
 class TestValues:
     def test_quadratic_minimum(self):
-        assert Quadratic(3.0).value(3.0) == 0.0
+        assert objective(Quadratic).value(CENTERS) == 0.0
 
     def test_absolute(self):
-        assert Absolute(1.0).value(-1.0) == 2.0
+        assert Absolute(path_graph(2), [1.0, 0.0]).value([-1.0, 0.5]) == 2.5
 
     def test_quadratic_plus_stubborn(self):
-        obj = QuadraticPlusStubborn(0.0, [2.0], 1.0)
-        assert obj.value(1.0) == 0.5 + 1.0
+        obj = AnchoredQuadratic([0.0, 1.0], [[2.0], []], 1.0)
+        assert obj.value([1.0, 3.0]) == (0.5 + 1.0) + 2.0
 
     def test_midpoint_convexity(self, rng):
-        for obj in ALL_KINDS:
+        for kind in KINDS:
+            obj = objective(kind)
             for _ in range(200):
-                x, y = rng.normal(scale=3.0, size=2)
+                x, y = rng.normal(scale=3.0, size=(2, N))
                 mid = obj.value(0.5 * (x + y))
                 assert mid <= 0.5 * obj.value(x) + 0.5 * obj.value(y) + 1e-9
 
 
 class TestSubgradients:
     def test_quadratic_gradient(self):
-        assert Quadratic(2.0).subgradient(5.0) == 3.0
+        grad = Quadratic(path_graph(2), [2.0, -1.0]).subgradient([5.0, 0.0])
+        assert np.array_equal(grad, [3.0, 1.0])
 
     def test_absolute_kink_is_zero(self):
-        assert Absolute(1.5).subgradient(1.5) == 0.0
+        assert np.array_equal(objective(Absolute).subgradient(CENTERS), np.zeros(N))
 
     def test_absolute_sides(self):
-        assert Absolute(0.0).subgradient(2.0) == 1.0
-        assert Absolute(0.0).subgradient(-2.0) == -1.0
+        obj = Absolute(path_graph(2), [0.0, 0.0])
+        assert np.array_equal(obj.subgradient([2.0, -2.0]), [1.0, -1.0])
 
     def test_subgradient_inequality(self, rng):
-        for obj in ALL_KINDS:
-            x = rng.normal(scale=3.0, size=10_000)
-            y = rng.normal(scale=3.0, size=10_000)
-            fx = np.array([obj.value(t) for t in x])
-            fy = np.array([obj.value(t) for t in y])
-            gx = np.array([obj.subgradient(t) for t in x])
-            assert np.all(fy >= fx + gx * (y - x) - 1e-10)
+        for kind in KINDS:
+            obj = objective(kind)
+            for _ in range(2_000):
+                x, y = rng.normal(scale=3.0, size=(2, N))
+                assert obj.value(y) >= obj.value(x) + obj.subgradient(x) @ (y - x) - 1e-10
 
     def test_interval_contains_point_selection(self, rng):
-        for obj in ALL_KINDS:
-            for t in rng.normal(scale=3.0, size=50):
-                lo, hi = obj.subgradient_interval(float(t))
-                assert lo - 1e-12 <= obj.subgradient(float(t)) <= hi + 1e-12
+        kinks = [float(c) for c in CENTERS] + [a for anchors in ANCHORS for a in anchors]
+        for kind in KINDS:
+            obj = objective(kind)
+            for t in [*rng.normal(scale=3.0, size=50), *kinks]:
+                lo, hi = obj.subgradient_box(float(t))
+                selection = obj.subgradient(np.full(N, t))
+                assert np.all(lo - 1e-12 <= selection) and np.all(selection <= hi + 1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_box_matches_the_vertex_loop(self, offset):
+        # At each center, between centers, on the shared center and outside the data.
+        centers = CENTERS + offset
+        ordered = np.unique(centers)
+        points = [*ordered, *(0.5 * (ordered[1:] + ordered[:-1])),
+                  ordered[0] - 1.0, ordered[-1] + 1.0]
+        for kind in (Quadratic, Absolute):
+            obj = kind(path_graph(N), centers)
+            for x_star in points:
+                lo, hi = obj.subgradient_box(float(x_star))
+                ref_lo, ref_hi = reference_subgradient_box(obj, float(x_star))
+                assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
 class TestProx:
-    def test_quadratic_closed_form(self):
-        obj = Quadratic(1.0)
-        rho, x = 2.0, 4.0
-        assert np.isclose(obj.prox(rho, x), (1.0 + rho * x) / (1.0 + rho), atol=1e-15)
+    def test_quadratic_closed_form(self, rng):
+        rho = rng.uniform(0.5, 2.0, N)
+        x = rng.normal(size=N)
+        expected = (CENTERS + rho * x) / (1.0 + rho)
+        assert np.array_equal(objective(Quadratic).prox(rho, x), expected)
 
     def test_absolute_soft_threshold(self):
-        obj = Absolute(1.0)
-        assert np.isclose(obj.prox(2.0, 2.0), 1.0 + soft_threshold(1.0, 0.5), atol=1e-15)
-        assert obj.prox(1.0, 1.3) == 1.0  # inside the dead zone
+        obj = Absolute(path_graph(3), [1.0, 1.0, 1.0])
+        # Shrink 1.0 by 1/2; 0.3 lies inside the dead zone of width 1; shrink -4.0 by 2.
+        y = obj.prox(np.array([2.0, 1.0, 0.5]), [2.0, 1.3, -3.0])
+        assert np.array_equal(y, [1.5, 1.0, -1.0])
 
     @given(
-        t=st.floats(-50, 50, allow_nan=False),
-        omega=st.floats(0, 10, allow_nan=False),
+        t=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=8),
+        omega=st.floats(1e-3, 10, allow_nan=False),
     )
     @settings(max_examples=200, deadline=None)
     def test_soft_threshold_properties(self, t, omega):
-        s = soft_threshold(t, omega)
-        assert abs(s) <= max(abs(t) - omega, 0.0) + 1e-12
-        assert s * t >= 0.0
-        assert np.isclose(soft_threshold(-t, omega), -s, atol=1e-12)
+        # Absolute.prox with center 0 and weight 1/omega shrinks t toward 0 by omega.
+        t = np.array(t)
+        obj = Absolute(path_graph(t.size), np.zeros(t.size))
+        s = obj.prox(1.0 / omega, t)
+        assert np.all(np.abs(s) <= np.maximum(np.abs(t) - omega, 0.0) + 1e-12)
+        assert np.all(s * t >= 0.0)
+        assert np.allclose(obj.prox(1.0 / omega, -t), -s, rtol=0.0, atol=1e-12)
 
     def test_prox_matches_golden_section(self, rng):
         # Value-only golden section cannot localize a smooth minimum beyond
         # sqrt(eps), so require positional agreement at that level plus
-        # energy dominance of the closed form.
-        for obj in ALL_KINDS:
-            for _ in range(40):
-                rho = float(rng.uniform(0.1, 5.0))
-                x = float(rng.normal(scale=4.0))
+        # energy dominance of the closed form, agent by agent.
+        for kind in KINDS:
+            obj = objective(kind)
+            parts = [scalar(kind, v) for v in range(N)]
+            for _ in range(20):
+                rho = rng.uniform(0.1, 5.0, N)
+                x = rng.normal(scale=4.0, size=N)
                 y = obj.prox(rho, x)
-                span = 20.0 + abs(x)
-                energy = lambda t: obj.value(t) + 0.5 * rho * (t - x) ** 2
-                oracle = golden_section(energy, -span, span)
-                assert abs(y - oracle) <= 2e-6
-                assert energy(y) <= energy(oracle) + 1e-12
+                for v, f in enumerate(parts):
+                    span = 20.0 + abs(x[v])
+                    energy = lambda t: f(t) + 0.5 * rho[v] * (t - x[v]) ** 2
+                    oracle = golden_section(energy, -span, span)
+                    assert abs(y[v] - oracle) <= 2e-6
+                    assert energy(y[v]) <= energy(oracle) + 1e-12
 
     def test_prox_matches_subderivative_bisection(self, rng):
         # Independent root find on the strictly increasing stationarity
-        # function pins the minimizer to full precision.
-        for obj in ALL_KINDS:
-            for _ in range(40):
-                rho = float(rng.uniform(0.1, 5.0))
-                x = float(rng.normal(scale=4.0))
-
-                def slope(t: float) -> float:
-                    return obj.subgradient(t) + rho * (t - x)
-
-                lo, hi = -60.0, 60.0
+        # function, every agent at once, pins the minimizer to full precision.
+        for kind in KINDS:
+            obj = objective(kind)
+            for _ in range(20):
+                rho = rng.uniform(0.1, 5.0, N)
+                x = rng.normal(scale=4.0, size=N)
+                lo, hi = np.full(N, -60.0), np.full(N, 60.0)
                 for _ in range(200):
                     mid = 0.5 * (lo + hi)
-                    if slope(mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                assert abs(obj.prox(rho, x) - 0.5 * (lo + hi)) <= 1e-10
+                    below = obj.subgradient(mid) + rho * (mid - x) < 0.0
+                    lo = np.where(below, mid, lo)
+                    hi = np.where(below, hi, mid)
+                assert np.abs(obj.prox(rho, x) - 0.5 * (lo + hi)).max() <= 1e-10
 
     def test_stubborn_prox_hits_anchor(self):
         # Strong anchor pull keeps the minimizer pinned at the anchor.
-        obj = QuadraticPlusStubborn(0.0, [1.0], 5.0)
-        assert obj.prox(1.0, 1.0) == 1.0
+        obj = AnchoredQuadratic([0.0], [[1.0]], 5.0)
+        assert np.array_equal(obj.prox(1.0, [1.0]), [1.0])
 
     def test_stubborn_prox_repeated_anchors(self, rng):
-        obj = QuadraticPlusStubborn(0.5, [1.0, 1.0, 1.0], 0.7)
+        obj = AnchoredQuadratic([0.5], [[1.0, 1.0, 1.0]], 0.7)
         for _ in range(20):
             rho = float(rng.uniform(0.2, 3.0))
             x = float(rng.normal(scale=3.0))
-            y = obj.prox(rho, x)
-            energy = lambda t: obj.value(t) + 0.5 * rho * (t - x) ** 2
+            y = float(obj.prox(rho, [x])[0])
+            energy = lambda t: obj.value([t]) + 0.5 * rho * (t - x) ** 2
             oracle = golden_section(energy, -20.0, 20.0)
             assert abs(y - oracle) <= 2e-6
             assert energy(y) <= energy(oracle) + 1e-12
 
     def test_prox_optimality_condition(self, rng):
         # rho (x - prox(x)) is a subgradient at the prox point.
-        for obj in ALL_KINDS:
+        for kind in KINDS:
+            obj = objective(kind)
             for _ in range(100):
-                rho = float(rng.uniform(0.1, 4.0))
-                x = float(rng.normal(scale=3.0))
+                rho = rng.uniform(0.1, 4.0, N)
+                x = rng.normal(scale=3.0, size=N)
                 p = obj.prox(rho, x)
                 slope = rho * (x - p)
-                for eps in (1e-6, -1e-6):
-                    assert obj.value(p + eps) >= obj.value(p) + slope * eps - 1e-10
+                for d in (np.full(N, 1e-6), np.full(N, -1e-6), rng.choice([-1e-6, 1e-6], N)):
+                    assert obj.value(p + d) >= obj.value(p) + slope @ d - 1e-10
 
     def test_prox_nonexpansive(self, rng):
-        for obj in ALL_KINDS:
+        for kind in KINDS:
+            obj = objective(kind)
             for _ in range(200):
-                rho = float(rng.uniform(0.1, 4.0))
-                x, y = rng.normal(scale=3.0, size=2)
-                assert abs(obj.prox(rho, x) - obj.prox(rho, y)) <= abs(x - y) + 1e-12
+                rho = rng.uniform(0.1, 4.0, N)
+                x, y = rng.normal(scale=3.0, size=(2, N))
+                assert np.all(np.abs(obj.prox(rho, x) - obj.prox(rho, y)) <= np.abs(x - y) + 1e-12)
 
     def test_rejects_nonpositive_rho(self):
-        with pytest.raises(ValueError):
-            Quadratic(0.0).prox(0.0, 1.0)
-
-
-class TestCustomObjective:
-    def test_callable_passthrough(self):
-        obj = CustomObjective(lambda x: x**4, lambda x: 4 * x**3)
-        assert obj.value(2.0) == 16.0
-        assert obj.subgradient(2.0) == 32.0
-
-    def test_prox_unsupported(self):
-        obj = CustomObjective(lambda x: x**2, lambda x: 2 * x)
-        with pytest.raises(UnsupportedOperationError):
-            obj.prox(1.0, 0.0)
-
-    def test_prox_provided(self):
-        obj = CustomObjective(
-            lambda x: 0.5 * x**2,
-            lambda x: x,
-            prox=lambda rho, x: rho * x / (1.0 + rho),
-        )
-        assert np.isclose(obj.prox(1.0, 2.0), 1.0, atol=1e-15)
+        for kind in KINDS:
+            obj = objective(kind)
+            for rho in (0.0, -1.0, np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0]), np.nan):
+                with pytest.raises(ValueError):
+                    obj.prox(rho, CENTERS)
 
 
 class TestAggregate:
     def test_value_is_plain_sum(self, rng):
-        g = complete_graph(5)
         x0 = rng.normal(size=5)
-        objs = aggregate_quadratic(g, x0)
         x = rng.normal(size=5)
+        g = complete_graph(5)
         expected = sum(0.5 * (x[v] - x0[v]) ** 2 for v in range(5))
-        assert np.isclose(objs.value(x), expected, atol=1e-14)
-
-    def test_mixed_kind_paths(self, rng):
-        g = complete_graph(3)
-        objs = AggregateObjective(
-            g, [Quadratic(1.0), Absolute(0.0), QuadraticPlusStubborn(0.0, [1.0], 0.5)]
-        )
-        x = rng.normal(size=3)
-        direct = sum(o.value(float(t)) for o, t in zip(objs.objectives, x))
-        assert np.isclose(objs.value(x), direct, atol=1e-14)
-        sub = objs.subgradient_vector(x)
-        assert sub.shape == (3,)
-        prox = objs.prox_vector(np.array([1.0, 2.0, 3.0]), x)
-        assert np.isclose(prox[0], objs.objectives[0].prox(1.0, float(x[0])), atol=1e-14)
+        assert np.isclose(Quadratic(g, x0).value(x), expected, rtol=0.0, atol=1e-14)
+        expected = sum(abs(x[v] - x0[v]) for v in range(5))
+        assert np.isclose(Absolute(g, x0).value(x), expected, rtol=0.0, atol=1e-14)
 
     def test_vectorized_matches_scalar(self, rng):
-        g = complete_graph(6)
-        centers = rng.normal(size=6)
-        objs = aggregate_quadratic(g, centers)
-        x = rng.normal(size=6)
-        rho = rng.uniform(0.5, 2.0, size=6)
-        scalar = [o.prox(float(r), float(t)) for o, r, t in zip(objs.objectives, rho, x)]
-        assert np.allclose(objs.prox_vector(rho, x), scalar, atol=1e-14)
+        # Every agent's entry equals its one-agent objective's, bitwise.
+        for kind in KINDS:
+            obj = objective(kind)
+            x = rng.normal(size=N)
+            rho = rng.uniform(0.5, 2.0, size=N)
+            prox, grad = obj.prox(rho, x), obj.subgradient(x)
+            for v in range(N):
+                part = objective(kind, [v])
+                assert prox[v] == part.prox(rho[v], x[v:v + 1])[0]
+                assert grad[v] == part.subgradient(x[v:v + 1])[0]
 
     def test_size_mismatch(self):
         g = complete_graph(3)
-        with pytest.raises(Exception):
-            AggregateObjective(g, [Quadratic(0.0)] * 2)
+        for kind in (Quadratic, Absolute):
+            for centers in ([0.0, 0.0], np.zeros((3, 1))):
+                with pytest.raises(InvalidFieldError):
+                    kind(g, centers)
