@@ -15,7 +15,7 @@ import numpy as np
 
 from .dualnorm import dual_norm_algorithm0
 from .errors import SizeCapError, UnsupportedGraphError
-from .graph import Graph, check_node_field
+from .graph import Graph, check_node_field, is_complete
 from .maxflow import center_field, maximize_cut_functional
 from .objectives import Absolute, Quadratic
 
@@ -147,10 +147,6 @@ def certify_consensus_minimizer(
 def ac_critical_lambda(g: Graph, x0) -> float:
     """Smallest regularization level that certifies exact average consensus."""
     return dual_norm_algorithm0(g, center_field(check_node_field(g, x0))).value
-
-
-def is_complete(g: Graph) -> bool:
-    return g.n_edges == g.n_vertices * (g.n_vertices - 1) // 2
 
 
 def median_sign_pattern(n: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 The dual norm equals the best subset ratio |<u, 1_S>| / perimeter(S).  The
 production path is a ratio iteration: given a current ratio lam, a min-cut
-call maximizes <u, 1_A> - lam * perimeter(A); a strictly positive maximum
-yields a strictly better ratio, and the perimeter of the maximizer drops by
-at least one edge per improvement, so the number of min-cut calls never
-exceeds |E|.  A subset-enumeration oracle is provided for cross-checking.
+call (a closed form on complete graphs) maximizes <u, 1_A> - lam * perimeter(A);
+a strictly positive maximum yields a strictly better ratio, and the perimeter
+of the maximizer drops by at least one edge per improvement, so the number of
+min-cut calls never exceeds |E|.  A subset-enumeration oracle is provided for cross-checking.
 """
 
 from __future__ import annotations

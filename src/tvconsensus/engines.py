@@ -276,6 +276,8 @@ class AdmmEngine:
     ``mu`` holds one private scalar per directed neighbor pair (w, v), owned
     by v and never transmitted; ``mu_mean`` caches its per-owner average so
     the next round can form the 3/2, -1/2 extrapolation without recomputing.
+    The pairs of an edge hold exact negatives of one another, so a round
+    updates the multiplier once per edge and negates it for the reverse pair.
 
     mu(w, v) absorbs the observed disagreement x(w) - x(v), clipped to
     [-2 lam / rho, 2 lam / rho]; the x update applies prox with weight
@@ -307,7 +309,7 @@ class AdmmEngine:
             raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
         self._objs = objs
         # Each edge {v, w} yields the directed pairs (talker, owner) = (v, w) and (w, v).
-        self._talker = np.concatenate([g.edge_src, g.edge_dst])
+        self._src, self._dst, self._m = g.edge_src, g.edge_dst, g.n_edges
         self._owner = np.concatenate([g.edge_dst, g.edge_src])
         self._n_vertices = g.n_vertices
         self._deg = g.degrees.astype(float)
@@ -319,9 +321,12 @@ class AdmmEngine:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: update ``mu`` and ``mu_mean``, return x(n + 1) as a new array."""
-        # Parenthesized difference keeps the two orientations of each edge exact
-        # negations of one another, so the multipliers stay antisymmetric bitwise.
-        mu = np.clip(self.mu + (x[self._talker] - x[self._owner]), -self._bound, self._bound)
+        # (-a) + (-b) == -(a + b) and clipping to [-b, b] commutes with negation in IEEE
+        # arithmetic, so the reverse pairs' update is the negated edge update up to the
+        # sign of zeros, which the +0.0-initialized bincount sums cannot see.
+        b = self._bound  # max/min is np.clip without its per-call overhead
+        half = np.minimum(np.maximum(self.mu[: self._m] + (x[self._src] - x[self._dst]), -b), b)
+        mu = np.concatenate([half, -half])
         mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
         target = x + mu_mean - 0.5 * self.mu_mean
         x_next = self._objs.prox(self._rho_deg, target)

@@ -135,6 +135,10 @@ def _by_key(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, ends[order]
 
 
+def is_complete(g: Graph) -> bool:
+    return g.n_edges == g.n_vertices * (g.n_vertices - 1) // 2
+
+
 def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return a node field as a float64 array of length |V|."""
     x = np.asarray(values, dtype=float)

@@ -13,6 +13,9 @@ The network is held in arc arrays, O(|V| + |E|) memory, with arcs 2k and
 2k+1 each other's reverse.  ``min_cut`` runs Dinic's algorithm (BFS level
 graph, blocking flow by iterative DFS with current-arc pointers) and reports
 the flow on every arc, so capacity, conservation and duality can be audited.
+
+On a complete graph perimeter(A) = |A|(N - |A|), so ``maximize_cut_functional``
+takes the best top-k set of u in O(N log N) and builds no network.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .graph import Graph, check_node_field, perimeter
+from .graph import Graph, check_node_field, is_complete, perimeter
 
 # Residual capacities at or below this fraction of the largest one count as saturated.
 RESIDUAL_EPS = 1e-12
@@ -47,6 +50,13 @@ def center_field(u: np.ndarray) -> np.ndarray:
     if not is_mean_zero(centered):
         centered = centered - centered.mean()
     return centered
+
+
+def _check_cut_problem(u: np.ndarray, lam: float) -> None:
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"penalty level must be positive and finite, got {lam}")
+    if not is_mean_zero(u):
+        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +99,7 @@ class CutResult:
 def build_network(g: Graph, u, lam: float) -> FlowNetwork:
     """Assemble the min-cut network for (g, u, lam); u must have zero mean."""
     u = check_node_field(g, u)
-    if not lam > 0.0:
-        raise DomainError(f"penalty level must be positive, got {lam}")
-    if not is_mean_zero(u):
-        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
+    _check_cut_problem(u, lam)
     n = g.n_vertices
     terminal = np.flatnonzero(u)
     from_source = u[terminal] > 0.0
@@ -179,9 +186,28 @@ def maximize_cut_functional(g: Graph, u, lam: float) -> tuple[frozenset[int], fl
 
     The empty set and the full vertex set are legal maximizers (both give
     value 0 for mean-zero u), so the returned value is always nonnegative.
+    The subset is the smallest maximizer, the source side of the canonical cut.
     """
     u = check_node_field(g, u)
-    result = min_cut(build_network(g, u, lam))
-    subset = result.source_side
+    if is_complete(g):
+        _check_cut_problem(u, lam)
+        subset = _complete_graph_side(u, lam)
+    else:
+        subset = min_cut(build_network(g, u, lam)).source_side
     value = float(u[list(subset)].sum()) - lam * perimeter(g, subset) if subset else 0.0
     return subset, value
+
+
+def _complete_graph_side(u: np.ndarray, lam: float) -> frozenset[int]:
+    """Smallest maximizer on K_N: the top-k entries of u for the least k whose
+    gain prefix_k - lam * k(N - k) is within the flow's tolerance of the best.
+    That is the minimal minimum cut, the empty set at a terminal call included.
+    """
+    n = u.size
+    order = np.argsort(-u, kind="stable")
+    k = np.arange(n + 1)
+    with np.errstate(over="ignore"):
+        gain = np.concatenate([[0.0], np.cumsum(u[order])]) - lam * (k * (n - k))
+    tol = RESIDUAL_EPS * max(lam, float(np.abs(u).max()))
+    size = int(np.argmax(gain >= gain.max() - tol))
+    return frozenset(np.sort(order[:size]).tolist())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvconsensus import Graph, erdos_renyi
+from tvconsensus import Graph, build_network, erdos_renyi, min_cut, perimeter
 
 
 def random_connected_graph(rng: np.random.Generator, n_max: int = 12, p: float = 0.5) -> Graph:
@@ -16,6 +16,14 @@ def random_connected_graph(rng: np.random.Generator, n_max: int = 12, p: float =
 def mean_zero_field(rng: np.random.Generator, n: int) -> np.ndarray:
     u = rng.normal(size=n)
     return u - u.mean()
+
+
+def dinic_maximize_cut_functional(g: Graph, u, lam: float) -> tuple[frozenset[int], float]:
+    """``maximize_cut_functional`` through the max-flow on every graph, complete ones too."""
+    u = np.asarray(u, dtype=float)
+    subset = min_cut(build_network(g, u, lam)).source_side
+    value = float(u[list(subset)].sum()) - lam * perimeter(g, subset) if subset else 0.0
+    return subset, value
 
 
 @pytest.fixture

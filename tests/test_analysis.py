@@ -26,6 +26,8 @@ from tvconsensus import (
     tv_norm,
 )
 
+from tvconsensus import maxflow
+from tvconsensus.analysis import CERTIFIED, INCONCLUSIVE, VIOLATED
 from tvconsensus.maxflow import center_field
 
 from conftest import random_connected_graph
@@ -318,6 +320,26 @@ class TestMedianLevel:
     def test_enumeration_cap(self):
         with pytest.raises(SizeCapError):
             mc_lambda0_exact(cycle_graph(14))
+
+
+class TestCompleteGraphsSkipTheMaxFlow:
+    def test_paper_k99_runs_without_a_network(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a complete graph reached the max-flow")
+
+        monkeypatch.setattr(maxflow, "build_network", refuse)
+        monkeypatch.setattr(maxflow, "min_cut", refuse)
+        g = complete_graph(99)
+        x0 = np.random.default_rng(42).uniform(0.0, 1.0, 99)
+        lam_c = ac_critical_lambda(g, x0)
+        assert dual_norm_algorithm0(g, center_field(x0)).value == lam_c
+        average = Quadratic(g, x0)
+        assert certify_consensus_minimizer(g, average, x0.mean(), 1.5 * lam_c).verdict == CERTIFIED
+        assert certify_consensus_minimizer(g, average, x0.mean(), 0.5 * lam_c).verdict == VIOLATED
+        median, x_med = Absolute(g, x0), float(np.median(x0))
+        assert certify_consensus_minimizer(g, median, x_med, 0.5).verdict == CERTIFIED
+        assert certify_consensus_minimizer(g, median, x_med, 0.01).verdict == INCONCLUSIVE
+        assert np.isclose(mc_lambda0_exact(g), 1.0 / 50.0, atol=1e-12)
 
 
 class TestStubbornLimit:

@@ -15,8 +15,10 @@ from tvconsensus import (
     dual_norm_bruteforce,
     path_graph,
 )
+from tvconsensus import dualnorm
+from tvconsensus.maxflow import center_field
 
-from conftest import mean_zero_field, random_connected_graph
+from conftest import dinic_maximize_cut_functional, mean_zero_field, random_connected_graph
 
 
 class TestRatioIteration:
@@ -192,6 +194,22 @@ class TestCompleteGraphClosedForm:
         closed_form = float(np.max(np.abs(prefix) / (k * (n - k))))
         value = dual_norm_algorithm0(complete_graph(n), u).value
         assert abs(value - closed_form) <= 1e-12 * closed_form
+
+    @pytest.mark.parametrize("n", [99, 100, 150])
+    def test_same_iteration_as_the_max_flow(self, n, monkeypatch):
+        g = complete_graph(n)
+        draws = [np.random.default_rng(seed).uniform(0.0, 1.0, n) for seed in range(5)]
+        if n == 99:
+            draws.append(np.random.default_rng(42).uniform(0.0, 1.0, n))  # the paper's draw
+        fields = [center_field(x) for x in draws]
+        closed_form = [dual_norm_algorithm0(g, u) for u in fields]
+        monkeypatch.setattr(dualnorm, "maximize_cut_functional", dinic_maximize_cut_functional)
+        for u, fast in zip(fields, closed_form):
+            flow = dual_norm_algorithm0(g, u)
+            assert fast.value == flow.value
+            assert fast.witness_subset == flow.witness_subset
+            assert fast.iterations == flow.iterations
+            assert fast.lambda_sequence == flow.lambda_sequence
 
 
 class TestFeasibilityGap:

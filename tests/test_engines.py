@@ -434,6 +434,39 @@ class TestAdmmStep:
         assert np.max(np.abs(engine.mu - prev_mu)) < 1e-8
         assert np.allclose(x, x0.mean(), atol=1e-6)
 
+    @staticmethod
+    def flipped(g, rng):
+        """The same graph with a random half of its edges oriented high to low."""
+        edges = np.column_stack([g.edge_src, g.edge_dst])
+        flip = rng.random(g.n_edges) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        return Graph(g.n_vertices, edges, oriented_edges=edges)
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("graph", ["er", "k6"])
+    def test_flipped_orientation_matches_reference_bitwise(self, graph, pinned, kind):
+        rng = np.random.default_rng(77)
+        base = random_connected_graph(rng, n_max=30, p=0.3) if graph == "er" else complete_graph(6)
+        g = self.flipped(base, rng)
+        assert any(v > w for v, w in g.oriented_edges)
+        n, m = g.n_vertices, g.n_edges
+        x0 = rng.normal(scale=2.0, size=n)
+        roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
+        objs = kind(g, x0)
+        rho, lam = 1.3, 0.3
+        engine = AdmmEngine(lam, rho)
+        x = engine.start(g, x0, objs, roles)
+        ref, mu, mu_mean = roles.apply_to(x0), np.zeros(2 * m), np.zeros(n)
+        for _ in range(500):
+            x = engine.step(x)
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
+            assert x.tobytes() == ref.tobytes()
+            assert engine.mu_mean.tobytes() == mu_mean.tobytes()
+            # Equal as numbers: the reverse pairs may hold -0.0 where the reference holds 0.0.
+            assert np.array_equal(engine.mu, mu)
+            assert np.array_equal(engine.mu[:m], -engine.mu[m:])
+
 
 class TestEngineAgreement:
     def test_limits_agree_without_stubborn(self, rng):
@@ -774,3 +807,55 @@ class TestDegenerateGraphs:
             assert np.array_equal(x, ref)
             assert np.array_equal(x, x0)
         assert np.array_equal(engine.mu, mu)
+
+
+class TestLambdaToZero:
+    """lam = 0 and the smallest subnormal: no error, nothing non-finite, x0 kept."""
+
+    LAMS = [0.0, 5e-324]
+
+    @staticmethod
+    def scenario(kind):
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+        x0 = np.random.default_rng(5).normal(size=6)
+        return g, x0, kind(g, x0), AgentRoles.none(6)
+
+    @staticmethod
+    def assert_finite(traj):
+        for f in ("disagreement", "mean", "objective", "max_change", "final_x"):
+            assert np.all(np.isfinite(getattr(traj, f))), f
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    def test_subgradient_stays_at_the_centres(self, kind):
+        g, x0, objs, roles = self.scenario(kind)
+        for lam in self.LAMS:
+            traj = run(SubgradientEngine(lam), g, x0, objs, roles, stop=StopRule(300, NEVER, NEVER))
+            self.assert_finite(traj)
+            assert traj.final_x.tobytes() == x0.tobytes()
+            assert np.all(traj.max_change == 0.0)
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    def test_admm_stays_at_the_centres(self, kind):
+        g, x0, objs, roles = self.scenario(kind)
+        finals = []
+        for lam in self.LAMS:
+            traj = run(AdmmEngine(lam, 1.0), g, x0, objs, roles, stop=StopRule(300, NEVER, NEVER))
+            self.assert_finite(traj)
+            finals.append(traj.final_x.tobytes())
+            if kind is Absolute:
+                assert finals[-1] == x0.tobytes()
+            else:
+                # The quadratic prox (c + rho * c) / (1 + rho) can round c by an ulp.
+                assert np.all(np.abs(traj.final_x - x0) <= np.spacing(np.abs(x0)))
+        # A subnormal multiplier bound moves no state off the lam = 0 run.
+        assert finals[0] == finals[1]
+
+    def test_gossip_metric_at_lambda_zero(self):
+        g, x0, objs, roles = self.scenario(Quadratic)
+        engine = GossipEngine(uniform_gossip_matrix(g, roles))
+        runs = [run(engine, g, x0, objs, roles, metric_lambda=lam) for lam in self.LAMS]
+        for traj in runs:
+            self.assert_finite(traj)
+            assert traj.converged
+        assert runs[0].final_x.tobytes() == runs[1].final_x.tobytes()
+        assert np.all(runs[1].objective >= runs[0].objective)

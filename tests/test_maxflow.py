@@ -12,10 +12,13 @@ from tvconsensus import (
     erdos_renyi,
     maximize_cut_functional,
     min_cut,
+    path_graph,
     perimeter,
 )
+from tvconsensus.analysis import median_sign_pattern
+from tvconsensus.maxflow import center_field
 
-from conftest import mean_zero_field, random_connected_graph
+from conftest import dinic_maximize_cut_functional, mean_zero_field, random_connected_graph
 
 
 def all_subsets(n):
@@ -203,3 +206,45 @@ class TestMaximizeCutFunctional:
             lams = np.sort(rng.uniform(0.01, 2.0, size=5))
             values = [maximize_cut_functional(g, u, lam)[1] for lam in lams]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def complete_graph_fields(n):
+    """Named mean-zero fields on n vertices: tiny, huge, offset, and two tied kinds."""
+    rng = np.random.default_rng(n)
+    yield "scale 1e-6", center_field(1e-6 * rng.normal(size=n))
+    yield "scale 1e6", center_field(1e6 * rng.normal(size=n))
+    yield "offset 1e6", center_field(1e6 + rng.uniform(size=n))
+    yield "median signs", median_sign_pattern(n)
+    yield "integers", center_field(rng.integers(-3, 4, size=n).astype(float))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestCompleteGraphCut:
+    """The closed-form cut on K_N against the max-flow it replaces there."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_the_max_flow(self, n):
+        g = complete_graph(n)
+        for name, u in complete_graph_fields(n):
+            norm = dual_norm_algorithm0(g, u)
+            # The ratio iteration's levels end with the terminal call at the norm.
+            lams = {*norm.lambda_sequence, 0.5 * norm.value, 2.0 * norm.value, 5e-324, 1e300, 1e307}
+            for lam in sorted(lam for lam in lams if lam > 0.0):
+                subset, value = maximize_cut_functional(g, u, lam)
+                expected_subset, expected_value = dinic_maximize_cut_functional(g, u, lam)
+                assert subset == expected_subset, (name, lam)
+                assert bits(value) == bits(expected_value), (name, lam)
+            if norm.value > 0.0:
+                assert maximize_cut_functional(g, u, norm.value) == (frozenset(), 0.0), name
+
+    @pytest.mark.parametrize("g", [complete_graph(4), path_graph(4)], ids=["K4", "P4"])
+    def test_typed_errors_on_both_paths(self, g):
+        u = np.array([1.0, -2.0, 0.5, 0.5])
+        for lam in (0.0, -0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                maximize_cut_functional(g, u, lam)
+        with pytest.raises(DomainError):
+            maximize_cut_functional(g, u + 1.0, 1.0)
