@@ -31,7 +31,6 @@ from .engines import (
     Trajectory,
     disagreement,
     gossip_limit,
-    gossip_step,
     harmonic_schedule,
     run,
     uniform_gossip_matrix,
@@ -114,7 +113,6 @@ __all__ = [
     "emit_csv",
     "erdos_renyi",
     "gossip_limit",
-    "gossip_step",
     "grad",
     "harmonic_schedule",
     "is_dual_certificate",

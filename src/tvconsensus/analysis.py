@@ -9,12 +9,11 @@ ball of radius lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .dualnorm import dual_norm_algorithm0
-from .errors import SizeCapError, UnsupportedGraphError
+from .errors import InvalidFieldError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, is_complete
 from .maxflow import center_field, maximize_cut_functional
 from .objectives import Absolute, Quadratic
@@ -145,8 +144,11 @@ def certify_consensus_minimizer(
 
 
 def ac_critical_lambda(g: Graph, x0) -> float:
-    """Smallest regularization level that certifies exact average consensus."""
-    return dual_norm_algorithm0(g, center_field(check_node_field(g, x0))).value
+    """Smallest regularization level that certifies exact average consensus.
+
+    Raises ``IterationAnomalyError`` if the ratio iteration hit its bound.
+    """
+    return dual_norm_algorithm0(g, center_field(check_node_field(g, x0))).checked_value()
 
 
 def median_sign_pattern(n: int) -> np.ndarray:
@@ -172,8 +174,11 @@ def mc_lambda0_exact(g: Graph, max_vertices: int = 12) -> float:
     """Worst-case dual norm over all placements of the median sign pattern.
 
     On a complete graph every placement is equivalent under relabeling, so a
-    single representative suffices; otherwise all distinct placements are
-    enumerated, which is capped by ``max_vertices``.
+    single representative suffices.  Otherwise the two maxima swap: a subset A
+    of size k holds at most h(k) = min(k, p) - max(0, k - p - z) of the
+    pattern's mass (p entries +1, z entries 0), so the answer is the largest
+    h(|A|) / per(A) over proper nonempty A.  The subsets are enumerated, which
+    is capped by ``max_vertices``.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("need a connected graph")
@@ -185,23 +190,13 @@ def mc_lambda0_exact(g: Graph, max_vertices: int = 12) -> float:
         raise SizeCapError(
             f"pattern enumeration capped at {max_vertices} vertices, got {n}"
         )
-    n_plus = int(np.count_nonzero(pattern > 0))
-    has_zero = n % 2 == 1
-    best = 0.0
-    vertices = range(n)
-    for plus in combinations(vertices, n_plus):
-        rest = [v for v in vertices if v not in plus]
-        if has_zero:
-            for zero in rest:
-                u = -np.ones(n)
-                u[list(plus)] = 1.0
-                u[zero] = 0.0
-                best = max(best, dual_norm_algorithm0(g, u).value)
-        else:
-            u = -np.ones(n)
-            u[list(plus)] = 1.0
-            best = max(best, dual_norm_algorithm0(g, u).value)
-    return best
+    p, z = int(np.count_nonzero(pattern > 0)), int(np.count_nonzero(pattern == 0))
+    masks = np.arange(1, 2**n - 1)
+    inside = (masks[:, None] >> np.arange(n)) & 1
+    k = inside.sum(axis=1)
+    per = (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+    h = np.minimum(k, p) - np.maximum(0, k - p - z)
+    return float(np.max(h / per))
 
 
 PULLED_TO_ANCHOR = "pulled_to_a"
@@ -241,6 +236,10 @@ def stubborn_limit(
     x0_regular = np.asarray(x0_regular, dtype=float)
     if x0_regular.ndim != 1 or x0_regular.size == 0:
         raise ValueError("need a nonempty vector of regular initial values")
+    if not np.all(np.isfinite(x0_regular)):
+        raise InvalidFieldError("regular initial values must be finite")
+    if not np.isfinite(a):
+        raise ValueError("pinned value a must be finite")
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     if s_count < 1:

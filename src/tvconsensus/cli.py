@@ -50,11 +50,7 @@ def _cmd_dualnorm(args) -> int:
 def _cmd_critical_lambda(args) -> int:
     g = load_edge_list(args.graph)
     x0 = read_node_field(args.field, g.n_vertices)
-    result = dual_norm_algorithm0(g, center_field(x0))
-    print(f"critical_lambda = {result.value:.12g}")
-    if result.anomaly:
-        print("anomaly: iteration bound exceeded", file=sys.stderr)
-        return 2
+    print(f"critical_lambda = {analysis.ac_critical_lambda(g, x0):.12g}")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeCapError, UnsupportedGraphError
+from .errors import IterationAnomalyError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, connected_components, perimeter
 from .maxflow import maximize_cut_functional
 
@@ -37,6 +37,12 @@ class DualNormResult:
     iterations: int
     lambda_sequence: tuple[float, ...] = ()
     anomaly: bool = False
+
+    def checked_value(self) -> float:
+        """``value``; raises ``IterationAnomalyError`` if the iteration hit its bound."""
+        if self.anomaly:
+            raise IterationAnomalyError("dual norm ratio iteration exceeded its edge-count bound")
+        return self.value
 
 
 def _require_connected(g: Graph) -> None:

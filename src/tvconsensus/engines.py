@@ -2,8 +2,11 @@
 
 Every engine advances a full round at a time: the update of each vertex reads
 only round-n values of its neighbors, so per-vertex updates inside a round
-are independent.  Pinned (stubborn) agents keep their initial value at every
-round regardless of the engine.
+are independent.  An engine is two calls: ``start(g, objs)`` checks its
+parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
+a new array.  Pinned (stubborn) agents are a property of the network, not of
+the engine: ``run`` validates x(0) and the roles, writes the pinned values into
+x(0), and writes them again into every state an engine returns.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .tv import tv_norm
 class AgentRoles:
     """Partition of the vertices into regular and stubborn agents.
 
-    Stubborn agents hold ``pinned_values`` forever; engines overwrite their
-    state with these values after every round.
+    Stubborn agents hold ``pinned_values`` forever; ``run`` overwrites their
+    entries with these values after every round.
     """
 
     n_vertices: int
@@ -64,23 +67,6 @@ class AgentRoles:
     def regular_ids(self) -> tuple[int, ...]:
         stub = set(self.stubborn_ids)
         return tuple(v for v in range(self.n_vertices) if v not in stub)
-
-    def stubborn_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_vertices, dtype=bool)
-        mask[list(self.stubborn_ids)] = True
-        return mask
-
-    def pin(self, x: np.ndarray) -> np.ndarray:
-        """Return x with stubborn entries reset to their pinned values."""
-        if not self.stubborn_ids:
-            return x
-        x = x.copy()
-        x[list(self.stubborn_ids)] = self.pinned_values
-        return x
-
-    def apply_to(self, x0: np.ndarray) -> np.ndarray:
-        """Initial state consistent with the pinning."""
-        return self.pin(np.asarray(x0, dtype=float).copy())
 
 
 def disagreement(x) -> float:
@@ -164,13 +150,6 @@ def uniform_gossip_matrix(g: Graph, roles: AgentRoles) -> GossipMatrix:
     return GossipMatrix(matrix=w, stubborn_ids=roles.stubborn_ids)
 
 
-def gossip_step(w: GossipMatrix, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != w.n_vertices:
-        raise InvalidFieldError("field length does not match the gossip matrix")
-    return w.matrix @ x
-
-
 def gossip_limit(w: GossipMatrix, x_stubborn) -> np.ndarray:
     """Fixed point of the regular block: solve (I - W_RR) y = W_RS x_S.
 
@@ -224,14 +203,6 @@ class Trajectory:
     n_steps: int
 
 
-def _pinned_start(g: Graph, x0, roles: AgentRoles) -> tuple[np.ndarray, ...]:
-    """Validated x(0) with the stubborn entries pinned, and the stubborn ids and values."""
-    if roles.n_vertices != g.n_vertices:
-        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
-    x = check_node_field(g, roles.apply_to(check_node_field(g, x0)))
-    return x, np.array(roles.stubborn_ids, dtype=int), np.array(roles.pinned_values)
-
-
 class SubgradientEngine:
     """Descent on the regularized energy with steps gamma_n from ``schedule``.
 
@@ -247,13 +218,11 @@ class SubgradientEngine:
         self.lam = float(lam)
         self.schedule = schedule if schedule is not None else harmonic_schedule()
 
-    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
-        """Validate the run, fix its constants, reset the round counter; return x(0)."""
-        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
+    def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
+        """Fix the run's constants and reset the round counter."""
         self.n = 0
         self._objs = objs
         self._src, self._dst, self._n_vertices = g.edge_src, g.edge_dst, g.n_vertices
-        return x
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return x(n + 1) as a new array."""
@@ -264,8 +233,6 @@ class SubgradientEngine:
             self._dst, weights=s, minlength=n
         )
         x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient(x))
-        if self._pin_ids.size:
-            x_next[self._pin_ids] = self._pin_values
         self.n += 1
         return x_next
 
@@ -298,9 +265,8 @@ class AdmmEngine:
         self.lam = float(lam)
         self.rho = float(rho)
 
-    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
-        """Validate the run, fix its constants, zero the multipliers; return x(0)."""
-        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
+    def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
+        """Validate rho, lam and the graph, fix the run's constants, zero the multipliers."""
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
         if self.lam < 0.0:
@@ -317,7 +283,6 @@ class AdmmEngine:
         self._bound = 2.0 * self.lam / self.rho
         self.mu = np.zeros(2 * g.n_edges, dtype=float)
         self.mu_mean = np.zeros(g.n_vertices, dtype=float)
-        return x
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: update ``mu`` and ``mu_mean``, return x(n + 1) as a new array."""
@@ -330,8 +295,6 @@ class AdmmEngine:
         mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
         target = x + mu_mean - 0.5 * self.mu_mean
         x_next = self._objs.prox(self._rho_deg, target)
-        if self._pin_ids.size:
-            x_next[self._pin_ids] = self._pin_values
         self.mu, self.mu_mean = mu, mu_mean
         return x_next
 
@@ -345,19 +308,14 @@ class GossipEngine:
         self.matrix = matrix
         self.lam = 0.0
 
-    def start(self, g: Graph, x0, objs: Quadratic | Absolute, roles: AgentRoles) -> np.ndarray:
-        """Validate the run and fix the pinned entries; return x(0)."""
-        x, self._pin_ids, self._pin_values = _pinned_start(g, x0, roles)
+    def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
+        """Check that the matrix fits the graph."""
         if self.matrix.n_vertices != g.n_vertices:
             raise InvalidFieldError("gossip matrix does not match the graph")
-        return x
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """One round: return W x, pinned, as a new array."""
-        x_next = self.matrix.matrix @ x
-        if self._pin_ids.size:
-            x_next[self._pin_ids] = self._pin_values
-        return x_next
+        """One round: return W x as a new array."""
+        return self.matrix.matrix @ x
 
 
 Engine = SubgradientEngine | AdmmEngine | GossipEngine
@@ -375,6 +333,8 @@ def run(
 ) -> Trajectory:
     """Iterate an engine and record metrics until the stop rule fires.
 
+    x(0) is x0 with the stubborn entries set to their pinned values, and every
+    state the engine returns gets them again, so no engine handles the roles.
     The recorded objective is F(x) + metric_lambda * tv(x) (defaulting to the
     engine's own regularization level).  Iteration 0 carries the initial
     metrics with zero change; the final iteration is always recorded.  A state
@@ -384,7 +344,16 @@ def run(
         raise ValueError("record_every must be at least 1")
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
-    x = engine.start(g, x0, objs, roles)
+    if roles.n_vertices != g.n_vertices:
+        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
+    x = check_node_field(g, x0).copy()
+    pin_ids = np.array(roles.stubborn_ids, dtype=int)
+    pin_values = np.array(roles.pinned_values, dtype=float)
+    pinned = pin_ids.size > 0
+    if pinned:
+        x[pin_ids] = pin_values
+        check_node_field(g, x)  # the pinned values must be finite too
+    engine.start(g, objs)
 
     its: list[int] = []
     dis: list[float] = []
@@ -409,6 +378,8 @@ def run(
             while k < stop.max_iterations:
                 k += 1
                 x_new = engine.step(x)
+                if pinned:
+                    x_new[pin_ids] = pin_values
                 due = k % record_every == 0 or k == stop.max_iterations
                 if due or can_settle:
                     change = float(np.abs(x_new - x).max())

@@ -123,9 +123,11 @@ class Graph:
 
 
 def _edge_array(edges) -> np.ndarray:
-    """Edges as an (m, 2) integer array; anything but m pairs raises ValueError."""
-    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
-    return np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    """Edges as an (m, 2) integer array; anything but m pairs of integral ids raises ValueError."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.dtype.kind == "f" and not np.all(np.isfinite(pairs) & (pairs == np.trunc(pairs))):
+        raise ValueError("vertex ids must be integers")
+    return pairs.astype(np.intp, copy=False).reshape(len(pairs), 2)
 
 
 def _by_key(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

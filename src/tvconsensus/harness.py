@@ -16,12 +16,7 @@ from . import analysis
 from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_initial_data
 from .dualnorm import dual_norm_algorithm0
 from .engines import AgentRoles, GossipEngine, Trajectory, run
-from .errors import (
-    ConfigError,
-    IterationAnomalyError,
-    TvConsensusError,
-    UnsupportedGraphError,
-)
+from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
 from .graph import Graph
 from .maxflow import center_field
 from .metrics import emit_csv, metrics_from_trajectory
@@ -40,12 +35,7 @@ class ExperimentResult:
 
 def _critical_dual_norm(g: Graph, x0: np.ndarray) -> float:
     """Dual norm of the centered data; anomalies abort the run."""
-    result = dual_norm_algorithm0(g, center_field(x0))
-    if result.anomaly:
-        raise IterationAnomalyError(
-            "dual norm ratio iteration exceeded its edge-count bound"
-        )
-    return result.value
+    return dual_norm_algorithm0(g, center_field(x0)).checked_value()
 
 
 def _regular_critical_level(g: Graph, x0: np.ndarray, roles: AgentRoles) -> float | None:

@@ -62,7 +62,8 @@ def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
 
     Requires mean(u) close to zero, dual norm at most 1 + tol, and the pairing
     <u, x - min(x)> (equal to <u, x> for mean-zero u, without the offset of x)
-    to match tv_norm(x) within tol * tv_norm(x).
+    to match tv_norm(x) within tol * tv_norm(x).  Raises ``IterationAnomalyError``
+    if the dual norm's ratio iteration hit its bound.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("dual certificates need a connected graph")
@@ -70,7 +71,7 @@ def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
     x = check_node_field(g, x)
     if abs(float(u.mean())) > tol:
         return False
-    if dual_norm_algorithm0(g, center_field(u)).value > 1.0 + tol:
+    if dual_norm_algorithm0(g, center_field(u)).checked_value() > 1.0 + tol:
         return False
     tv = tv_norm(g, x)
     return abs(float(u @ (x - x.min())) - tv) <= tol * tv

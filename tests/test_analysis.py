@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from tvconsensus import (
     Absolute,
     AdmmEngine,
     AgentRoles,
+    DualNormResult,
     Graph,
+    InvalidFieldError,
+    IterationAnomalyError,
     Quadratic,
     SizeCapError,
     StopRule,
@@ -26,8 +31,8 @@ from tvconsensus import (
     tv_norm,
 )
 
-from tvconsensus import maxflow
-from tvconsensus.analysis import CERTIFIED, INCONCLUSIVE, VIOLATED
+from tvconsensus import analysis, maxflow
+from tvconsensus.analysis import CERTIFIED, INCONCLUSIVE, VIOLATED, median_sign_pattern
 from tvconsensus.maxflow import center_field
 
 from conftest import random_connected_graph
@@ -240,6 +245,14 @@ class TestCriticalLambda:
         g = Graph(2, [(0, 1)])
         assert np.isclose(ac_critical_lambda(g, np.array([0.0, 2.0])), 1.0, atol=1e-12)
 
+    def test_anomaly_raises(self, monkeypatch):
+        def cut_off(g, u):
+            return DualNormResult(1.0, frozenset({0}), iterations=1, anomaly=True)
+
+        monkeypatch.setattr(analysis, "dual_norm_algorithm0", cut_off)
+        with pytest.raises(IterationAnomalyError):
+            ac_critical_lambda(Graph(2, [(0, 1)]), np.array([0.0, 2.0]))
+
     def test_matches_enumeration(self, rng):
         for _ in range(10):
             g = random_connected_graph(rng, n_max=9)
@@ -320,6 +333,37 @@ class TestMedianLevel:
     def test_enumeration_cap(self):
         with pytest.raises(SizeCapError):
             mc_lambda0_exact(cycle_graph(14))
+
+    @staticmethod
+    def placement_enumeration(g):
+        """Every placement of the median sign pattern, one dual norm each."""
+        n = g.n_vertices
+        n_plus = int(np.count_nonzero(median_sign_pattern(n) > 0))
+        best = 0.0
+        for plus in combinations(range(n), n_plus):
+            rest = [v for v in range(n) if v not in plus]
+            for zero in rest if n % 2 else [None]:
+                u = -np.ones(n)
+                u[list(plus)] = 1.0
+                if zero is not None:
+                    u[zero] = 0.0
+                best = max(best, dual_norm_algorithm0(g, u).value)
+        return best
+
+    def test_subset_enumeration_matches_the_placements_bitwise(self, rng):
+        graphs = [random_connected_graph(rng, n_max=8, p=0.4) for _ in range(30)]
+        graphs += [cycle_graph(5), path_graph(4), Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])]
+        for g in graphs:
+            assert mc_lambda0_exact(g) == self.placement_enumeration(g)
+
+    def test_no_dual_norm_on_a_non_complete_graph(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dual norm ran on a non-complete graph")
+
+        monkeypatch.setattr(analysis, "dual_norm_algorithm0", refuse)
+        for g in (cycle_graph(12), path_graph(3), random_connected_graph(rng, n_max=12)):
+            if g.n_edges < g.n_vertices * (g.n_vertices - 1) // 2:
+                assert mc_lambda0_exact(g) > 0.0
 
 
 class TestCompleteGraphsSkipTheMaxFlow:
@@ -410,3 +454,8 @@ class TestStubbornLimit:
             stubborn_limit(np.ones(3), 1.0, -0.1, 1)
         with pytest.raises(ValueError):
             stubborn_limit(np.ones(3), 1.0, 0.1, 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidFieldError):
+                stubborn_limit(np.array([0.0, bad, 1.0]), 1.0, 0.1, 1)
+            with pytest.raises(ValueError, match="finite"):
+                stubborn_limit(np.ones(3), bad, 0.1, 1)

@@ -77,6 +77,18 @@ class TestSubcommands:
         assert "x_star = 0.1784" in out
         assert "case = clipped_high" in out
 
+    def test_predict_stubborn_rejects_non_finite_data(self, tmp_path, capsys):
+        for values, a in (([0.1, float("nan"), 0.2], "10"), ([0.1, float("inf")], "10"),
+                          ([0.1, 0.2], "inf"), ([0.1, 0.2], "nan")):
+            xpath = tmp_path / "x0r.txt"
+            write_field(xpath, values)
+            code = main(["predict-stubborn", "--x0r", str(xpath), "--a", a, "--lam", "0.05",
+                         "--s-count", "1"])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "finite" in captured.err
+
     def test_validation_failures_exit_1(self, tmp_path, capsys):
         assert main(["dualnorm", "--graph", "/nonexistent", "--field", "/nope"]) == 1
         gpath = tmp_path / "g.txt"
@@ -96,6 +108,23 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "load_config", boom)
         assert main(["run", "whatever.yaml"]) == 2
         assert "anomaly" in capsys.readouterr().err
+
+    def test_critical_lambda_anomaly_exits_2(self, tmp_path, capsys, monkeypatch):
+        from tvconsensus import DualNormResult, analysis
+
+        def cut_off(g, u):
+            return DualNormResult(1.0, frozenset({0}), iterations=1, anomaly=True)
+
+        monkeypatch.setattr(analysis, "dual_norm_algorithm0", cut_off)
+        gpath = tmp_path / "g.txt"
+        main(["gen-graph", "path", "--n", "2", "-o", str(gpath)])
+        xpath = tmp_path / "x.txt"
+        write_field(xpath, [0.0, 2.0])
+        capsys.readouterr()
+        assert main(["critical-lambda", "--graph", str(gpath), "--field", str(xpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("anomaly: ")
 
 
 class TestRunExperiment:

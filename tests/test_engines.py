@@ -22,7 +22,6 @@ from tvconsensus import (
     cycle_graph,
     disagreement,
     gossip_limit,
-    gossip_step,
     harmonic_schedule,
     run,
     tv_norm,
@@ -37,7 +36,14 @@ INF = float("inf")
 NEVER = -1.0
 
 
-def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
+def with_pins(x, roles):
+    """A copy of x with the stubborn entries set to their pinned values."""
+    x = np.array(x, dtype=float)
+    x[list(roles.stubborn_ids)] = roles.pinned_values
+    return x
+
+
+def reference_subgradient_step(g, x, n, objs, lam, schedule):
     """Round n of subgradient descent, recomputing every constant from g."""
     gamma = schedule(n)
     s = np.sign(x[g.edge_dst] - x[g.edge_src])
@@ -46,8 +52,7 @@ def reference_subgradient_step(g, x, n, objs, lam, roles, schedule):
         g.edge_dst, weights=s, minlength=nv
     )
     descent = -objs.subgradient(x)
-    x_next = x + gamma * (descent + lam * sign_sum)
-    return roles.pin(x_next)
+    return x + gamma * (descent + lam * sign_sum)
 
 
 class ReferenceSubgradientEngine:
@@ -59,23 +64,53 @@ class ReferenceSubgradientEngine:
         self.lam = float(lam)
         self.schedule = harmonic_schedule()
 
-    def start(self, g, x0, objs, roles):
-        self.g, self.objs, self.roles, self.n = g, objs, roles, 0
-        return roles.apply_to(x0)
+    def start(self, g, objs):
+        self.g, self.objs, self.n = g, objs, 0
 
     def step(self, x):
-        x_next = reference_subgradient_step(
-            self.g, x, self.n, self.objs, self.lam, self.roles, self.schedule
-        )
+        x_next = reference_subgradient_step(self.g, x, self.n, self.objs, self.lam, self.schedule)
         self.n += 1
         return x_next
+
+
+class Spy:
+    """Wraps an engine for ``run``: keeps every state handed to ``step``, checks
+    that ``step`` leaves it unchanged, and keeps ``watch(engine)`` after each step."""
+
+    def __init__(self, engine, watch=None):
+        self.engine, self.name, self.lam = engine, engine.name, engine.lam
+        self.watch = watch
+        self.states, self.watched = [], []
+
+    def start(self, g, objs):
+        self.engine.start(g, objs)
+
+    def step(self, x):
+        before = x.copy()
+        x_next = self.engine.step(x)
+        assert np.array_equal(x, before)
+        self.states.append(before)
+        if self.watch is not None:
+            self.watched.append(self.watch(self.engine))
+        return x_next
+
+
+def run_states(spy, g, x0, objs, roles, steps):
+    """x(0), ..., x(steps) as ``run`` produces them, pins written."""
+    traj = run(spy, g, x0, objs, roles, stop=StopRule(steps, NEVER, NEVER))
+    return spy.states + [traj.final_x]
+
+
+def admm_multipliers(engine):
+    return engine.mu.copy(), engine.mu_mean.copy()
 
 
 def reference_run(engine, g, x0, objs, roles, stop=StopRule(), record_every=1,
                   metric_lambda=None):
     """The eager `run` loop: the max change after every step, recorded or not."""
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
-    x = engine.start(g, x0, objs, roles)
+    x = with_pins(x0, roles)
+    engine.start(g, objs)
     its, dis, means, objective_values, changes = [], [], [], [], []
 
     def record(k, x_now, change):
@@ -89,7 +124,7 @@ def reference_run(engine, g, x0, objs, roles, stop=StopRule(), record_every=1,
     converged = False
     k = 0
     while k < stop.max_iterations:
-        x_new = engine.step(x)
+        x_new = with_pins(engine.step(x), roles)
         change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
         k += 1
         settled = (
@@ -119,7 +154,8 @@ def assert_same_trajectory(traj, ref):
 
 
 def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
-    """One ADMM round from (x, mu, mu_mean), recomputing every constant from g."""
+    """One ADMM round from (x, mu, mu_mean), recomputing every constant from g;
+    the new x has the pins written, as ``run`` writes them."""
     talker = np.concatenate([g.edge_src, g.edge_dst])
     owner = np.concatenate([g.edge_dst, g.edge_src])
     bound = 2.0 * lam / rho
@@ -128,7 +164,7 @@ def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
     mu_mean_next = np.bincount(owner, weights=mu_next, minlength=g.n_vertices) / deg
     target = x + mu_mean_next - 0.5 * mu_mean
     x_next = objs.prox(rho * deg, target)
-    return roles.pin(x_next), mu_next, mu_mean_next
+    return with_pins(x_next, roles), mu_next, mu_mean_next
 
 
 def reference_uniform_gossip_matrix(g, roles):
@@ -152,12 +188,15 @@ class TestAgentRoles:
         assert roles.stubborn_ids == (1, 3)
         assert roles.pinned_values == (0.1, 0.3)
         assert roles.regular_ids == (0, 2, 4)
-        assert roles.stubborn_mask().tolist() == [False, True, False, True, False]
 
     def test_pin(self):
+        g = complete_graph(3)
         roles = AgentRoles.from_pinned(3, {0: 9.0})
-        x = roles.pin(np.array([1.0, 2.0, 3.0]))
-        assert x.tolist() == [9.0, 2.0, 3.0]
+        x0 = np.array([1.0, 2.0, 3.0])
+        traj = run(GossipEngine(GossipMatrix(np.eye(3))), g, x0, Quadratic(g, x0), roles,
+                   stop=StopRule(max_iterations=0))
+        assert traj.final_x.tolist() == [9.0, 2.0, 3.0]
+        assert x0.tolist() == [1.0, 2.0, 3.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -182,17 +221,13 @@ class TestEngineContract:
     def test_subgradient_matches_reference_bitwise(self, kind, pinned):
         g, x0, objs, roles = self.scenario(kind, pinned)
         engine = SubgradientEngine(0.3)
-        x = engine.start(g, x0, objs, roles)
-        ref = roles.apply_to(x0)
-        assert np.array_equal(x, ref)
-        for n in range(50):
-            before = x.copy()
-            x_next = engine.step(x)
-            assert np.array_equal(x, before)
-            x = x_next
-            ref = reference_subgradient_step(g, ref, n, objs, 0.3, roles, harmonic_schedule())
+        states = run_states(Spy(engine), g, x0, objs, roles, 50)
+        ref = with_pins(x0, roles)
+        for n, x in enumerate(states):
+            assert np.array_equal(x, ref)
+            step = reference_subgradient_step(g, ref, n, objs, 0.3, harmonic_schedule())
+            ref = with_pins(step, roles)
         assert engine.n == 50
-        assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -200,16 +235,13 @@ class TestEngineContract:
         g, x0, objs, roles = self.scenario(kind, pinned)
         rho, lam = 1.3, 2.0
         engine = AdmmEngine(lam, rho)
-        x = engine.start(g, x0, objs, roles)
-        ref = roles.apply_to(x0)
+        states = run_states(Spy(engine), g, x0, objs, roles, 50)
+        ref = with_pins(x0, roles)
+        assert np.array_equal(states[0], ref)
         mu, mu_mean = np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
-        for _ in range(50):
-            before = x.copy()
-            x_next = engine.step(x)
-            assert np.array_equal(x, before)
-            x = x_next
+        for x in states[1:]:
             ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
-        assert np.array_equal(x, ref)
+            assert np.array_equal(x, ref)
         assert np.array_equal(engine.mu, mu)
         assert np.array_equal(engine.mu_mean, mu_mean)
 
@@ -217,15 +249,14 @@ class TestEngineContract:
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
         objs = Quadratic(g, x0)
-        roles = AgentRoles.none(3)
         for rho in (0.0, -1.0):
             with pytest.raises(ValueError):
-                AdmmEngine(0.5, rho).start(g, x0, objs, roles)
+                AdmmEngine(0.5, rho).start(g, objs)
         with pytest.raises(ValueError):
-            AdmmEngine(-0.1, 1.0).start(g, x0, objs, roles)
+            AdmmEngine(-0.1, 1.0).start(g, objs)
         isolated = Graph(3, [(0, 1)])
         with pytest.raises(UnsupportedGraphError):
-            AdmmEngine(0.5, 1.0).start(isolated, x0, Quadratic(isolated, x0), roles)
+            AdmmEngine(0.5, 1.0).start(isolated, Quadratic(isolated, x0))
 
     def test_start_rejects_mismatched_sizes(self):
         g = complete_graph(3)
@@ -239,9 +270,9 @@ class TestEngineContract:
         )
         for engine in engines:
             with pytest.raises(InvalidFieldError):
-                engine.start(g, x0[:2], objs, roles)
+                run(engine, g, x0[:2], objs, roles, stop=StopRule(max_iterations=1))
         with pytest.raises(InvalidFieldError):
-            GossipEngine(GossipMatrix(np.eye(4))).start(g, x0, objs, roles)
+            GossipEngine(GossipMatrix(np.eye(4))).start(g, objs)
 
     def test_start_rejects_roles_of_another_size(self):
         g = complete_graph(3)
@@ -263,14 +294,14 @@ class TestEngineContract:
         roles = AgentRoles.from_pinned(3, {0: float("nan")})
         for engine in (SubgradientEngine(0.5), AdmmEngine(0.5, 1.0)):
             with pytest.raises(InvalidFieldError):
-                engine.start(g, x0, Quadratic(g, x0), roles)
+                run(engine, g, x0, Quadratic(g, x0), roles, stop=StopRule(max_iterations=1))
 
     def test_rerun_with_the_same_engine_is_identical(self, rng):
         g = complete_graph(5)
         other = cycle_graph(7)
         x0 = rng.normal(size=5)
         roles = AgentRoles.from_pinned(5, {0: 1.0})
-        objs = Quadratic(g, roles.apply_to(x0))
+        objs = Quadratic(g, with_pins(x0, roles))
         other_x0 = rng.normal(size=7)
         stop = StopRule(max_iterations=40, disagreement_tol=-1.0, change_tol=-1.0)
         engines = (
@@ -296,7 +327,8 @@ class TestSubgradientStep:
         x = 2.0 * np.ones(4)
         objs = Quadratic(g, x)
         engine = SubgradientEngine(0.7)
-        new = engine.step(engine.start(g, x, objs, AgentRoles.none(4)))
+        engine.start(g, objs)
+        new = engine.step(x)
         assert np.array_equal(new, x)
         assert engine.n == 1
 
@@ -305,7 +337,8 @@ class TestSubgradientStep:
         x0 = np.array([0.0, 2.0])
         objs = Quadratic(g, x0)
         engine = SubgradientEngine(1.0, schedule=lambda n: 0.1)
-        new = engine.step(engine.start(g, x0, objs, AgentRoles.none(2)))
+        engine.start(g, objs)
+        new = engine.step(x0)
         assert np.allclose(new, [0.1, 1.9], atol=1e-15)
 
     def test_sign_zero_at_equal_values(self):
@@ -313,7 +346,8 @@ class TestSubgradientStep:
         x = np.array([1.0, 1.0])
         objs = Quadratic(g, np.array([0.0, 2.0]))
         engine = SubgradientEngine(10.0, schedule=lambda n: 0.5)
-        new = engine.step(engine.start(g, x, objs, AgentRoles.none(2)))
+        engine.start(g, objs)
+        new = engine.step(x)
         # only the objective pull acts; the edge term vanishes at equality
         assert np.allclose(new, [1.0 + 0.5 * (0.0 - 1.0), 1.0 + 0.5 * (2.0 - 1.0)])
 
@@ -323,7 +357,8 @@ class TestSubgradientStep:
             x0 = rng.normal(size=g.n_vertices)
             objs = Quadratic(g, x0)
             engine = SubgradientEngine(0.4)
-            x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
+            engine.start(g, objs)
+            x = x0
             for _ in range(200):
                 x = engine.step(x)
                 assert abs(x.mean() - x0.mean()) <= 1e-12
@@ -333,10 +368,7 @@ class TestSubgradientStep:
         x0 = rng.normal(size=5)
         roles = AgentRoles.from_pinned(5, {2: x0[2]})
         objs = Quadratic(g, x0)
-        engine = SubgradientEngine(1.0)
-        x = engine.start(g, x0, objs, roles)
-        for _ in range(50):
-            x = engine.step(x)
+        for x in run_states(Spy(SubgradientEngine(1.0)), g, x0, objs, roles, 50):
             assert x[2] == x0[2]
 
 
@@ -346,7 +378,8 @@ class TestAdmmStep:
         x0 = np.array([1.0, -2.0, 0.5, 3.0])
         objs = Quadratic(g, x0)
         engine = AdmmEngine(0.0, 1.0)
-        x = engine.start(g, np.zeros(4), objs, AgentRoles.none(4))
+        engine.start(g, objs)
+        x = np.zeros(4)
         for _ in range(600):
             x = engine.step(x)
             assert np.all(engine.mu == 0.0)
@@ -357,7 +390,8 @@ class TestAdmmStep:
         x0 = rng.normal(size=5)
         objs = Quadratic(g, x0)
         engine = AdmmEngine(0.4, 1.3)
-        x = engine.start(g, x0, objs, AgentRoles.none(5))
+        engine.start(g, objs)
+        x = x0
         for _ in range(5):
             prev_x, prev_mu, prev_mu_mean = x, engine.mu, engine.mu_mean
             x = engine.step(x)
@@ -378,7 +412,8 @@ class TestAdmmStep:
         objs = Quadratic(g, x0)
         rho, lam = 0.8, 0.25
         engine = AdmmEngine(lam, rho)
-        x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
+        engine.start(g, objs)
+        x = x0
         for _ in range(50):
             x = engine.step(x)
             assert np.all(np.abs(engine.mu) <= 2 * lam / rho + 1e-15)
@@ -388,7 +423,8 @@ class TestAdmmStep:
             x0 = rng.normal(size=g.n_vertices)
             objs = Quadratic(g, x0)
             engine = AdmmEngine(0.3, 1.0)
-            x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
+            engine.start(g, objs)
+            x = x0
             for _ in range(300):
                 x = engine.step(x)
                 assert abs(x.mean() - x0.mean()) <= 1e-12
@@ -399,7 +435,8 @@ class TestAdmmStep:
         x0 = rng.normal(size=g.n_vertices)
         objs = Quadratic(g, x0)
         engine = AdmmEngine(0.5, 1.0)
-        x = engine.start(g, x0, objs, AgentRoles.none(g.n_vertices))
+        engine.start(g, objs)
+        x = x0
         for _ in range(20):
             x = engine.step(x)
             assert np.array_equal(engine.mu[:m], -engine.mu[m:])
@@ -411,10 +448,7 @@ class TestAdmmStep:
         x_init = x0.copy()
         x_init[0] = 7.5
         objs = Quadratic(g, x_init)
-        engine = AdmmEngine(0.2, 1.0)
-        x = engine.start(g, x_init, objs, roles)
-        for _ in range(100):
-            x = engine.step(x)
+        for x in run_states(Spy(AdmmEngine(0.2, 1.0)), g, x_init, objs, roles, 100):
             assert x[0] == 7.5
 
     def test_fixed_point_residuals_decay_at_certified_minimizer(self, rng):
@@ -426,7 +460,8 @@ class TestAdmmStep:
         lam = 1.5 * ac_critical_lambda(g, x0)
         objs = Quadratic(g, x0)
         engine = AdmmEngine(lam, 1.0)
-        x = engine.start(g, np.full(6, x0.mean()), objs, AgentRoles.none(6))
+        engine.start(g, objs)
+        x = np.full(6, x0.mean())
         for _ in range(3000):
             prev_x, prev_mu = x, engine.mu
             x = engine.step(x)
@@ -455,17 +490,16 @@ class TestAdmmStep:
         roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
         objs = kind(g, x0)
         rho, lam = 1.3, 0.3
-        engine = AdmmEngine(lam, rho)
-        x = engine.start(g, x0, objs, roles)
-        ref, mu, mu_mean = roles.apply_to(x0), np.zeros(2 * m), np.zeros(n)
-        for _ in range(500):
-            x = engine.step(x)
+        spy = Spy(AdmmEngine(lam, rho), watch=admm_multipliers)
+        states = run_states(spy, g, x0, objs, roles, 500)
+        ref, mu, mu_mean = with_pins(x0, roles), np.zeros(2 * m), np.zeros(n)
+        for x, (engine_mu, engine_mu_mean) in zip(states[1:], spy.watched, strict=True):
             ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
             assert x.tobytes() == ref.tobytes()
-            assert engine.mu_mean.tobytes() == mu_mean.tobytes()
+            assert engine_mu_mean.tobytes() == mu_mean.tobytes()
             # Equal as numbers: the reverse pairs may hold -0.0 where the reference holds 0.0.
-            assert np.array_equal(engine.mu, mu)
-            assert np.array_equal(engine.mu[:m], -engine.mu[m:])
+            assert np.array_equal(engine_mu, mu)
+            assert np.array_equal(engine_mu[:m], -engine_mu[m:])
 
 
 class TestEngineAgreement:
@@ -554,13 +588,13 @@ class TestGossip:
     def test_identity_matrix_is_fixed(self):
         w = GossipMatrix(np.eye(4))
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(gossip_step(w, x), x)
+        assert np.array_equal(w.matrix @ x, x)
 
     def test_uniform_complete_graph_averages_in_one_step(self, rng):
         g = complete_graph(6)
         w = uniform_gossip_matrix(g, AgentRoles.none(6))
         x = rng.normal(size=6)
-        assert np.allclose(gossip_step(w, x), x.mean(), atol=1e-12)
+        assert np.allclose(w.matrix @ x, x.mean(), atol=1e-12)
 
     def test_single_stubborn_drives_everyone(self, rng):
         g = random_connected_graph(rng, n_max=10)
@@ -570,7 +604,7 @@ class TestGossip:
         x = rng.normal(size=n)
         x[0] = 4.5
         for _ in range(100_000):
-            x_new = gossip_step(w, x)
+            x_new = w.matrix @ x
             if np.abs(x_new - x).max() < 1e-14:
                 x = x_new
                 break
@@ -587,7 +621,7 @@ class TestGossip:
         x = rng.normal(size=6)
         x[0], x[3] = 0.0, 1.0
         for _ in range(200_000):
-            x = gossip_step(w, x)
+            x = w.matrix @ x
         regular = [1, 2, 4, 5]
         assert np.abs(x[regular] - limit).max() <= 1e-10
         assert limit.max() - limit.min() > 1e-3
@@ -601,7 +635,7 @@ class TestGossip:
             x = rng.normal(scale=10.0, size=5)
             x[0], x[1] = -2.0, 3.0
             for _ in range(5_000):
-                x = gossip_step(w, x)
+                x = w.matrix @ x
             assert np.abs(x[2:] - limit).max() <= 1e-10
 
     def test_rejects_unreachable_regular_vertices(self):
@@ -680,6 +714,30 @@ class TestRunDriver:
         assert traj.converged
         assert np.allclose(traj.final_x, 1.0, atol=1e-9)
 
+    def test_every_state_keeps_the_pins(self):
+        class PlusOne:
+            """An engine that knows nothing of the roles: every entry moves up by 1."""
+
+            name, lam = "plus_one", 0.0
+
+            def start(self, g, objs):
+                pass
+
+            def step(self, x):
+                return x + 1.0
+
+        g = cycle_graph(5)
+        x0 = np.arange(5.0)
+        roles = AgentRoles.from_pinned(5, {1: -3.0, 4: 7.5})
+        spy = Spy(PlusOne())
+        traj = run(spy, g, x0, Quadratic(g, x0), roles, stop=StopRule(10, NEVER, NEVER))
+        states = spy.states + [traj.final_x]
+        assert len(states) == 11
+        for k, x in enumerate(states):
+            assert x[[1, 4]].tolist() == [-3.0, 7.5]
+            assert x[[0, 2, 3]].tolist() == [0.0 + k, 2.0 + k, 3.0 + k]
+        assert traj.mean.tolist() == [float(x.mean()) for x in states]
+
 
 class TestLazyChange:
     """``run`` computes the max change only when a row or the stop rule reads it."""
@@ -690,7 +748,7 @@ class TestLazyChange:
         x0 = np.random.default_rng(3).uniform(size=6)
         roles = AgentRoles.from_pinned(6, {2: 0.4}) if pinned else AgentRoles.none(6)
         lam = 2.0 * ac_critical_lambda(g, x0)
-        x0 = roles.apply_to(x0)
+        x0 = with_pins(x0, roles)
         engine = {
             "subgradient": lambda: SubgradientEngine(lam),
             "admm": lambda: AdmmEngine(lam, 1.0),
@@ -754,19 +812,17 @@ class TestDegenerateGraphs:
         g, pinned = TestDegenerateGraphs.CASES[case]
         n = g.n_vertices
         roles = AgentRoles.from_pinned(n, pinned)
-        x0 = roles.apply_to(np.random.default_rng(8).normal(size=n))
+        x0 = with_pins(np.random.default_rng(8).normal(size=n), roles)
         return g, x0, Quadratic(g, x0), roles
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_subgradient_matches_reference(self, case):
         g, x0, objs, roles = self.scenario(case)
-        engine = SubgradientEngine(0.7)
-        x = engine.start(g, x0, objs, roles)
         ref = x0.copy()
-        for n in range(20):
-            x = engine.step(x)
-            ref = reference_subgradient_step(g, ref, n, objs, 0.7, roles, harmonic_schedule())
+        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
             assert np.array_equal(x, ref)
+            ref = with_pins(reference_subgradient_step(g, ref, n, objs, 0.7, harmonic_schedule()),
+                            roles)
         stop = StopRule(20, NEVER, NEVER)
         assert_same_trajectory(
             run(SubgradientEngine(0.7), g, x0, objs, roles, stop=stop),
@@ -777,13 +833,10 @@ class TestDegenerateGraphs:
     def test_gossip_matches_reference(self, case):
         g, x0, objs, roles = self.scenario(case)
         w = uniform_gossip_matrix(g, roles)
-        engine = GossipEngine(w)
-        x = engine.start(g, x0, objs, roles)
         ref = x0.copy()
-        for _ in range(20):
-            x = engine.step(x)
-            ref = roles.pin(gossip_step(w, ref))
+        for x in run_states(Spy(GossipEngine(w)), g, x0, objs, roles, 20):
             assert np.array_equal(x, ref)
+            ref = with_pins(w.matrix @ ref, roles)
         stop = StopRule(20, 1e-9, 1e-10)
         assert_same_trajectory(
             run(GossipEngine(w), g, x0, objs, roles, stop=stop),
@@ -799,10 +852,9 @@ class TestDegenerateGraphs:
     def test_admm_all_pinned_matches_reference(self):
         g, x0, objs, roles = self.scenario("all_pinned")
         engine = AdmmEngine(0.7, 1.3)
-        x = engine.start(g, x0, objs, roles)
+        states = run_states(Spy(engine), g, x0, objs, roles, 20)
         ref, mu, mu_mean = x0.copy(), np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
-        for _ in range(20):
-            x = engine.step(x)
+        for x in states[1:]:
             ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, 1.3, 0.7, roles)
             assert np.array_equal(x, ref)
             assert np.array_equal(x, x0)

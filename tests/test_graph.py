@@ -72,6 +72,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown vertex"):
             Graph(2, [(0, 5)])
 
+    def test_rejects_non_integral_vertex_ids(self):
+        for edges in ([(0, 1.5), (1, 2)], np.array([[0.0, 1.0], [1.0, 2.5]]),
+                      [(0, float("nan"))], np.array([[0.0, np.inf]])):
+            with pytest.raises(ValueError, match="integers"):
+                Graph(3, edges)
+            with pytest.raises(ValueError, match="integers"):
+                Graph(3, [(0, 1), (1, 2)], oriented_edges=edges)
+        # Integral floats are still vertex ids.
+        for edges in ([(0, 1.0), (2.0, 1)], np.array([[0.0, 1.0], [2.0, 1.0]])):
+            assert Graph(3, edges).oriented_edges == ((0, 1), (1, 2))
+
     def test_canonical_orientation_is_low_to_high(self):
         g = Graph(3, [(2, 0), (1, 2)])
         assert g.oriented_edges == ((0, 2), (1, 2))

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvconsensus import (
+    DualNormResult,
     Graph,
+    IterationAnomalyError,
     UnsupportedGraphError,
     coarea_decompose,
     complete_graph,
@@ -15,6 +17,7 @@ from tvconsensus import (
     perimeter,
     tv_norm,
 )
+from tvconsensus import tv
 
 from conftest import mean_zero_field, random_connected_graph
 
@@ -128,6 +131,14 @@ class TestDualCertificate:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(UnsupportedGraphError):
             is_dual_certificate(g, np.zeros(4), np.zeros(4))
+
+    def test_anomaly_raises(self, monkeypatch):
+        def cut_off(g, u):
+            return DualNormResult(0.5, frozenset({0}), iterations=1, anomaly=True)
+
+        monkeypatch.setattr(tv, "dual_norm_algorithm0", cut_off)
+        with pytest.raises(IterationAnomalyError):
+            is_dual_certificate(Graph(2, [(0, 1)]), np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
 
     def test_pairing_tolerance_is_relative(self):
         # <u, x> = 1 against tv(x) = 3; at scale 1e-12 an absolute tolerance
