@@ -25,7 +25,6 @@ from .engines import (
     AdmmEngine,
     AgentRoles,
     GossipEngine,
-    GossipMatrix,
     StopRule,
     SubgradientEngine,
     Trajectory,
@@ -82,7 +81,6 @@ __all__ = [
     "ExperimentResult",
     "FlowNetwork",
     "GossipEngine",
-    "GossipMatrix",
     "Graph",
     "InvalidFieldError",
     "InvalidSubsetError",

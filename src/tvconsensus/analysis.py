@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualnorm import dual_norm_algorithm0
-from .errors import InvalidFieldError, SizeCapError, UnsupportedGraphError
+from .errors import DomainError, InvalidFieldError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, is_complete
 from .maxflow import center_field, maximize_cut_functional
 from .objectives import Absolute, Quadratic
@@ -75,8 +75,13 @@ def certify_consensus_minimizer(
     ``tol`` is relative, so scaling the data keeps the verdict: the dual gap is
     held to tol * ||u||_1 and the mean of u to tol * ||u||_inf.  Shifting the
     data keeps it too: the mean test also allows n * eps * |x*|, the rounding
-    that forming u at the offset x* can leave, and no more.
+    that forming u at the offset x* can leave, and no more.  A non-finite x*
+    or a lam outside (0, inf) raises ``DomainError``.
     """
+    if not np.isfinite(x_star):
+        raise DomainError(f"x_star must be finite, got {x_star}")
+    if not 0.0 < lam < np.inf:
+        raise DomainError(f"lam must be positive and finite, got {lam}")
     if not g.is_connected:
         raise UnsupportedGraphError("certificates need a connected graph")
     lo, hi = objs.subgradient_box(float(x_star))
@@ -240,8 +245,8 @@ def stubborn_limit(
         raise InvalidFieldError("regular initial values must be finite")
     if not np.isfinite(a):
         raise ValueError("pinned value a must be finite")
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     if s_count < 1:
         raise ValueError("need at least one pinned agent")
     mean = float(x0_regular.mean())

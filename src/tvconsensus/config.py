@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import NamedTuple, NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -25,7 +25,6 @@ from .engines import (
     StopRule,
     SubgradientEngine,
     harmonic_schedule,
-    uniform_gossip_matrix,
 )
 from .errors import ConfigError
 from .graph import (
@@ -37,6 +36,10 @@ from .graph import (
     path_graph,
 )
 from .objectives import Absolute, Quadratic
+
+
+# A number that must be finite: the data and pinned values.
+Finite = NewType("Finite", float)
 
 
 def _read_edge_list(cfg: GraphConfig) -> Graph:
@@ -53,10 +56,9 @@ GENERATORS = {
 }
 OBJECTIVES = {"quadratic": Quadratic, "absolute": Absolute}
 ENGINES = {
-    SubgradientEngine.name:
-        lambda cfg, lam, g, roles: SubgradientEngine(lam, harmonic_schedule(cfg.gamma0)),
-    AdmmEngine.name: lambda cfg, lam, g, roles: AdmmEngine(lam, rho=cfg.rho),
-    GossipEngine.name: lambda cfg, lam, g, roles: GossipEngine(uniform_gossip_matrix(g, roles)),
+    SubgradientEngine.name: lambda cfg, lam: SubgradientEngine(lam, harmonic_schedule(cfg.gamma0)),
+    AdmmEngine.name: lambda cfg, lam: AdmmEngine(lam, rho=cfg.rho),
+    GossipEngine.name: lambda cfg, lam: GossipEngine(),
 }
 
 
@@ -99,16 +101,16 @@ class GraphConfig:
 
 class Outlier(NamedTuple):
     vertex: int
-    value: float
+    value: Finite
 
 
 @dataclass(frozen=True)
 class DataConfig:
     source: str = "uniform"  # uniform | explicit
     seed: int = 0
-    low: float = 0.0
-    high: float = 1.0
-    values: tuple[float, ...] = ()
+    low: Finite = 0.0
+    high: Finite = 1.0
+    values: tuple[Finite, ...] = ()
     outliers: tuple[Outlier, ...] = ()
 
     def checked(self, where: str) -> DataConfig:
@@ -118,6 +120,7 @@ class DataConfig:
             _require(bool(self.values), f"{where}.values",
                      "explicit data needs a nonempty 'values' list")
             return DataConfig(source=self.source, values=self.values, outliers=self.outliers)
+        _require(math.isfinite(self.high - self.low), where, "high - low must be finite")
         return replace(self, values=DataConfig.values)
 
 
@@ -161,7 +164,7 @@ class EngineConfig:
 @dataclass(frozen=True)
 class StubbornConfig:
     vertices: tuple[int, ...] = ()
-    values: tuple[float, ...] = ()
+    values: tuple[Finite, ...] = ()
 
     def checked(self, where: str) -> StubbornConfig:
         _require(len(self.vertices) == len(self.values), where,
@@ -256,10 +259,12 @@ def _convert(tp, value, where: str):
         return int(value)
     if tp is str:
         return str(value)
-    try:  # float and float | None
-        return float(value)
+    try:  # float, Finite and float | None
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    _require(tp is not Finite or math.isfinite(number), where, "must be finite")
+    return number
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
-from .graph import Graph, check_node_field
+from .graph import Graph, check_node_field, connected_components
 from .objectives import Absolute, Quadratic
 from .tv import tv_norm
 
@@ -91,88 +91,34 @@ def harmonic_schedule(gamma0: float = 1.0) -> Callable[[int], float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GossipMatrix:
-    """Row-stochastic update matrix with identity rows at stubborn vertices."""
-
-    matrix: np.ndarray
-    stubborn_ids: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.matrix, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise AssumptionError("gossip matrix must be square")
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise AssumptionError("gossip matrix entries must lie in [0, 1]")
-        if not np.allclose(w.sum(axis=1), 1.0, atol=1e-12):
-            raise AssumptionError("gossip matrix rows must sum to 1")
-        n = w.shape[0]
-        stubborn = tuple(sorted(int(v) for v in self.stubborn_ids))
-        for v in stubborn:
-            if not 0 <= v < n:
-                raise AssumptionError(f"stubborn vertex {v} out of range")
-            row = np.zeros(n)
-            row[v] = 1.0
-            if not np.array_equal(w[v], row):
-                raise AssumptionError(f"stubborn row {v} must be the identity row")
-        object.__setattr__(self, "matrix", w)
-        object.__setattr__(self, "stubborn_ids", stubborn)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.matrix.shape[0]
-
-    def every_regular_reaches_stubborn(self) -> bool:
-        """Directed-path condition from each regular vertex to some stubborn one."""
-        if not self.stubborn_ids:
-            return False
-        support = self.matrix > 0.0
-        reached = np.zeros(self.n_vertices, dtype=bool)
-        reached[list(self.stubborn_ids)] = True
-        # Reverse reachability along positive entries (v sees w when W[v, w] > 0).
-        changed = True
-        while changed:
-            newly = support[:, reached].any(axis=1) & ~reached
-            changed = bool(newly.any())
-            reached |= newly
-        return bool(reached.all())
-
-
-def uniform_gossip_matrix(g: Graph, roles: AgentRoles) -> GossipMatrix:
+def uniform_gossip_matrix(g: Graph) -> np.ndarray:
     """Neighborhood averaging with weight 1 / (degree + 1), self included."""
     share = 1.0 / (g.degrees + 1.0)
     w = np.diag(share)
     w[g.edge_src, g.edge_dst] = share[g.edge_src]
     w[g.edge_dst, g.edge_src] = share[g.edge_dst]
-    stubborn = list(roles.stubborn_ids)
-    w[stubborn] = 0.0
-    w[stubborn, stubborn] = 1.0
-    return GossipMatrix(matrix=w, stubborn_ids=roles.stubborn_ids)
+    return w
 
 
-def gossip_limit(w: GossipMatrix, x_stubborn) -> np.ndarray:
+def gossip_limit(g: Graph, roles: AgentRoles) -> np.ndarray:
     """Fixed point of the regular block: solve (I - W_RR) y = W_RS x_S.
 
-    The limit of repeated gossip exists whenever every regular vertex has a
-    directed path to a stubborn one; it does not depend on the regular
-    agents' initial values.  Returns the values on regular vertices in
-    ascending vertex order.
+    W is ``uniform_gossip_matrix(g)`` and x_S holds the pinned values.  The
+    limit of repeated gossip exists whenever every connected component holds a
+    stubborn vertex; it does not depend on the regular agents' initial values.
+    Returns the values on regular vertices in ascending vertex order.
     """
-    if not w.stubborn_ids:
+    if roles.n_vertices != g.n_vertices:
+        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
+    if not roles.stubborn_ids:
         raise AssumptionError("gossip limit needs at least one stubborn vertex")
-    x_stubborn = np.asarray(x_stubborn, dtype=float)
-    if x_stubborn.shape[0] != len(w.stubborn_ids):
-        raise InvalidFieldError("need one value per stubborn vertex")
-    if not w.every_regular_reaches_stubborn():
-        raise AssumptionError(
-            "some regular vertex has no directed path to a stubborn vertex"
-        )
-    stubborn = list(w.stubborn_ids)
-    regular = np.delete(np.arange(w.n_vertices), stubborn)
-    w_rr = w.matrix[np.ix_(regular, regular)]
-    w_rs = w.matrix[np.ix_(regular, stubborn)]
-    eye = np.eye(len(regular))
-    return np.linalg.solve(eye - w_rr, w_rs @ x_stubborn)
+    stubborn = list(roles.stubborn_ids)
+    if any(piece.isdisjoint(stubborn) for piece in connected_components(g, range(g.n_vertices))):
+        raise AssumptionError("some connected component holds no stubborn vertex")
+    w = uniform_gossip_matrix(g)
+    regular = list(roles.regular_ids)
+    w_rr, w_rs = w[np.ix_(regular, regular)], w[np.ix_(regular, stubborn)]
+    return np.linalg.solve(np.eye(len(regular)) - w_rr, w_rs @ np.array(roles.pinned_values))
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +246,18 @@ class AdmmEngine:
 
 
 class GossipEngine:
-    """Repeated multiplication by a row-stochastic gossip matrix."""
+    """Repeated multiplication by the uniform gossip matrix of the graph."""
 
     name = "gossip"
-
-    def __init__(self, matrix: GossipMatrix):
-        self.matrix = matrix
-        self.lam = 0.0
+    lam = 0.0
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
-        """Check that the matrix fits the graph."""
-        if self.matrix.n_vertices != g.n_vertices:
-            raise InvalidFieldError("gossip matrix does not match the graph")
+        """Build the averaging matrix of ``g``."""
+        self._w = uniform_gossip_matrix(g)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return W x as a new array."""
-        return self.matrix.matrix @ x
+        return self._w @ x
 
 
 Engine = SubgradientEngine | AdmmEngine | GossipEngine

@@ -150,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     engine_summaries: dict[str, dict] = {}
     minimizers: list[str] = []  # engines that minimize the regularized energy
     for key, engine_cfg in zip(keys, cfg.engines):
-        engine = ENGINES[engine_cfg.name](engine_cfg, lam, g, roles)
+        engine = ENGINES[engine_cfg.name](engine_cfg, lam)
         if not isinstance(engine, GossipEngine):
             minimizers.append(key)
         traj = run(

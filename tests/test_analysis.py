@@ -9,6 +9,7 @@ from tvconsensus import (
     Absolute,
     AdmmEngine,
     AgentRoles,
+    DomainError,
     DualNormResult,
     Graph,
     InvalidFieldError,
@@ -132,6 +133,18 @@ class TestCertify:
         objs = Quadratic(g, np.zeros(4))
         with pytest.raises(UnsupportedGraphError):
             certify_consensus_minimizer(g, objs, 0.0, 1.0)
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    def test_rejects_non_finite_x_star_and_lam_outside_the_open_half_line(self, kind):
+        g = path_graph(3)
+        objs = kind(g, np.array([0.1, 0.2, 0.3]))
+        for x_star in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError, match="x_star"):
+                certify_consensus_minimizer(g, objs, x_star, 1.0)
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            for x_star in (0.2, 100.0):
+                with pytest.raises(DomainError, match="lam"):
+                    certify_consensus_minimizer(g, objs, x_star, lam)
 
     @pytest.mark.parametrize(
         "scale, offset",
@@ -459,3 +472,8 @@ class TestStubbornLimit:
                 stubborn_limit(np.array([0.0, bad, 1.0]), 1.0, 0.1, 1)
             with pytest.raises(ValueError, match="finite"):
                 stubborn_limit(np.ones(3), bad, 0.1, 1)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lam_must_be_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            stubborn_limit(np.array([0.1, 0.2]), 10.0, lam, 1)

@@ -89,6 +89,32 @@ class TestSubcommands:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "finite" in captured.err
 
+    def test_predict_stubborn_rejects_infinite_lambda(self, tmp_path, capsys):
+        xpath = tmp_path / "x0r.txt"
+        write_field(xpath, [0.1, 0.2])
+        code = main(["predict-stubborn", "--x0r", str(xpath), "--a", "10", "--lam", "inf",
+                     "--s-count", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lam must be positive and finite")
+
+    def test_certify_rejects_non_finite_x_star_and_bad_lambda(self, tmp_path, capsys):
+        gpath = tmp_path / "p3.txt"
+        main(["gen-graph", "path", "--n", "3", "-o", str(gpath)])
+        xpath = tmp_path / "x.txt"
+        write_field(xpath, [0.1, 0.2, 0.3])
+        capsys.readouterr()
+        for kind, x_star, lam in (("absolute", "inf", "1"), ("absolute", "nan", "1"),
+                                  ("quadratic", "100", "-1"), ("quadratic", "0.2", "-1"),
+                                  ("quadratic", "0.2", "inf")):
+            code = main(["certify", "--graph", str(gpath), "--x0", str(xpath), "--kind", kind,
+                         "--x-star", x_star, "--lam", lam])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "finite" in captured.err
+
     def test_validation_failures_exit_1(self, tmp_path, capsys):
         assert main(["dualnorm", "--graph", "/nonexistent", "--field", "/nope"]) == 1
         gpath = tmp_path / "g.txt"
@@ -256,6 +282,23 @@ output: {{directory: {tmp_path / "out"}, prefix: typo}}
         )
         assert main(["run", str(cfg_path)]) == 1
         assert "engines[0].max_iteration: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data, extra, path", [
+        ("{source: uniform, seed: 11, high: .inf}", "", "objective.data.high"),
+        ("{source: uniform, seed: 11, high: .nan}", "", "objective.data.high"),
+        ("{source: explicit, values: [0, .inf, 1, 2, 3, 4, 5, 6]}", "",
+         "objective.data.values[1]"),
+        ("{source: uniform, seed: 11}", "stubborn: {vertices: [0], values: [.inf]}",
+         "stubborn.values[0]"),
+    ], ids=["high_inf", "high_nan", "values_inf", "stubborn_inf"])
+    def test_non_finite_data_is_a_config_error(self, tmp_path, capsys, data, extra, path):
+        cfg_path = tmp_path / "data.yaml"
+        cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out").replace(
+            "{source: uniform, seed: 11}", data) + extra + "\n")
+        assert main(["run", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: must be finite\n"
         assert not (tmp_path / "out").exists()
 
     def test_infinite_lambda_is_a_config_error(self, tmp_path, capsys):

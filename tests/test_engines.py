@@ -9,7 +9,6 @@ from tvconsensus import (
     AgentRoles,
     AssumptionError,
     GossipEngine,
-    GossipMatrix,
     Graph,
     InvalidFieldError,
     Quadratic,
@@ -21,6 +20,7 @@ from tvconsensus import (
     complete_graph,
     cycle_graph,
     disagreement,
+    erdos_renyi,
     gossip_limit,
     harmonic_schedule,
     run,
@@ -182,6 +182,21 @@ def reference_uniform_gossip_matrix(g, roles):
     return w
 
 
+class ReferenceGossipEngine:
+    """Multiplication by ``reference_uniform_gossip_matrix``, identity rows at the pins."""
+
+    name, lam = "gossip", 0.0
+
+    def __init__(self, roles):
+        self.roles = roles
+
+    def start(self, g, objs):
+        self.w = reference_uniform_gossip_matrix(g, self.roles)
+
+    def step(self, x):
+        return self.w @ x
+
+
 class TestAgentRoles:
     def test_sorting_and_lookup(self):
         roles = AgentRoles(5, stubborn_ids=(3, 1), pinned_values=(0.3, 0.1))
@@ -193,7 +208,7 @@ class TestAgentRoles:
         g = complete_graph(3)
         roles = AgentRoles.from_pinned(3, {0: 9.0})
         x0 = np.array([1.0, 2.0, 3.0])
-        traj = run(GossipEngine(GossipMatrix(np.eye(3))), g, x0, Quadratic(g, x0), roles,
+        traj = run(GossipEngine(), g, x0, Quadratic(g, x0), roles,
                    stop=StopRule(max_iterations=0))
         assert traj.final_x.tolist() == [9.0, 2.0, 3.0]
         assert x0.tolist() == [1.0, 2.0, 3.0]
@@ -266,13 +281,11 @@ class TestEngineContract:
         engines = (
             SubgradientEngine(0.5),
             AdmmEngine(0.5, 1.0),
-            GossipEngine(uniform_gossip_matrix(g, roles)),
+            GossipEngine(),
         )
         for engine in engines:
             with pytest.raises(InvalidFieldError):
                 run(engine, g, x0[:2], objs, roles, stop=StopRule(max_iterations=1))
-        with pytest.raises(InvalidFieldError):
-            GossipEngine(GossipMatrix(np.eye(4))).start(g, objs)
 
     def test_start_rejects_roles_of_another_size(self):
         g = complete_graph(3)
@@ -281,7 +294,7 @@ class TestEngineContract:
         engines = (
             SubgradientEngine(0.5),
             AdmmEngine(0.3),
-            GossipEngine(uniform_gossip_matrix(g, AgentRoles.none(3))),
+            GossipEngine(),
         )
         for roles in (AgentRoles.from_pinned(5, {4: 1.0}), AgentRoles.none(7)):
             for engine in engines:
@@ -307,13 +320,11 @@ class TestEngineContract:
         engines = (
             SubgradientEngine(0.3),
             AdmmEngine(0.3, 1.0),
-            GossipEngine(uniform_gossip_matrix(g, roles)),
+            GossipEngine(),
         )
         for engine in engines:
             first = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
-            if not isinstance(engine, GossipEngine):
-                run(engine, other, other_x0, Quadratic(other, other_x0),
-                    AgentRoles.none(7), stop=stop)
+            run(engine, other, other_x0, Quadratic(other, other_x0), AgentRoles.none(7), stop=stop)
             second = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
             for name in ("iterations", "disagreement", "mean", "objective", "max_change",
                          "final_x"):
@@ -580,48 +591,73 @@ class TestGossip:
         graphs = [random_connected_graph(rng) for _ in range(5)]
         graphs += [complete_graph(7), cycle_graph(8), Graph(5, [(0, 1), (3, 1)])]
         for g in graphs:
-            for pinned in ({}, {0: 1.0}, {g.n_vertices - 1: -2.0, 1: 0.5}):
-                roles = AgentRoles.from_pinned(g.n_vertices, pinned)
-                w = uniform_gossip_matrix(g, roles)
-                assert np.array_equal(w.matrix, reference_uniform_gossip_matrix(g, roles))
-
-    def test_identity_matrix_is_fixed(self):
-        w = GossipMatrix(np.eye(4))
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(w.matrix @ x, x)
+            reference = reference_uniform_gossip_matrix(g, AgentRoles.none(g.n_vertices))
+            assert np.array_equal(uniform_gossip_matrix(g), reference)
 
     def test_uniform_complete_graph_averages_in_one_step(self, rng):
         g = complete_graph(6)
-        w = uniform_gossip_matrix(g, AgentRoles.none(6))
         x = rng.normal(size=6)
-        assert np.allclose(w.matrix @ x, x.mean(), atol=1e-12)
+        assert np.allclose(uniform_gossip_matrix(g) @ x, x.mean(), atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["k100_one_pin", "er400_two_pins"])
+    def test_engine_matches_the_identity_row_matrix_bitwise(self, case):
+        """Writing the pins after a plain averaging step gives the identity-row states."""
+        rng = np.random.default_rng(10)
+        if case == "k100_one_pin":
+            g, pinned = complete_graph(100), {99: 0.53}
+        else:
+            g = erdos_renyi(400, 10 / 399, 7)
+            assert g.is_connected
+            pinned = {17: -1.5, 250: 2.25}
+        roles = AgentRoles.from_pinned(g.n_vertices, pinned)
+        x0 = rng.uniform(size=g.n_vertices)
+        reference = reference_uniform_gossip_matrix(g, roles)
+        ref = with_pins(x0, roles)
+        for x in run_states(Spy(GossipEngine()), g, x0, Quadratic(g, x0), roles, 2_000):
+            assert np.array_equal(x, ref)
+            ref = with_pins(reference @ ref, roles)
+
+    def test_limit_matches_the_identity_row_solve_bitwise(self, rng):
+        for g, pinned in [
+            (complete_graph(100), {99: 0.53}),
+            (cycle_graph(6), {0: 0.0, 3: 1.0}),
+            (random_connected_graph(rng, n_max=30), {0: -2.0, 1: 3.0}),
+        ]:
+            roles = AgentRoles.from_pinned(g.n_vertices, pinned)
+            w = reference_uniform_gossip_matrix(g, roles)
+            stubborn, regular = list(roles.stubborn_ids), list(roles.regular_ids)
+            expected = np.linalg.solve(
+                np.eye(len(regular)) - w[np.ix_(regular, regular)],
+                w[np.ix_(regular, stubborn)] @ np.array(roles.pinned_values),
+            )
+            assert np.array_equal(gossip_limit(g, roles), expected)
 
     def test_single_stubborn_drives_everyone(self, rng):
         g = random_connected_graph(rng, n_max=10)
         n = g.n_vertices
         roles = AgentRoles.from_pinned(n, {0: 4.5})
-        w = uniform_gossip_matrix(g, roles)
+        w = uniform_gossip_matrix(g)
         x = rng.normal(size=n)
         x[0] = 4.5
         for _ in range(100_000):
-            x_new = w.matrix @ x
+            x_new = with_pins(w @ x, roles)
             if np.abs(x_new - x).max() < 1e-14:
                 x = x_new
                 break
             x = x_new
         assert np.allclose(x, 4.5, atol=1e-10)
-        limit = gossip_limit(w, np.array([4.5]))
+        limit = gossip_limit(g, roles)
         assert np.allclose(limit, 4.5, atol=1e-12)
 
     def test_two_stubborn_limit_matches_iteration_and_is_nonconstant(self, rng):
         g = cycle_graph(6)
         roles = AgentRoles.from_pinned(6, {0: 0.0, 3: 1.0})
-        w = uniform_gossip_matrix(g, roles)
-        limit = gossip_limit(w, np.array([0.0, 1.0]))
+        w = uniform_gossip_matrix(g)
+        limit = gossip_limit(g, roles)
         x = rng.normal(size=6)
         x[0], x[3] = 0.0, 1.0
         for _ in range(200_000):
-            x = w.matrix @ x
+            x = with_pins(w @ x, roles)
         regular = [1, 2, 4, 5]
         assert np.abs(x[regular] - limit).max() <= 1e-10
         assert limit.max() - limit.min() > 1e-3
@@ -629,35 +665,32 @@ class TestGossip:
     def test_limit_independent_of_regular_initialization(self, rng):
         g = complete_graph(5)
         roles = AgentRoles.from_pinned(5, {0: -2.0, 1: 3.0})
-        w = uniform_gossip_matrix(g, roles)
-        limit = gossip_limit(w, np.array([-2.0, 3.0]))
+        w = uniform_gossip_matrix(g)
+        limit = gossip_limit(g, roles)
         for _ in range(3):
             x = rng.normal(scale=10.0, size=5)
             x[0], x[1] = -2.0, 3.0
             for _ in range(5_000):
-                x = w.matrix @ x
+                x = with_pins(w @ x, roles)
             assert np.abs(x[2:] - limit).max() <= 1e-10
 
     def test_rejects_unreachable_regular_vertices(self):
         # Two components; the stubborn vertex lives in the other one.
         g = Graph(4, [(0, 1), (2, 3)])
-        roles = AgentRoles.from_pinned(4, {0: 1.0})
-        w = uniform_gossip_matrix(g, roles)
         with pytest.raises(AssumptionError):
-            gossip_limit(w, np.array([1.0]))
+            gossip_limit(g, AgentRoles.from_pinned(4, {0: 1.0}))
+        # An isolated regular vertex is a component of its own.
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(AssumptionError):
+            gossip_limit(g, AgentRoles.from_pinned(3, {0: 1.0}))
 
     def test_rejects_no_stubborn(self):
-        w = GossipMatrix(np.eye(3))
         with pytest.raises(AssumptionError):
-            gossip_limit(w, np.array([]))
+            gossip_limit(complete_graph(3), AgentRoles.none(3))
 
-    def test_matrix_validation(self):
-        with pytest.raises(AssumptionError):
-            GossipMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sum != 1
-        with pytest.raises(AssumptionError):
-            GossipMatrix(np.array([[1.5, -0.5], [0.0, 1.0]]))  # out of range
-        with pytest.raises(AssumptionError):
-            GossipMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]), stubborn_ids=(0,))
+    def test_rejects_roles_of_another_size(self):
+        with pytest.raises(InvalidFieldError, match="roles"):
+            gossip_limit(complete_graph(3), AgentRoles.from_pinned(4, {0: 1.0}))
 
 
 class TestRunDriver:
@@ -708,7 +741,7 @@ class TestRunDriver:
         x_init = x0.copy()
         x_init[0] = 1.0
         objs = Quadratic(g, x_init)
-        engine = GossipEngine(uniform_gossip_matrix(g, roles))
+        engine = GossipEngine()
         traj = run(engine, g, x_init, objs, roles,
                    stop=StopRule(20_000, 1e-11, 1e-12), metric_lambda=0.3)
         assert traj.converged
@@ -752,7 +785,7 @@ class TestLazyChange:
         engine = {
             "subgradient": lambda: SubgradientEngine(lam),
             "admm": lambda: AdmmEngine(lam, 1.0),
-            "gossip": lambda: GossipEngine(uniform_gossip_matrix(g, roles)),
+            "gossip": GossipEngine,
         }[engine_name]
         return g, x0, Quadratic(g, x0), roles, engine
 
@@ -832,15 +865,15 @@ class TestDegenerateGraphs:
     @pytest.mark.parametrize("case", list(CASES))
     def test_gossip_matches_reference(self, case):
         g, x0, objs, roles = self.scenario(case)
-        w = uniform_gossip_matrix(g, roles)
+        w = reference_uniform_gossip_matrix(g, roles)
         ref = x0.copy()
-        for x in run_states(Spy(GossipEngine(w)), g, x0, objs, roles, 20):
+        for x in run_states(Spy(GossipEngine()), g, x0, objs, roles, 20):
             assert np.array_equal(x, ref)
-            ref = with_pins(w.matrix @ ref, roles)
+            ref = with_pins(w @ ref, roles)
         stop = StopRule(20, 1e-9, 1e-10)
         assert_same_trajectory(
-            run(GossipEngine(w), g, x0, objs, roles, stop=stop),
-            reference_run(GossipEngine(w), g, x0, objs, roles, stop=stop),
+            run(GossipEngine(), g, x0, objs, roles, stop=stop),
+            reference_run(ReferenceGossipEngine(roles), g, x0, objs, roles, stop=stop),
         )
 
     @pytest.mark.parametrize("case", ["single_vertex", "isolated_vertex", "edgeless"])
@@ -904,7 +937,7 @@ class TestLambdaToZero:
 
     def test_gossip_metric_at_lambda_zero(self):
         g, x0, objs, roles = self.scenario(Quadratic)
-        engine = GossipEngine(uniform_gossip_matrix(g, roles))
+        engine = GossipEngine()
         runs = [run(engine, g, x0, objs, roles, metric_lambda=lam) for lam in self.LAMS]
         for traj in runs:
             self.assert_finite(traj)

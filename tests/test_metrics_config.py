@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from tvconsensus import AgentRoles, ConfigError, MetricsRow, StopRule, emit_csv, parse_csv
+from tvconsensus import ConfigError, MetricsRow, StopRule, emit_csv, parse_csv
 from tvconsensus.cli import build_parser
 from tvconsensus.config import (
     ENGINES,
@@ -267,6 +267,27 @@ class TestSchema:
         with pytest.raises(ConfigError, match=re.escape(path) + ": must be positive and finite"):
             parse_config(bad)
 
+    NON_FINITE = {  # dotted path -> the config sections that put a value there
+        "objective.data.low": lambda v: {"objective": {"kind": "quadratic", "data": {"low": v}}},
+        "objective.data.high": lambda v: {"objective": {"kind": "quadratic", "data": {"high": v}}},
+        "objective.data.values[1]": lambda v: {"objective": {"kind": "quadratic", "data": {
+            "source": "explicit", "values": [0.0, v, 1.0, 2.0, 3.0]}}},
+        "objective.data.outliers[0].value": lambda v: {"objective": {"kind": "quadratic", "data": {
+            "outliers": [{"vertex": 0, "value": v}]}}},
+        "stubborn.values[1]": lambda v: {"stubborn": {"vertices": [0, 1], "values": [0.5, v]}},
+    }
+
+    @pytest.mark.parametrize("path", list(NON_FINITE))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_data_and_pinned_values_must_be_finite(self, path, value):
+        with pytest.raises(ConfigError, match=re.escape(path) + ": must be finite"):
+            parse_config(with_overrides(**self.NON_FINITE[path](value)))
+
+    def test_uniform_range_must_be_finite(self):
+        data = {"low": -1e308, "high": 1e308}
+        with pytest.raises(ConfigError, match=r"objective\.data: high - low must be finite"):
+            parse_config(with_overrides(objective={"kind": "quadratic", "data": data}))
+
     def test_tolerances_take_infinite_and_negative_values(self):
         cfg = parse_config(with_overrides(engines=[
             {"name": "admm", "disagreement_tol": math.inf, "change_tol": -1.0}]))
@@ -294,9 +315,8 @@ class TestSchema:
         assert EngineConfig(name="admm").stop == StopRule()
 
     def test_tables_name_what_they_build(self, tmp_path):
-        g = build_graph(parse_config(with_overrides()).graph)
         for name, build in ENGINES.items():
-            assert build(EngineConfig(name=name), 0.5, g, AgentRoles.none(5)).name == name
+            assert build(EngineConfig(name=name), 0.5).name == name
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n")
         for name in GENERATORS:
