@@ -7,6 +7,15 @@ parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
 a new array.  Pinned (stubborn) agents are a property of the network, not of
 the engine: ``run`` validates x(0) and the roles, writes the pinned values into
 x(0), and writes them again into every state an engine returns.
+
+The subgradient and ADMM engines sum over the directed neighbour pairs
+(talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
+``start`` picks from the graph.  A d-regular graph (K_N, cycles) gets a (d, n)
+talker table whose column v lists v's talkers in the order in which
+``np.bincount(owner, ...)`` adds them (a stable argsort of the owners).  Its
+axis-0 sums add row by row from +0.0, as bincount does, so they give its bytes.
+Other graphs keep per-edge gathers and bincount: padding them to the maximum
+degree is slower, and O(n^2) on a star.
 """
 
 from __future__ import annotations
@@ -126,6 +135,15 @@ def gossip_limit(g: Graph, roles: AgentRoles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _talker_table(g: Graph) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """A d-regular graph's (d, n) talker table and each pair's index into its transpose."""
+    if g.degrees.min() != g.degrees.max():
+        return None, None
+    order = np.argsort(np.concatenate([g.edge_dst, g.edge_src]), kind="stable")
+    talkers = np.concatenate([g.edge_src, g.edge_dst])[order].reshape(g.n_vertices, -1)
+    return np.ascontiguousarray(talkers.T), np.argsort(order)
+
+
 @dataclass(frozen=True)
 class StopRule:
     """Stop at the iteration cap or once the state is both settled and flat."""
@@ -165,19 +183,26 @@ class SubgradientEngine:
         self.schedule = schedule if schedule is not None else harmonic_schedule()
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
-        """Fix the run's constants and reset the round counter."""
+        """Validate lam, fix the run's constants and reset the round counter."""
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
         self.n = 0
         self._objs = objs
+        self._table, _ = _talker_table(g)
         self._src, self._dst, self._n_vertices = g.edge_src, g.edge_dst, g.n_vertices
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return x(n + 1) as a new array."""
         gamma = self.schedule(self.n)
-        s = np.sign(x[self._dst] - x[self._src])
-        n = self._n_vertices
-        sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
-            self._dst, weights=s, minlength=n
-        )
+        if self._table is not None:
+            # Sums of small integers are exact in any order.
+            sign_sum = np.add.reduce(np.sign(x[self._table] - x), axis=0, initial=0.0)
+        else:
+            s = np.sign(x[self._dst] - x[self._src])
+            n = self._n_vertices
+            sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
+                self._dst, weights=s, minlength=n
+            )
         x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient(x))
         self.n += 1
         return x_next
@@ -189,13 +214,16 @@ class AdmmEngine:
     ``mu`` holds one private scalar per directed neighbor pair (w, v), owned
     by v and never transmitted; ``mu_mean`` caches its per-owner average so
     the next round can form the 3/2, -1/2 extrapolation without recomputing.
-    The pairs of an edge hold exact negatives of one another, so a round
-    updates the multiplier once per edge and negates it for the reverse pair.
 
     mu(w, v) absorbs the observed disagreement x(w) - x(v), clipped to
     [-2 lam / rho, 2 lam / rho]; the x update applies prox with weight
     rho * degree(v) to x(v) + new_mean - 1/2 old_mean.  Only the x values
     cross the network.
+
+    On a regular graph the multipliers form a (d, n) array beside the talker
+    table (module docstring) and a round updates every pair.  Otherwise the
+    pairs of an edge hold exact negatives of one another, so a round updates
+    the multiplier once per edge and negates it for the reverse pair.
 
     The extrapolation coefficients (1, -1/2) come from eliminating the
     auxiliary edge variables of the underlying splitting: the scaled dual
@@ -215,8 +243,8 @@ class AdmmEngine:
         """Validate rho, lam and the graph, fix the run's constants, zero the multipliers."""
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
         if int(g.degrees.min()) < 1:
             raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
         self._objs = objs
@@ -227,21 +255,36 @@ class AdmmEngine:
         self._deg = g.degrees.astype(float)
         self._rho_deg = self.rho * self._deg
         self._bound = 2.0 * self.lam / self.rho
-        self.mu = np.zeros(2 * g.n_edges, dtype=float)
+        self._table, self._rank = _talker_table(g)
+        self._mu = np.zeros(2 * g.n_edges if self._table is None else self._table.shape)
         self.mu_mean = np.zeros(g.n_vertices, dtype=float)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """The multiplier of every directed pair: (src, dst) pairs, then (dst, src)."""
+        return self._mu if self._table is None else self._mu.T.ravel()[self._rank]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: update ``mu`` and ``mu_mean``, return x(n + 1) as a new array."""
-        # (-a) + (-b) == -(a + b) and clipping to [-b, b] commutes with negation in IEEE
-        # arithmetic, so the reverse pairs' update is the negated edge update up to the
-        # sign of zeros, which the +0.0-initialized bincount sums cannot see.
         b = self._bound  # max/min is np.clip without its per-call overhead
-        half = np.minimum(np.maximum(self.mu[: self._m] + (x[self._src] - x[self._dst]), -b), b)
-        mu = np.concatenate([half, -half])
-        mu_mean = np.bincount(self._owner, weights=mu, minlength=self._n_vertices) / self._deg
+        if self._table is not None:
+            mu = x[self._table]  # updated in place: the gather is the one new array
+            mu -= x
+            mu += self._mu
+            np.minimum(np.maximum(mu, -b, out=mu), b, out=mu)
+            total = np.add.reduce(mu, axis=0, initial=0.0)
+        else:
+            # (-a) + (-b) == -(a + b) and clipping to [-b, b] commutes with negation in
+            # IEEE arithmetic, so the reverse pairs' update is the negated edge update up
+            # to the sign of zeros, which the +0.0-initialized bincount sums cannot see.
+            half = self._mu[: self._m] + (x[self._src] - x[self._dst])
+            half = np.minimum(np.maximum(half, -b), b)
+            mu = np.concatenate([half, -half])
+            total = np.bincount(self._owner, weights=mu, minlength=self._n_vertices)
+        mu_mean = total / self._deg
         target = x + mu_mean - 0.5 * self.mu_mean
         x_next = self._objs.prox(self._rho_deg, target)
-        self.mu, self.mu_mean = mu, mu_mean
+        self._mu, self.mu_mean = mu, mu_mean
         return x_next
 
 

@@ -78,6 +78,8 @@ def _resolve_lambda(
                 "give an explicit lambda value"
             )
         lam = cfg.lam.multiplier * reference
+        if not np.isfinite(lam):
+            raise ConfigError(f"lambda: {cfg.lam.multiplier:g} x reference {reference:g} overflows")
 
     if reference is not None:
         if average:

@@ -308,6 +308,34 @@ output: {{directory: {tmp_path / "out"}, prefix: typo}}
         assert main(["run", str(cfg_path)]) == 1
         assert "lambda.value: must be positive and finite" in capsys.readouterr().err
 
+    def test_lambda_resolving_to_infinity_is_a_config_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from tvconsensus import AdmmEngine, SubgradientEngine
+
+        steps = []
+        for engine in (AdmmEngine, SubgradientEngine):
+            def counted(self, x, _inner=engine.step):
+                steps.append(self.name)
+                return _inner(self, x)
+
+            monkeypatch.setattr(engine, "step", counted)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "huge.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: complete, n: 8}}
+objective: {{kind: quadratic, data: {{source: uniform, seed: 3, low: 0.0, high: 1000.0}}}}
+lambda: {{multiplier: 1.0e+308}}
+engines: [{{name: admm, max_iterations: 50}}, {{name: subgradient, max_iterations: 50}}]
+output: {{directory: {out}, prefix: huge}}
+stubborn: {{vertices: [0], values: [5.0]}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: lambda: ")
+        assert steps == []
+        assert not out.exists()
+
 
     def test_disconnected_graph_fails_before_any_engine_step(self, tmp_path, capsys,
                                                               monkeypatch):

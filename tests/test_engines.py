@@ -27,6 +27,7 @@ from tvconsensus import (
     tv_norm,
     uniform_gossip_matrix,
 )
+from tvconsensus.engines import _talker_table
 
 from conftest import random_connected_graph
 from reference_objectives import AnchoredQuadratic
@@ -34,6 +35,40 @@ from reference_objectives import AnchoredQuadratic
 INF = float("inf")
 # A stop-rule tolerance that can never be met.
 NEVER = -1.0
+
+# K_N, C_n and the (3-regular, not complete) Petersen graph take the talker table;
+# a random connected graph and the star keep the per-edge path.  K12's 11 rows are
+# enough for numpy's pairwise summation to take another order than bincount's.
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, 5 + i) for i in range(5)])
+CONTRACT_GRAPHS = {
+    "er": lambda rng: random_connected_graph(rng, n_max=40, p=0.3),
+    "k6": lambda rng: complete_graph(6),
+    "k12": lambda rng: complete_graph(12),
+    "c9": lambda rng: cycle_graph(9),
+    "petersen": lambda rng: PETERSEN,
+    "star": lambda rng: Graph(9, [(0, v) for v in range(1, 9)]),
+}
+REGULAR = {"k6", "k12", "c9", "petersen"}
+# (graph, kind) cases; the random graph keeps its original test ids.
+GRAPH_KINDS = [
+    pytest.param(graph, kind, id=kind if graph == "er" else f"{graph}-{kind}")
+    for graph in CONTRACT_GRAPHS for kind in ("quadratic", "absolute")
+]
+
+
+def contract_graph(name, rng):
+    g = CONTRACT_GRAPHS[name](rng)
+    assert (_talker_table(g)[0] is not None) == (name in REGULAR)
+    return g
+
+
+def tied_data(rng, n):
+    """Whole numbers, so neighbours tie exactly, with a +0.0 and a -0.0 entry."""
+    x = np.round(rng.normal(scale=2.0, size=n))
+    x[0], x[-1] = 0.0, -0.0
+    return x
 
 
 def with_pins(x, roles):
@@ -221,44 +256,54 @@ class TestAgentRoles:
 
 
 class TestEngineContract:
+    STEPS = 500
+
     @staticmethod
-    def scenario(kind, pinned):
+    def scenario(graph, kind, pinned):
         rng = np.random.default_rng(2024)
-        g = random_connected_graph(rng, n_max=40, p=0.3)
+        g = contract_graph(graph, rng)
         n = g.n_vertices
-        x0 = rng.normal(size=n)
+        x0 = tied_data(rng, n)
         roles = AgentRoles.from_pinned(n, {1: 2.5}) if pinned else AgentRoles.none(n)
         objective = Quadratic if kind == "quadratic" else Absolute
         return g, x0, objective(g, x0), roles
 
-    @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
     @pytest.mark.parametrize("pinned", [False, True])
-    def test_subgradient_matches_reference_bitwise(self, kind, pinned):
-        g, x0, objs, roles = self.scenario(kind, pinned)
+    def test_subgradient_matches_reference_bitwise(self, graph, kind, pinned):
+        g, x0, objs, roles = self.scenario(graph, kind, pinned)
         engine = SubgradientEngine(0.3)
-        states = run_states(Spy(engine), g, x0, objs, roles, 50)
+        states = run_states(Spy(engine), g, x0, objs, roles, self.STEPS)
         ref = with_pins(x0, roles)
         for n, x in enumerate(states):
-            assert np.array_equal(x, ref)
+            assert x.tobytes() == ref.tobytes()
             step = reference_subgradient_step(g, ref, n, objs, 0.3, harmonic_schedule())
             ref = with_pins(step, roles)
-        assert engine.n == 50
+        assert engine.n == self.STEPS
 
-    @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
     @pytest.mark.parametrize("pinned", [False, True])
-    def test_admm_matches_reference_bitwise(self, kind, pinned):
-        g, x0, objs, roles = self.scenario(kind, pinned)
+    def test_admm_matches_reference_bitwise(self, graph, kind, pinned):
+        g, x0, objs, roles = self.scenario(graph, kind, pinned)
         rho, lam = 1.3, 2.0
-        engine = AdmmEngine(lam, rho)
-        states = run_states(Spy(engine), g, x0, objs, roles, 50)
+        spy = Spy(AdmmEngine(lam, rho), watch=admm_multipliers)
+        states = run_states(spy, g, x0, objs, roles, self.STEPS)
         ref = with_pins(x0, roles)
-        assert np.array_equal(states[0], ref)
+        assert states[0].tobytes() == ref.tobytes()
         mu, mu_mean = np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
-        for x in states[1:]:
+        for x, (engine_mu, engine_mu_mean) in zip(states[1:], spy.watched, strict=True):
             ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
-            assert np.array_equal(x, ref)
-        assert np.array_equal(engine.mu, mu)
-        assert np.array_equal(engine.mu_mean, mu_mean)
+            assert x.tobytes() == ref.tobytes()
+            assert engine_mu_mean.tobytes() == mu_mean.tobytes()
+            assert np.array_equal(engine_mu, mu)
+
+    @pytest.mark.parametrize("engine", [SubgradientEngine, AdmmEngine])
+    @pytest.mark.parametrize("lam", [-1.0, -5e-324, INF, float("nan")])
+    def test_start_rejects_lambda_outside_zero_to_infinity(self, engine, lam):
+        g = complete_graph(3)
+        objs = Quadratic(g, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            engine(lam).start(g, objs)
 
     def test_admm_start_validation(self):
         g = complete_graph(3)
@@ -490,14 +535,14 @@ class TestAdmmStep:
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     @pytest.mark.parametrize("pinned", [False, True])
-    @pytest.mark.parametrize("graph", ["er", "k6"])
+    @pytest.mark.parametrize("graph", list(CONTRACT_GRAPHS))
     def test_flipped_orientation_matches_reference_bitwise(self, graph, pinned, kind):
         rng = np.random.default_rng(77)
-        base = random_connected_graph(rng, n_max=30, p=0.3) if graph == "er" else complete_graph(6)
+        base = contract_graph(graph, rng)
         g = self.flipped(base, rng)
         assert any(v > w for v, w in g.oriented_edges)
         n, m = g.n_vertices, g.n_edges
-        x0 = rng.normal(scale=2.0, size=n)
+        x0 = tied_data(rng, n)
         roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
         objs = kind(g, x0)
         rho, lam = 1.3, 0.3
@@ -875,6 +920,20 @@ class TestDegenerateGraphs:
             run(GossipEngine(), g, x0, objs, roles, stop=stop),
             reference_run(ReferenceGossipEngine(roles), g, x0, objs, roles, stop=stop),
         )
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    @pytest.mark.parametrize("case", ["single_vertex", "edgeless"])
+    def test_degree_zero_graphs_are_regular(self, case, kind):
+        g, x0, _, roles = self.scenario(case)
+        x0[-1] = -0.0
+        objs = kind(g, x0)
+        assert _talker_table(g)[0].shape == (0, g.n_vertices)
+        ref = x0.copy()
+        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
+            assert x.tobytes() == ref.tobytes()
+            ref = reference_subgradient_step(g, ref, n, objs, 0.7, harmonic_schedule())
+        with pytest.raises(UnsupportedGraphError):
+            AdmmEngine(0.7).start(g, objs)
 
     @pytest.mark.parametrize("case", ["single_vertex", "isolated_vertex", "edgeless"])
     def test_admm_rejects_a_vertex_without_neighbours(self, case):
