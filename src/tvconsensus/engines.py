@@ -20,6 +20,7 @@ degree is slower, and O(n^2) on a star.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
 from .graph import Graph, check_node_field, connected_components
 from .objectives import Absolute, Quadratic
-from .tv import tv_norm
+from .tv import _total_variation
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,14 @@ class AgentRoles:
 
 def disagreement(x) -> float:
     """Euclidean norm of the component of x orthogonal to consensus."""
-    x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - x.mean()))
+    return _mean_and_disagreement(np.asarray(x, dtype=float).ravel())[1]
+
+
+def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
+    """x.mean() and norm(x - x.mean()) of a 1-D array, with the mean summed once."""
+    mean = np.add.reduce(x) / x.size
+    d = x - mean
+    return mean, math.sqrt(d @ d)
 
 
 def harmonic_schedule(gamma0: float = 1.0) -> Callable[[int], float]:
@@ -320,10 +327,11 @@ def run(
 
     x(0) is x0 with the stubborn entries set to their pinned values, and every
     state the engine returns gets them again, so no engine handles the roles.
-    The recorded objective is F(x) + metric_lambda * tv(x) (defaulting to the
-    engine's own regularization level).  Iteration 0 carries the initial
-    metrics with zero change; the final iteration is always recorded.  A state
-    that overflows or turns NaN raises ``DomainError``.
+    The recorded objective is F(x) + metric_lambda * tv(x); metric_lambda
+    defaults to the engine's own regularization level, and a level outside
+    [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
+    the initial metrics with zero change; the final iteration is always
+    recorded.  A state that overflows or turns NaN raises ``DomainError``.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -339,6 +347,8 @@ def run(
         x[pin_ids] = pin_values
         check_node_field(g, x)  # the pinned values must be finite too
     engine.start(g, objs)
+    if not 0.0 <= lam_metric < math.inf:
+        raise ValueError(f"metric_lambda must be nonnegative and finite, got {lam_metric}")
 
     its: list[int] = []
     dis: list[float] = []
@@ -346,11 +356,13 @@ def run(
     objective_values: list[float] = []
     changes: list[float] = []
 
+    # x is checked finite above and np.errstate keeps it so: a row skips the field checks.
     def record(k: int, x_now: np.ndarray, change: float) -> None:
+        mean, spread = _mean_and_disagreement(x_now)
         its.append(k)
-        dis.append(disagreement(x_now))
-        means.append(float(x_now.mean()))
-        objective_values.append(objs.value(x_now) + lam_metric * tv_norm(g, x_now))
+        dis.append(spread)
+        means.append(float(mean))
+        objective_values.append(objs.value(x_now) + lam_metric * float(_total_variation(g, x_now)))
         changes.append(change)
 
     # Change and disagreement are >= 0, so a tolerance <= 0 is never met.

@@ -19,7 +19,8 @@ from .engines import AgentRoles, GossipEngine, Trajectory, run
 from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
 from .graph import Graph
 from .maxflow import center_field
-from .metrics import emit_csv, metrics_from_trajectory
+# perfbench/tracer.py wraps harness.metrics_from_trajectory by name, so the import stays.
+from .metrics import emit_csv, metrics_from_trajectory  # noqa: F401
 from .objectives import Quadratic
 
 
@@ -229,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # Files are written only once every engine has run, so a failed run leaves none.
     os.makedirs(cfg.output_dir, exist_ok=True)
     for key, traj in trajectories.items():
-        emit_csv(metrics_from_trajectory(traj), csv_paths[key])
+        emit_csv(traj, csv_paths[key])
     summary_path = os.path.join(cfg.output_dir, f"{cfg.prefix}_summary.json")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

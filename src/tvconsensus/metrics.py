@@ -2,7 +2,9 @@
 
 Byte output is deterministic for fixed input: floats use 17 significant
 digits (exact round trip), the disagreement column stores the natural log
-with the literal string ``-inf`` when the disagreement is exactly zero.
+with the literal string ``-inf`` when the disagreement is exactly zero.  A
+``Trajectory`` is written from its columns, without a ``MetricsRow`` per row,
+through the same line formatter as a list of rows.
 """
 
 from __future__ import annotations
@@ -24,41 +26,34 @@ class MetricsRow:
     max_change: float
 
 
+def _columns(traj: Trajectory) -> tuple[list, ...]:
+    """The five CSV columns of a trajectory as Python lists, one ``tolist`` each."""
+    disagreement_log = [math.log(d) if d > 0.0 else -math.inf
+                        for d in traj.disagreement.tolist()]
+    return (traj.iterations.tolist(), disagreement_log, traj.mean.tolist(),
+            traj.objective.tolist(), traj.max_change.tolist())
+
+
 def metrics_from_trajectory(traj: Trajectory) -> list[MetricsRow]:
-    rows = []
-    for k in range(len(traj.iterations)):
-        d = float(traj.disagreement[k])
-        rows.append(
-            MetricsRow(
-                iteration=int(traj.iterations[k]),
-                disagreement_log=math.log(d) if d > 0.0 else -math.inf,
-                mean=float(traj.mean[k]),
-                objective=float(traj.objective[k]),
-                max_change=float(traj.max_change[k]),
-            )
-        )
-    return rows
+    return list(map(MetricsRow, *_columns(traj)))
 
 
-def _fmt(value: float) -> str:
-    if value == -math.inf:
-        return "-inf"
-    if value == math.inf:
-        return "inf"
-    return format(value, ".17g")
+def _line(iteration, disagreement_log, mean, objective, max_change) -> str:
+    """One CSV row; ``.17g`` writes infinities as ``inf`` and ``-inf``."""
+    return f"{iteration},{disagreement_log:.17g},{mean:.17g},{objective:.17g},{max_change:.17g}"
 
 
-def render_csv(rows: list[MetricsRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.iteration},{_fmt(row.disagreement_log)},{_fmt(row.mean)},"
-            f"{_fmt(row.objective)},{_fmt(row.max_change)}"
-        )
-    return "\n".join(lines) + "\n"
+def render_csv(rows: list[MetricsRow] | Trajectory) -> str:
+    """The CSV text of metrics rows, or of a trajectory's rows without building them."""
+    if isinstance(rows, Trajectory):
+        lines = map(_line, *_columns(rows))
+    else:
+        lines = (_line(r.iteration, r.disagreement_log, r.mean, r.objective, r.max_change)
+                 for r in rows)
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
-def emit_csv(rows: list[MetricsRow], path: str) -> None:
+def emit_csv(rows: list[MetricsRow] | Trajectory, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_csv(rows))

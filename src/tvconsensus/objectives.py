@@ -20,7 +20,7 @@ class _Separable:
 
 
 def _require_positive_rho(rho) -> None:
-    smallest = np.min(rho)
+    smallest = np.minimum.reduce(rho, axis=None)
     if not smallest > 0.0:
         raise ValueError(f"prox weight must be positive, got {smallest}")
 
@@ -30,7 +30,7 @@ class Quadratic(_Separable):
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * np.sum((x - self.centers) ** 2))
+        return float(0.5 * np.add.reduce((x - self.centers) ** 2))
 
     def subgradient(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.centers
@@ -52,7 +52,7 @@ class Absolute(_Separable):
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(np.sum(np.abs(x - self.centers)))
+        return float(np.add.reduce(np.abs(x - self.centers)))
 
     def subgradient(self, x) -> np.ndarray:
         return np.sign(np.asarray(x, dtype=float) - self.centers)

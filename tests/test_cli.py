@@ -124,6 +124,15 @@ class TestSubcommands:
         assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 1
         capsys.readouterr()
 
+    def test_malformed_yaml_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "broken.yaml"
+        cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out") + "lambda: [unclosed\n")
+        assert main(["run", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot parse {cfg_path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_anomaly_exits_2(self, tmp_path, capsys, monkeypatch):
         from tvconsensus import IterationAnomalyError
         import tvconsensus.cli as cli

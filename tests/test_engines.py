@@ -816,6 +816,53 @@ class TestRunDriver:
             assert x[[0, 2, 3]].tolist() == [0.0 + k, 2.0 + k, 3.0 + k]
         assert traj.mean.tolist() == [float(x.mean()) for x in states]
 
+    @pytest.mark.parametrize("engine", [SubgradientEngine, AdmmEngine, GossipEngine])
+    @pytest.mark.parametrize("metric_lambda", [-1.0, -5e-324, INF, -INF, float("nan")])
+    def test_metric_lambda_outside_zero_to_infinity_is_rejected(self, engine, metric_lambda):
+        g = complete_graph(4)
+        x0 = np.full(4, 2.0)  # constant, so tv = 0 and inf * tv would record a NaN objective
+        spy = Spy(engine() if engine is GossipEngine else engine(0.5))
+        with pytest.raises(ValueError, match="metric_lambda must be nonnegative and finite"):
+            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(4), metric_lambda=metric_lambda)
+        assert spy.states == []
+
+
+# K12, an irregular graph, one vertex and no edges: every layout of the recorder's sums.
+RECORDER_GRAPHS = {
+    "k12": lambda: complete_graph(12),
+    "irregular": lambda: random_connected_graph(np.random.default_rng(5), n_max=40, p=0.3),
+    "single_vertex": lambda: Graph(1, []),
+    "edgeless": lambda: Graph(5, []),
+}
+
+
+class TestRecorder:
+    """Every recorded row equals, byte for byte, the public formulas on that row's state."""
+
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    @pytest.mark.parametrize("graph", list(RECORDER_GRAPHS))
+    def test_rows_match_the_public_formulas_bitwise(self, graph, kind):
+        g = RECORDER_GRAPHS[graph]()
+        if graph == "irregular":
+            assert g.degrees.min() < g.degrees.max() and g.n_edges > 8
+        x0 = tied_data(np.random.default_rng(17), g.n_vertices)
+        objs, roles, lam = kind(g, x0), AgentRoles.none(g.n_vertices), 0.37
+        engines = [SubgradientEngine(0.3), GossipEngine()]
+        if g.degrees.min() > 0:
+            engines.append(AdmmEngine(0.3, 1.3))
+        for engine in engines:
+            spy = Spy(engine)
+            traj = run(spy, g, x0, objs, roles, stop=StopRule(60, NEVER, NEVER),
+                       metric_lambda=lam)
+            states = spy.states + [traj.final_x]
+            assert traj.iterations.tolist() == list(range(61))
+            for k, x in enumerate(states):
+                expected = (disagreement(x), float(x.mean()),
+                            objs.value(x) + lam * tv_norm(g, x))
+                recorded = (traj.disagreement[k], traj.mean[k], traj.objective[k])
+                for want, got in zip(expected, recorded, strict=True):
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (engine, k)
+
 
 class TestLazyChange:
     """``run`` computes the max change only when a row or the stop rule reads it."""

@@ -4,7 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from tvconsensus import ConfigError, MetricsRow, StopRule, emit_csv, parse_csv
+from tvconsensus import (
+    ConfigError,
+    MetricsRow,
+    StopRule,
+    Trajectory,
+    emit_csv,
+    metrics_from_trajectory,
+    parse_csv,
+)
 from tvconsensus.cli import build_parser
 from tvconsensus.config import (
     ENGINES,
@@ -63,6 +71,33 @@ class TestMetricsCsv:
         with pytest.raises(ValueError):
             parse_csv(str(path))
 
+    def test_trajectory_path_writes_the_bytes_of_its_rows(self, tmp_path):
+        traj = Trajectory(
+            iterations=np.array([0, 1, 2, 3, 10**6]),
+            # 0.0 is written -inf; then a subnormal, a 17-digit value and a large one.
+            disagreement=np.array([0.0, 5e-324, 0.1 + 0.2, 1.0, 1e308]),
+            mean=np.array([-0.0, 0.0, 1.0 / 3.0, -2.0**-1074, 123456789.01234567]),
+            objective=np.array([1e-310, -0.0, 2.0 / 3.0, 1e300, 0.1]),
+            max_change=np.array([0.0, 5e-324, -0.0, np.nextafter(1.0, 2.0), 3.14159e-300]),
+            final_x=np.zeros(2),
+            converged=False,
+            n_steps=10**6,
+        )
+        rows = metrics_from_trajectory(traj)
+        assert render_csv(traj) == render_csv(rows)
+        direct, via_rows = tmp_path / "direct.csv", tmp_path / "rows.csv"
+        emit_csv(traj, str(direct))
+        emit_csv(rows, str(via_rows))
+        assert direct.read_bytes() == via_rows.read_bytes()
+        lines = direct.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1] == "0,-inf,-0,9.9999999999999694e-311,0"
+        assert lines[2] == "1,-744.44007192138122,0,-0,4.9406564584124654e-324"
+        parsed = parse_csv(str(direct))
+        assert [[repr(v) for v in vars(r).values()] for r in parsed] == [
+            [repr(v) for v in vars(r).values()] for r in rows
+        ]
+
 
 BASE_CONFIG = {
     "graph": {"generator": "complete", "n": 5},
@@ -76,6 +111,15 @@ def with_overrides(**sections):
     cfg = {k: (v.copy() if isinstance(v, dict) else list(v)) for k, v in BASE_CONFIG.items()}
     cfg.update(sections)
     return cfg
+
+
+MALFORMED_YAML = [
+    "graph: [unclosed\n",
+    "graph: {generator: complete\n",
+    "graph:\n  generator: complete\n n: 4\n",
+    "graph: {generator: complete, n: 4}\n\tlambda: 1\n",
+    "engines:\n  - name: admm\n  name: gossip\n",
+]
 
 
 class TestConfigParsing:
@@ -139,9 +183,10 @@ class TestConfigParsing:
 
     def test_yaml_syntax_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("graph: [unclosed\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
+        for text in MALFORMED_YAML:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=f"cannot parse {re.escape(str(path))}: "):
+                load_config(str(path))
 
 
 class TestBuilders:

@@ -216,6 +216,18 @@ class TestProx:
                 with pytest.raises(ValueError):
                     obj.prox(rho, CENTERS)
 
+    @pytest.mark.parametrize("kind", [Quadratic, Absolute])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["scalar", "first", "last"])
+    def test_prox_weight_check_names_the_smallest_weight(self, kind, bad, where):
+        if where == "scalar":
+            rho = bad
+        else:
+            rho = np.full(N, 2.0)
+            rho[0 if where == "first" else -1] = bad
+        with pytest.raises(ValueError, match=f"prox weight must be positive, got {bad}"):
+            objective(kind).prox(rho, CENTERS)
+
 
 class TestAggregate:
     def test_value_is_plain_sum(self, rng):
