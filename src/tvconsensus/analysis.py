@@ -1,9 +1,13 @@
 """Optimality certificates, critical regularization levels, robustness limits.
 
-A consensus candidate x* is certified by exhibiting a per-vertex subgradient
-selection u of the aggregate objective at x* that sums to zero and satisfies
+A consensus candidate x* is optimal exactly when some per-vertex subgradient
+selection u of the aggregate objective at x* sums to zero and satisfies
 <u, 1_A> <= lam * perimeter(A) for every subset A, i.e. lies in the dual-norm
-ball of radius lam.
+ball of radius lam.  When the subgradient sets are intervals [lo, hi], two
+cuts decide whether such a u exists: the base polytope of lam * perimeter
+meets the box exactly when neither max_A lo(A) - lam * per(A) nor
+max_A -hi(A) - lam * per(A) is positive (Fujishige, *Submodular Functions and
+Optimization*, 2005).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .objectives import Absolute, Quadratic
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -32,32 +35,6 @@ class OptimalityCertificate:
     verdict: str
 
 
-def _project_mean_zero(lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """Closest point to the box center with zero sum, or None if impossible.
-
-    The shifted clip s -> sum(clip(center - s, lo, hi)) is monotone in s, so a
-    zero-sum selection is found by bisection whenever sum(lo) <= 0 <= sum(hi).
-    """
-    if lo.sum() > 0.0 or hi.sum() < 0.0:
-        return None
-    center = 0.5 * (lo + hi)
-    # Bracket wide enough that both clip extremes are reachable.
-    span = float(np.abs(center).max() + np.abs(lo).max() + np.abs(hi).max()) + 1.0
-
-    def shifted(s: float) -> np.ndarray:
-        return np.clip(center - s, lo, hi)
-
-    low, high = -span, span
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if shifted(mid).sum() > 0.0:
-            low = mid
-        else:
-            high = mid
-    u = shifted(0.5 * (low + high))
-    return u - u.sum() / u.size
-
-
 def certify_consensus_minimizer(
     g: Graph,
     objs: Quadratic | Absolute,
@@ -67,16 +44,20 @@ def certify_consensus_minimizer(
 ) -> OptimalityCertificate:
     """Decide whether x* times the all-ones field minimizes the regularized energy.
 
-    With differentiable objectives the subgradient selection is unique, so the
-    check is conclusive either way.  With genuine subgradient intervals a
-    greedy search shifts mass away from violating subsets; if it fails, the
-    verdict is ``inconclusive`` rather than ``violated``.
+    ``certified`` means that a zero-sum subgradient selection at x* lies in the
+    dual-norm ball of radius lam, ``violated`` that none does; both verdicts
+    are exact.  When every subgradient set is a point, ``u`` is the selection
+    and ``dual_gap`` its worst violation max_A <u, 1_A> - lam * per(A).  When
+    some are intervals [lo, hi], ``dual_gap`` is the larger of the two box
+    gains max_A lo(A) - lam * per(A) and max_A -hi(A) - lam * per(A), and
+    ``u`` is a selection of the box that sums to zero (lo or hi, whichever
+    sums nearer zero, if none does); it need not itself lie in the ball.
 
     ``tol`` is relative, so scaling the data keeps the verdict: the dual gap is
-    held to tol * ||u||_1 and the mean of u to tol * ||u||_inf.  Shifting the
-    data keeps it too: the mean test also allows n * eps * |x*|, the rounding
-    that forming u at the offset x* can leave, and no more.  A non-finite x*
-    or a lam outside (0, inf) raises ``DomainError``.
+    held to tol * ||u||_1 and, for a point box, the mean of u to
+    tol * ||u||_inf.  Shifting the data keeps it too: the mean test also allows
+    n * eps * |x*|, the rounding that forming u at the offset x* can leave, and
+    no more.  A non-finite x* or a lam outside (0, inf) raises ``DomainError``.
     """
     if not np.isfinite(x_star):
         raise DomainError(f"x_star must be finite, got {x_star}")
@@ -95,56 +76,15 @@ def certify_consensus_minimizer(
             gap = np.inf
         else:
             _, gap = maximize_cut_functional(g, center_field(u), lam)
-        verdict = CERTIFIED if gap <= tol * float(np.abs(u).sum()) else VIOLATED
-        return OptimalityCertificate(
-            x_star=float(x_star), u=u, mean_u=mean_u, dual_gap=float(gap), verdict=verdict
-        )
-
-    u = _project_mean_zero(lo, hi)
-    if u is None:
-        # No zero-sum subgradient selection exists at all.
-        fallback = 0.5 * (lo + hi)
-        return OptimalityCertificate(
-            x_star=float(x_star),
-            u=fallback,
-            mean_u=float(fallback.mean()),
-            dual_gap=np.inf,
-            verdict=VIOLATED,
-        )
-
-    # Greedy repair: drain mass from each violating subset into its complement.
-    gap = np.inf
-    for _ in range(2 * g.n_vertices + 10):
-        witness, gap = maximize_cut_functional(g, u, lam)
-        floor = tol * float(np.abs(u).sum())
-        if gap <= floor:
-            return OptimalityCertificate(
-                x_star=float(x_star),
-                u=u,
-                mean_u=float(u.mean()),
-                dual_gap=float(gap),
-                verdict=CERTIFIED,
-            )
-        inside = np.zeros(g.n_vertices, dtype=bool)
-        inside[list(witness)] = True
-        down_room = np.where(inside, u - lo, 0.0)
-        up_room = np.where(~inside, hi - u, 0.0)
-        transfer = min(down_room.sum(), up_room.sum(), gap)
-        if transfer <= floor * 0.5:
-            break
-        if down_room.sum() > 0.0:
-            u = u - down_room * (transfer / down_room.sum())
-        if up_room.sum() > 0.0:
-            u = u + up_room * (transfer / up_room.sum())
-        u = np.clip(u, lo, hi)
-        u = u - u.sum() / u.size
-
+    else:
+        # The A = V cuts test lo(V) <= 0 <= hi(V); the rest test the dual ball.
+        gap = max(maximize_cut_functional(g, lo, lam)[1], maximize_cut_functional(g, -hi, lam)[1])
+        t = np.clip(-lo.sum() / (hi - lo).sum(), 0.0, 1.0)
+        u = lo + t * (hi - lo)
+        mean_u = float(u.mean())
+    verdict = CERTIFIED if gap <= tol * float(np.abs(u).sum()) else VIOLATED
     return OptimalityCertificate(
-        x_star=float(x_star),
-        u=u,
-        mean_u=float(u.mean()),
-        dual_gap=float(gap),
-        verdict=INCONCLUSIVE,
+        x_star=float(x_star), u=u, mean_u=mean_u, dual_gap=float(gap), verdict=verdict
     )
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationAnomalyError, SizeCapError, UnsupportedGraphError
+from .errors import DomainError, IterationAnomalyError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, connected_components, perimeter
-from .maxflow import maximize_cut_functional
+from .maxflow import is_mean_zero, maximize_cut_functional
 
 # Relative stagnation tolerance on the ratio sequence.
 RATIO_STAGNATION_RTOL = 1e-12
@@ -56,10 +56,13 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     Starts from the singleton with the largest |u| (or its complement, so the
     subset sum is nonnegative) and repeatedly replaces the current ratio by
     the ratio of the subset maximizing the cut functional; stops as soon as
-    the maximum drops to zero, i.e. when the ratio stagnates.
+    the maximum drops to zero, i.e. when the ratio stagnates.  The ratio is
+    the dual norm only for a mean-zero u; any other field raises ``DomainError``.
     """
     _require_connected(g)
     u = check_node_field(g, u)
+    if not is_mean_zero(u):
+        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
     if not np.any(u):
         return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 
@@ -141,8 +144,9 @@ def dual_norm_bruteforce(g: Graph, u, max_vertices: int = 16) -> DualNormResult:
 def dual_feasibility_gap(g: Graph, u, lam: float) -> float:
     """Worst violation of <u, 1_A> <= lam * perimeter(A) over all subsets.
 
-    Returns max over A of <u, 1_A> - lam * perimeter(A); the result is 0
-    exactly when u lies in the dual-norm ball of radius lam (for mean-zero u).
+    Returns max over A of <u, 1_A> - lam * perimeter(A), which is 0 exactly
+    when every subset meets the bound; a u that also sums to zero then lies
+    in the dual-norm ball of radius lam.
     """
     _require_connected(g)
     _, value = maximize_cut_functional(g, u, lam)

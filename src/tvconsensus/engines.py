@@ -362,7 +362,8 @@ def run(
         its.append(k)
         dis.append(spread)
         means.append(float(mean))
-        objective_values.append(objs.value(x_now) + lam_metric * float(_total_variation(g, x_now)))
+        # A numpy product, so np.errstate also catches lam_metric * tv overflowing.
+        objective_values.append(float(objs.value(x_now) + lam_metric * _total_variation(g, x_now)))
         changes.append(change)
 
     # Change and disagreement are >= 0, so a tolerance <= 0 is never met.

@@ -1,6 +1,6 @@
 """Min-cut subproblem: augmented source/sink network and an exact max-flow solver.
 
-Given a graph, a mean-zero node field u, and a penalty level lam, the network
+Given a graph, any finite node field u, and a penalty level lam, the network
 couples every adjacent vertex pair with two opposite arcs of capacity lam and
 attaches vertices to a source (where u > 0) or a sink (where u < 0) with
 capacity |u|.  A minimum s-t cut with source side A then satisfies
@@ -8,6 +8,7 @@ capacity |u|.  A minimum s-t cut with source side A then satisfies
     cut(A) = lam * perimeter(A) - <u, 1_A> + sum of positive u,
 
 so minimizing the cut maximizes <u, 1_A> - lam * perimeter(A) over all subsets.
+The identity holds whatever the sum of u: a field need not have zero mean.
 
 The network is held in arc arrays, O(|V| + |E|) memory, with arcs 2k and
 2k+1 each other's reverse.  ``min_cut`` runs Dinic's algorithm (BFS level
@@ -52,11 +53,9 @@ def center_field(u: np.ndarray) -> np.ndarray:
     return centered
 
 
-def _check_cut_problem(u: np.ndarray, lam: float) -> None:
+def _check_cut_problem(lam: float) -> None:
     if not 0.0 < lam < np.inf:
         raise DomainError(f"penalty level must be positive and finite, got {lam}")
-    if not is_mean_zero(u):
-        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +96,9 @@ class CutResult:
 
 
 def build_network(g: Graph, u, lam: float) -> FlowNetwork:
-    """Assemble the min-cut network for (g, u, lam); u must have zero mean."""
+    """Assemble the min-cut network for (g, u, lam)."""
     u = check_node_field(g, u)
-    _check_cut_problem(u, lam)
+    _check_cut_problem(lam)
     n = g.n_vertices
     terminal = np.flatnonzero(u)
     from_source = u[terminal] > 0.0
@@ -184,13 +183,13 @@ def min_cut(net: FlowNetwork) -> CutResult:
 def maximize_cut_functional(g: Graph, u, lam: float) -> tuple[frozenset[int], float]:
     """Maximize <u, 1_A> - lam * perimeter(A) over all subsets A of V.
 
-    The empty set and the full vertex set are legal maximizers (both give
-    value 0 for mean-zero u), so the returned value is always nonnegative.
+    The empty set (value 0) and the full vertex set (value sum(u)) are both
+    candidates, so the returned value is at least max(0, sum(u)).
     The subset is the smallest maximizer, the source side of the canonical cut.
     """
     u = check_node_field(g, u)
     if is_complete(g):
-        _check_cut_problem(u, lam)
+        _check_cut_problem(lam)
         subset = _complete_graph_side(u, lam)
     else:
         subset = min_cut(build_network(g, u, lam)).source_side
@@ -208,6 +207,7 @@ def _complete_graph_side(u: np.ndarray, lam: float) -> frozenset[int]:
     k = np.arange(n + 1)
     with np.errstate(over="ignore"):
         gain = np.concatenate([[0.0], np.cumsum(u[order])]) - lam * (k * (n - k))
-    tol = RESIDUAL_EPS * max(lam, float(np.abs(u).max()))
+    # The flow's tolerance scales with its largest arc; K_1 has no lam arc.
+    tol = RESIDUAL_EPS * max(lam if n > 1 else 0.0, float(np.abs(u).max()))
     size = int(np.argmax(gain >= gain.max() - tol))
     return frozenset(np.sort(order[:size]).tolist())

@@ -24,6 +24,7 @@ from tvconsensus import (
     cycle_graph,
     dual_norm_algorithm0,
     dual_norm_bruteforce,
+    erdos_renyi,
     mc_lambda0_exact,
     mc_lambda0_upper,
     path_graph,
@@ -33,7 +34,7 @@ from tvconsensus import (
 )
 
 from tvconsensus import analysis, maxflow
-from tvconsensus.analysis import CERTIFIED, INCONCLUSIVE, VIOLATED, median_sign_pattern
+from tvconsensus.analysis import CERTIFIED, VIOLATED, median_sign_pattern
 from tvconsensus.maxflow import center_field
 
 from conftest import random_connected_graph
@@ -199,8 +200,8 @@ class TestCertify:
     @pytest.mark.parametrize("candidate", ["lower middle", "upper middle", "midpoint", "tie"])
     def test_array_box_keeps_the_median_certificate(self, kind, candidate):
         # With even n the two middle data values are kinks, and so is the median
-        # when they tie; there the absolute boxes are intervals and the greedy
-        # repair runs.  The verdict, gap and selection match the per-agent loop.
+        # when they tie; there the absolute boxes are intervals and the two box
+        # cuts run.  The verdict, gap and selection match the per-agent loop.
         class LoopBox(kind):
             def subgradient_box(self, x_star):
                 return reference_subgradient_box(self, x_star)
@@ -247,6 +248,65 @@ class TestCertify:
         for kind, expected in verdicts.items():
             cert = certify_consensus_minimizer(g, kind(g, data), candidates[kind], lam)
             assert (cert.verdict, cert.dual_gap) == expected
+
+
+def box_gains_by_enumeration(g, lo, hi, lam):
+    """max_A lo(A) - lam * per(A) and max_A -hi(A) - lam * per(A), over every subset."""
+    n = g.n_vertices
+    inside = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    per = (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+    return float(np.max(inside @ lo - lam * per)), float(np.max(inside @ -hi - lam * per))
+
+
+class WeightedAbsolute(Absolute):
+    """weights[v] * |x - centers[v]|: the absolute box scaled per agent."""
+
+    def __init__(self, g, centers, weights):
+        super().__init__(g, centers)
+        self.weights = weights
+
+    def subgradient_box(self, x_star):
+        lo, hi = reference_subgradient_box(self, x_star)
+        return self.weights * lo, self.weights * hi
+
+
+class TestCertificateAgainstEnumeration:
+    """A zero-sum selection of the box lies in the dual ball iff both box gains are <= 0."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -1e6])
+    def test_verdict_matches_subset_enumeration(self, scale, offset):
+        rng = np.random.default_rng([int(np.log10(scale)) + 6, int(offset / 1e6) + 1])
+        verdicts = set()
+        for _ in range(25):
+            n = int(rng.integers(2, 8))
+            while not (g := erdos_renyi(n, float(rng.uniform(0.3, 1.0)),
+                                        int(rng.integers(2**31)))).is_connected:
+                pass
+            # Few distinct centres, so medians and data points tie across agents.
+            centers = offset + scale * rng.integers(0, 3, size=n).astype(float)
+            weights = scale * rng.integers(1, 4, size=n).astype(float)
+            plain = Absolute(g, centers)
+            weighted = WeightedAbsolute(g, centers, weights)
+            for x_star in {*centers.tolist(), float(np.median(centers))}:
+                unit_lo, unit_hi = reference_subgradient_box(plain, x_star)
+                for objs, w, box_scale in ((plain, 1.0, 1.0), (weighted, weights, scale)):
+                    lo, hi = w * unit_lo, w * unit_hi
+                    for lam0 in (0.05, 0.125, 0.25, 0.29, 0.5, 0.7071, 1.0, 3.0):
+                        lam = lam0 * box_scale
+                        cert = certify_consensus_minimizer(g, objs, x_star, lam)
+                        gains = box_gains_by_enumeration(g, lo, hi, lam)
+                        slack = 1e-9 * box_scale
+                        expected = CERTIFIED if max(gains) <= slack else VIOLATED
+                        case = (n, g.edge_src.tolist(), g.edge_dst.tolist(), x_star, lam)
+                        assert cert.verdict == expected, case
+                        verdicts.add((cert.verdict, bool(np.any(lo != hi))))
+                        if np.any(lo != hi):
+                            assert abs(cert.dual_gap - max(gains)) <= slack, case
+                        if cert.verdict == CERTIFIED:
+                            assert np.all((lo - slack <= cert.u) & (cert.u <= hi + slack)), case
+                            assert abs(cert.u.sum()) <= slack, case
+        assert verdicts == {(CERTIFIED, True), (CERTIFIED, False), (VIOLATED, True), (VIOLATED, False)}
 
 
 class TestCriticalLambda:
@@ -395,7 +455,9 @@ class TestCompleteGraphsSkipTheMaxFlow:
         assert certify_consensus_minimizer(g, average, x0.mean(), 0.5 * lam_c).verdict == VIOLATED
         median, x_med = Absolute(g, x0), float(np.median(x0))
         assert certify_consensus_minimizer(g, median, x_med, 0.5).verdict == CERTIFIED
-        assert certify_consensus_minimizer(g, median, x_med, 0.01).verdict == INCONCLUSIVE
+        # Below lambda0 = 1/50 the 49 agents under the median gain 49 * (1 - 50 lam).
+        low = certify_consensus_minimizer(g, median, x_med, 0.01)
+        assert (low.verdict, low.dual_gap) == (VIOLATED, 24.5)
         assert np.isclose(mc_lambda0_exact(g), 1.0 / 50.0, atol=1e-12)
 
 

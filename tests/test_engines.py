@@ -8,6 +8,7 @@ from tvconsensus import (
     AdmmEngine,
     AgentRoles,
     AssumptionError,
+    DomainError,
     GossipEngine,
     Graph,
     InvalidFieldError,
@@ -825,6 +826,14 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="metric_lambda must be nonnegative and finite"):
             run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(4), metric_lambda=metric_lambda)
         assert spy.states == []
+
+    def test_an_overflowing_metric_term_names_the_engine_and_step(self):
+        # tv(x0) = 10 on K4, so 1e308 * tv overflows while every state stays finite.
+        g = complete_graph(4)
+        x0 = np.array([0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="gossip engine: .* at step 0"):
+            run(GossipEngine(), g, x0, Quadratic(g, x0), AgentRoles.none(4),
+                stop=StopRule(3, -1.0, -1.0), metric_lambda=1e308)
 
 
 # K12, an irregular graph, one vertex and no edges: every layout of the recorder's sums.

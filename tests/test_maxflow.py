@@ -108,8 +108,10 @@ class TestBuildNetwork:
         g = Graph(2, [(0, 1)])
         with pytest.raises(DomainError):
             build_network(g, np.array([1.0, -1.0]), lam=0.0)
-        with pytest.raises(DomainError):
-            build_network(g, np.array([1.0, 0.0]), lam=1.0)
+        # The network takes any finite field; the dual norm needs a mean-zero one.
+        build_network(g, np.array([1.0, 0.0]), lam=1.0)
+        with pytest.raises(DomainError, match="zero mean"):
+            dual_norm_algorithm0(g, np.array([1.0, 0.0]))
 
 
 class TestMinCut:
@@ -189,9 +191,9 @@ class TestMaximizeCutFunctional:
         assert perimeter(g, subset) == 0  # empty or full
 
     def test_agrees_with_subset_enumeration(self, rng):
-        for _ in range(60):
+        for offset in [0.0] * 60 + [0.7, -0.7] * 30:  # any finite field, not only mean-zero ones
             g = random_connected_graph(rng, n_max=9)
-            u = mean_zero_field(rng, g.n_vertices)
+            u = mean_zero_field(rng, g.n_vertices) + offset
             lam = float(rng.uniform(0.05, 1.0))
             subset, value = maximize_cut_functional(g, u, lam)
             _, best = brute_force_best_subset(g, u, lam)
@@ -206,6 +208,15 @@ class TestMaximizeCutFunctional:
             lams = np.sort(rng.uniform(0.01, 2.0, size=5))
             values = [maximize_cut_functional(g, u, lam)[1] for lam in lams]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def offset_fields(n):
+    """Named fields on n vertices whose sum is not zero."""
+    rng = np.random.default_rng(n)
+    yield "offset", 1.0 + rng.normal(size=n)
+    yield "all positive", rng.uniform(0.1, 1.0, size=n)
+    yield "all negative", -rng.uniform(0.1, 1.0, size=n)
+    yield "signs", rng.choice([-1.0, 1.0], size=n)
 
 
 def complete_graph_fields(n):
@@ -239,6 +250,14 @@ class TestCompleteGraphCut:
                 assert bits(value) == bits(expected_value), (name, lam)
             if norm.value > 0.0:
                 assert maximize_cut_functional(g, u, norm.value) == (frozenset(), 0.0), name
+        # Any finite field: the levels 1/k tie a top-k set of the signs with the empty set.
+        ties = {1.0 / k for k in range(1, n + 1)}
+        for name, u in offset_fields(n):
+            for lam in sorted({*ties, 1e-3, 0.3, 5e-324, 1e300, 1e307}):
+                subset, value = maximize_cut_functional(g, u, lam)
+                expected_subset, expected_value = dinic_maximize_cut_functional(g, u, lam)
+                assert subset == expected_subset, (name, lam)
+                assert bits(value) == bits(expected_value), (name, lam)
 
     @pytest.mark.parametrize("g", [complete_graph(4), path_graph(4)], ids=["K4", "P4"])
     def test_typed_errors_on_both_paths(self, g):
@@ -246,5 +265,6 @@ class TestCompleteGraphCut:
         for lam in (0.0, -0.0, -1.0, np.inf, np.nan):
             with pytest.raises(DomainError):
                 maximize_cut_functional(g, u, lam)
-        with pytest.raises(DomainError):
-            maximize_cut_functional(g, u + 1.0, 1.0)
+        maximize_cut_functional(g, u + 1.0, 1.0)
+        with pytest.raises(DomainError, match="zero mean"):
+            dual_norm_algorithm0(g, u + 1.0)
