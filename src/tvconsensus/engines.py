@@ -10,12 +10,12 @@ x(0), and writes them again into every state an engine returns.
 
 The subgradient and ADMM engines sum over the directed neighbour pairs
 (talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
-``start`` picks from the graph.  A d-regular graph (K_N, cycles) gets a (d, n)
-talker table whose column v lists v's talkers in the order in which
-``np.bincount(owner, ...)`` adds them (a stable argsort of the owners).  Its
-axis-0 sums add row by row from +0.0, as bincount does, so they give its bytes.
-Other graphs keep per-edge gathers and bincount: padding them to the maximum
-degree is slower, and O(n^2) on a star.
+``start`` picks from the graph.  On K_N the subgradient engine counts each
+vertex's neighbours above minus below by rank, exact integers in any order.
+ADMM on K_N with every edge low to high keeps an (n, n) multiplier square with
+rows indexed by talker; its axis-0 sums add the talkers in ascending order from
++0.0, as ``np.bincount(owner, ...)`` adds the canonical pairs, so they give its
+bytes.  Other graphs keep per-edge gathers and bincount.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
-from .graph import Graph, check_node_field, connected_components
+from .graph import Graph, check_node_field, connected_components, is_complete
 from .objectives import Absolute, Quadratic
 from .tv import _total_variation
 
@@ -142,15 +142,6 @@ def gossip_limit(g: Graph, roles: AgentRoles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _talker_table(g: Graph) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-    """A d-regular graph's (d, n) talker table and each pair's index into its transpose."""
-    if g.degrees.min() != g.degrees.max():
-        return None, None
-    order = np.argsort(np.concatenate([g.edge_dst, g.edge_src]), kind="stable")
-    talkers = np.concatenate([g.edge_src, g.edge_dst])[order].reshape(g.n_vertices, -1)
-    return np.ascontiguousarray(talkers.T), np.argsort(order)
-
-
 @dataclass(frozen=True)
 class StopRule:
     """Stop at the iteration cap or once the state is both settled and flat."""
@@ -195,22 +186,21 @@ class SubgradientEngine:
             raise ValueError("lam must be nonnegative and finite")
         self.n = 0
         self._objs = objs
-        self._table, _ = _talker_table(g)
-        self._src, self._dst, self._n_vertices = g.edge_src, g.edge_dst, g.n_vertices
+        self._ranked = is_complete(g)
+        self._src, self._dst = g.edge_src, g.edge_dst
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return x(n + 1) as a new array."""
         gamma = self.schedule(self.n)
-        if self._table is not None:
-            # Sums of small integers are exact in any order.
-            sign_sum = np.add.reduce(np.sign(x[self._table] - x), axis=0, initial=0.0)
+        if self._ranked:
+            r = x.copy()  # array methods skip np.sort's and np.searchsorted's wrappers
+            r.sort()
+            sign_sum = x.size - r.searchsorted(x, "right") - r.searchsorted(x)
         else:
-            s = np.sign(x[self._dst] - x[self._src])
-            n = self._n_vertices
-            sign_sum = np.bincount(self._src, weights=s, minlength=n) - np.bincount(
-                self._dst, weights=s, minlength=n
-            )
-        x_next = x + gamma * (self.lam * sign_sum - self._objs.subgradient(x))
+            s, n = np.sign(x[self._dst] - x[self._src]), x.size
+            sign_sum = np.bincount(self._src, s, n) - np.bincount(self._dst, s, n)
+        # Scalars on the right: ndarray * float skips float.__mul__'s failed attempt.
+        x_next = x + (sign_sum * self.lam - self._objs.subgradient(x)) * gamma
         self.n += 1
         return x_next
 
@@ -227,10 +217,10 @@ class AdmmEngine:
     rho * degree(v) to x(v) + new_mean - 1/2 old_mean.  Only the x values
     cross the network.
 
-    On a regular graph the multipliers form a (d, n) array beside the talker
-    table (module docstring) and a round updates every pair.  Otherwise the
-    pairs of an edge hold exact negatives of one another, so a round updates
-    the multiplier once per edge and negates it for the reverse pair.
+    On K_N with every edge low to high the multipliers form an (n, n) square M,
+    M[w, v] being v's multiplier for talker w, with a zero diagonal.  Otherwise
+    the pairs of an edge hold exact negatives of one another, so a round
+    updates the multiplier once per edge and negates it for the reverse pair.
 
     The extrapolation coefficients (1, -1/2) come from eliminating the
     auxiliary edge variables of the underlying splitting: the scaled dual
@@ -258,25 +248,30 @@ class AdmmEngine:
         # Each edge {v, w} yields the directed pairs (talker, owner) = (v, w) and (w, v).
         self._src, self._dst, self._m = g.edge_src, g.edge_dst, g.n_edges
         self._owner = np.concatenate([g.edge_dst, g.edge_src])
-        self._n_vertices = g.n_vertices
         self._deg = g.degrees.astype(float)
         self._rho_deg = self.rho * self._deg
         self._bound = 2.0 * self.lam / self.rho
-        self._table, self._rank = _talker_table(g)
-        self._mu = np.zeros(2 * g.n_edges if self._table is None else self._table.shape)
-        self.mu_mean = np.zeros(g.n_vertices, dtype=float)
+        n = g.n_vertices
+        self._square = is_complete(g) and bool((g.edge_src < g.edge_dst).all())
+        # The square's L = [x; 1] and R = [1; -x]: L.T @ R holds x[w] - x[v], one rounding each.
+        self._left, self._right = np.ones((2, n)), np.ones((2, n))
+        self._mu = np.zeros((n, n) if self._square else 2 * g.n_edges)
+        self.mu_mean = np.zeros(n, dtype=float)
 
     @property
     def mu(self) -> np.ndarray:
         """The multiplier of every directed pair: (src, dst) pairs, then (dst, src)."""
-        return self._mu if self._table is None else self._mu.T.ravel()[self._rank]
+        # Each pair's talker is the owner of the pair m places on.
+        return self._mu[np.roll(self._owner, self._m), self._owner] if self._square else self._mu
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: update ``mu`` and ``mu_mean``, return x(n + 1) as a new array."""
         b = self._bound  # max/min is np.clip without its per-call overhead
-        if self._table is not None:
-            mu = x[self._table]  # updated in place: the gather is the one new array
-            mu -= x
+        if self._square:
+            self._left[0] = x
+            np.negative(x, out=self._right[1])
+            # x[w] - x[v] up to the sign of zeros, which the +0.0-started sums cannot see.
+            mu = self._left.T @ self._right  # updated in place: the one new array
             mu += self._mu
             np.minimum(np.maximum(mu, -b, out=mu), b, out=mu)
             total = np.add.reduce(mu, axis=0, initial=0.0)
@@ -287,9 +282,9 @@ class AdmmEngine:
             half = self._mu[: self._m] + (x[self._src] - x[self._dst])
             half = np.minimum(np.maximum(half, -b), b)
             mu = np.concatenate([half, -half])
-            total = np.bincount(self._owner, weights=mu, minlength=self._n_vertices)
+            total = np.bincount(self._owner, weights=mu, minlength=x.size)
         mu_mean = total / self._deg
-        target = x + mu_mean - 0.5 * self.mu_mean
+        target = x + mu_mean - self.mu_mean * 0.5
         x_next = self._objs.prox(self._rho_deg, target)
         self._mu, self.mu_mean = mu, mu_mean
         return x_next
@@ -331,7 +326,8 @@ def run(
     defaults to the engine's own regularization level, and a level outside
     [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
     the initial metrics with zero change; the final iteration is always
-    recorded.  A state that overflows or turns NaN raises ``DomainError``.
+    recorded.  A state or a row metric that overflows or turns NaN raises
+    ``DomainError``.
     """
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
@@ -375,12 +371,17 @@ def run(
             record(0, x, 0.0)
             while k < stop.max_iterations:
                 k += 1
-                x_new = engine.step(x)
+                try:
+                    x_new = engine.step(x)
+                except FloatingPointError as exc:
+                    raise DomainError(
+                        f"{engine.name} engine: the state left the finite range at step {k} ({exc})"
+                    ) from exc
                 if pinned:
                     x_new[pin_ids] = pin_values
                 due = k % record_every == 0 or k == stop.max_iterations
                 if due or can_settle:
-                    change = float(np.abs(x_new - x).max())
+                    change = float(np.maximum.reduce(np.abs(x_new - x)))
                     converged = (
                         change < stop.change_tol
                         and disagreement(x_new) < stop.disagreement_tol
@@ -392,7 +393,7 @@ def run(
                     break
     except FloatingPointError as exc:
         raise DomainError(
-            f"{engine.name} engine: the state left the finite range at step {k} ({exc})"
+            f"{engine.name} engine: the row metrics at step {k} left the finite range ({exc})"
         ) from exc
 
     return Trajectory(

@@ -65,6 +65,19 @@ class TestSubcommands:
         )
         assert "verdict = certified" in capsys.readouterr().out
 
+    def test_certify_prints_a_failed_mean_test(self, tmp_path, capsys):
+        # x* = 5 is no consensus minimizer of the quadratic on [0, 2]: u = [5, 3] has mean 4.
+        gpath = tmp_path / "g.txt"
+        main(["gen-graph", "path", "--n", "2", "-o", str(gpath)])
+        xpath = tmp_path / "x.txt"
+        write_field(xpath, [0.0, 2.0])
+        capsys.readouterr()
+        assert main(["certify", "--graph", str(gpath), "--x0", str(xpath), "--kind", "quadratic",
+                     "--x-star", "5.0", "--lam", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict = violated" in out
+        assert "dual_gap = inf" in out
+
     def test_predict_stubborn(self, tmp_path, capsys):
         xpath = tmp_path / "x0r.txt"
         write_field(xpath, [0.1284] * 4)
@@ -387,7 +400,7 @@ output: {{directory: {tmp_path / "out"}, prefix: huge}}
         )
         assert main(["run", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert "subgradient engine: the state left the finite range at step 1" in err
+        assert "subgradient engine: the row metrics at step 1 left the finite range" in err
         out = tmp_path / "out"
         assert not (out / "huge_subgradient.csv").exists()
         assert not (out / "huge_summary.json").exists()
@@ -396,7 +409,7 @@ output: {{directory: {tmp_path / "out"}, prefix: huge}}
             assert "inf" not in text and "nan" not in text
 
     def test_failure_in_a_later_engine_writes_no_file(self, tmp_path, capsys):
-        # ADMM finishes, then the subgradient engine overflows at step 1.
+        # ADMM finishes, then the subgradient engine's row at step 1 overflows.
         out = tmp_path / "out"
         cfg_path = tmp_path / "huge.yaml"
         cfg_path.write_text(
@@ -409,7 +422,7 @@ output: {{directory: {out}, prefix: huge}}
 """
         )
         assert main(["run", str(cfg_path)]) == 1
-        assert "subgradient engine: the state left the finite range" in capsys.readouterr().err
+        assert "subgradient engine: the row metrics at step 1" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
 

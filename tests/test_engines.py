@@ -28,7 +28,6 @@ from tvconsensus import (
     tv_norm,
     uniform_gossip_matrix,
 )
-from tvconsensus.engines import _talker_table
 
 from conftest import random_connected_graph
 from reference_objectives import AnchoredQuadratic
@@ -37,21 +36,25 @@ INF = float("inf")
 # A stop-rule tolerance that can never be met.
 NEVER = -1.0
 
-# K_N, C_n and the (3-regular, not complete) Petersen graph take the talker table;
-# a random connected graph and the star keep the per-edge path.  K12's 11 rows are
-# enough for numpy's pairwise summation to take another order than bincount's.
+# K_N takes the subgradient ranks and the ADMM multiplier square; the cycle, the
+# (3-regular, not complete) Petersen graph, a random connected graph and the star keep
+# the per-edge path.  K12's and K40's rows are enough for numpy's pairwise summation to
+# take another order than bincount's.
 PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                  + [(i, 5 + i) for i in range(5)])
 CONTRACT_GRAPHS = {
     "er": lambda rng: random_connected_graph(rng, n_max=40, p=0.3),
+    "k2": lambda rng: complete_graph(2),
+    "k3": lambda rng: complete_graph(3),
     "k6": lambda rng: complete_graph(6),
     "k12": lambda rng: complete_graph(12),
+    "k40": lambda rng: complete_graph(40),
     "c9": lambda rng: cycle_graph(9),
     "petersen": lambda rng: PETERSEN,
     "star": lambda rng: Graph(9, [(0, v) for v in range(1, 9)]),
 }
-REGULAR = {"k6", "k12", "c9", "petersen"}
+COMPLETE = {"k2", "k3", "k6", "k12", "k40"}
 # (graph, kind) cases; the random graph keeps its original test ids.
 GRAPH_KINDS = [
     pytest.param(graph, kind, id=kind if graph == "er" else f"{graph}-{kind}")
@@ -59,9 +62,22 @@ GRAPH_KINDS = [
 ]
 
 
+def subgradient_layout(g):
+    engine = SubgradientEngine(0.3)
+    engine.start(g, Quadratic(g, np.zeros(g.n_vertices)))
+    return "ranks" if engine._ranked else "edges"
+
+
+def admm_layout(g):
+    engine = AdmmEngine(0.3)
+    engine.start(g, Quadratic(g, np.zeros(g.n_vertices)))
+    return "square" if engine._square else "edges"
+
+
 def contract_graph(name, rng):
     g = CONTRACT_GRAPHS[name](rng)
-    assert (_talker_table(g)[0] is not None) == (name in REGULAR)
+    want = ("ranks", "square") if name in COMPLETE else ("edges", "edges")
+    assert (subgradient_layout(g), admm_layout(g)) == want
     return g
 
 
@@ -536,12 +552,16 @@ class TestAdmmStep:
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     @pytest.mark.parametrize("pinned", [False, True])
-    @pytest.mark.parametrize("graph", list(CONTRACT_GRAPHS))
+    # K2's one edge may stay unflipped, and its vertex 2 does not exist.
+    @pytest.mark.parametrize("graph", [name for name in CONTRACT_GRAPHS if name != "k2"])
     def test_flipped_orientation_matches_reference_bitwise(self, graph, pinned, kind):
         rng = np.random.default_rng(77)
         base = contract_graph(graph, rng)
         g = self.flipped(base, rng)
         assert any(v > w for v, w in g.oriented_edges)
+        # A flipped K_N keeps the subgradient ranks, but ADMM takes the per-edge path.
+        assert subgradient_layout(g) == subgradient_layout(base)
+        assert admm_layout(g) == "edges"
         n, m = g.n_vertices, g.n_edges
         x0 = tied_data(rng, n)
         roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
@@ -557,6 +577,12 @@ class TestAdmmStep:
             # Equal as numbers: the reverse pairs may hold -0.0 where the reference holds 0.0.
             assert np.array_equal(engine_mu, mu)
             assert np.array_equal(engine_mu[:m], -engine_mu[m:])
+        sub_states = run_states(Spy(SubgradientEngine(lam)), g, x0, objs, roles, 500)
+        ref = with_pins(x0, roles)
+        for n, x in enumerate(sub_states):
+            assert x.tobytes() == ref.tobytes()
+            ref = with_pins(reference_subgradient_step(g, ref, n, objs, lam, harmonic_schedule()),
+                            roles)
 
 
 class TestEngineAgreement:
@@ -831,9 +857,18 @@ class TestRunDriver:
         # tv(x0) = 10 on K4, so 1e308 * tv overflows while every state stays finite.
         g = complete_graph(4)
         x0 = np.array([0.0, 1.0, 2.0, 3.0])
-        with pytest.raises(DomainError, match="gossip engine: .* at step 0"):
+        with pytest.raises(DomainError, match="gossip engine: the row metrics at step 0 left"):
             run(GossipEngine(), g, x0, Quadratic(g, x0), AgentRoles.none(4),
                 stop=StopRule(3, -1.0, -1.0), metric_lambda=1e308)
+
+    @pytest.mark.parametrize("graph", [complete_graph(3), Graph(3, [(0, 1), (0, 2)])])
+    def test_an_overflowing_state_names_the_engine_and_step(self, graph):
+        # On K3 (ranks) and the star (edges) vertex 0 has sign sum 2, so step 1 overflows.
+        x0 = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(DomainError,
+                           match="subgradient engine: the state left the finite range at step 1"):
+            run(SubgradientEngine(1.7e308), graph, x0, Quadratic(graph, x0), AgentRoles.none(3),
+                stop=StopRule(3, NEVER, NEVER), metric_lambda=0.0)
 
 
 # K12, an irregular graph, one vertex and no edges: every layout of the recorder's sums.
@@ -983,7 +1018,7 @@ class TestDegenerateGraphs:
         g, x0, _, roles = self.scenario(case)
         x0[-1] = -0.0
         objs = kind(g, x0)
-        assert _talker_table(g)[0].shape == (0, g.n_vertices)
+        assert subgradient_layout(g) == ("ranks" if case == "single_vertex" else "edges")
         ref = x0.copy()
         for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
             assert x.tobytes() == ref.tobytes()
