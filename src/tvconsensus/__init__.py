@@ -1,8 +1,8 @@
 """Total-variation-regularized consensus on graphs.
 
-Public API: graph construction and discrete calculus, TV and its dual norm,
-per-agent objectives, synchronous consensus engines, optimality and
-robustness analysis, and the experiment harness.
+Public API: graph construction, TV and its dual norm, per-agent objectives,
+synchronous consensus engines, optimality and robustness analysis, and the
+experiment harness.
 """
 
 from .analysis import (
@@ -50,10 +50,7 @@ from .graph import (
     complete_graph,
     connected_components,
     cycle_graph,
-    div,
     erdos_renyi,
-    grad,
-    laplacian_apply,
     load_edge_list,
     path_graph,
     perimeter,
@@ -104,17 +101,14 @@ __all__ = [
     "connected_components",
     "cycle_graph",
     "disagreement",
-    "div",
     "dual_feasibility_gap",
     "dual_norm_algorithm0",
     "dual_norm_bruteforce",
     "emit_csv",
     "erdos_renyi",
     "gossip_limit",
-    "grad",
     "harmonic_schedule",
     "is_dual_certificate",
-    "laplacian_apply",
     "load_config",
     "load_edge_list",
     "maximize_cut_functional",

@@ -187,8 +187,8 @@ def stubborn_limit(
         raise ValueError("pinned value a must be finite")
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
-    if s_count < 1:
-        raise ValueError("need at least one pinned agent")
+    if not (s_count >= 1 and float(s_count).is_integer()):
+        raise ValueError(f"s_count must be a whole number of at least 1, got {s_count}")
     mean = float(x0_regular.mean())
     margin = lam * s_count
 

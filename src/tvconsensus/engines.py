@@ -12,10 +12,10 @@ The subgradient and ADMM engines sum over the directed neighbour pairs
 (talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
 ``start`` picks from the graph.  On K_N the subgradient engine counts each
 vertex's neighbours above minus below by rank, exact integers in any order.
-ADMM on K_N with every edge low to high keeps an (n, n) multiplier square with
-rows indexed by talker; its axis-0 sums add the talkers in ascending order from
-+0.0, as ``np.bincount(owner, ...)`` adds the canonical pairs, so they give its
-bytes.  Other graphs keep per-edge gathers and bincount.
+ADMM on K_N keeps an (n, n) multiplier square with rows indexed by talker; its
+axis-0 sums add the talkers in ascending order from +0.0, as
+``np.bincount(owner, ...)`` adds the graph's (low, high) pairs, so they give
+its bytes.  Other graphs keep per-edge gathers and bincount.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class AgentRoles:
         if len(self.stubborn_ids) != len(self.pinned_values):
             raise ValueError("need one pinned value per stubborn vertex")
         for v in self.stubborn_ids:
-            if not 0 <= v < self.n_vertices:
-                raise ValueError(f"stubborn vertex {v} out of range")
+            if not (0 <= v < self.n_vertices and float(v).is_integer()):
+                raise ValueError(f"stubborn vertex {v} is not a vertex id")
         order = np.argsort(self.stubborn_ids)
         object.__setattr__(
             self, "stubborn_ids", tuple(int(self.stubborn_ids[i]) for i in order)
@@ -93,8 +93,8 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
 
 def harmonic_schedule(gamma0: float = 1.0) -> Callable[[int], float]:
     """Steps gamma0 / (n + 1): divergent sum, summable squares."""
-    if not gamma0 > 0.0:
-        raise ValueError("gamma0 must be positive")
+    if not 0.0 < gamma0 < math.inf:
+        raise ValueError("gamma0 must be positive and finite")
 
     def schedule(n: int) -> float:
         return gamma0 / (n + 1.0)
@@ -217,10 +217,10 @@ class AdmmEngine:
     rho * degree(v) to x(v) + new_mean - 1/2 old_mean.  Only the x values
     cross the network.
 
-    On K_N with every edge low to high the multipliers form an (n, n) square M,
-    M[w, v] being v's multiplier for talker w, with a zero diagonal.  Otherwise
-    the pairs of an edge hold exact negatives of one another, so a round
-    updates the multiplier once per edge and negates it for the reverse pair.
+    On K_N the multipliers form an (n, n) square M, M[w, v] being v's
+    multiplier for talker w, with a zero diagonal.  Otherwise the pairs of an
+    edge hold exact negatives of one another, so a round updates the multiplier
+    once per edge and negates it for the reverse pair.
 
     The extrapolation coefficients (1, -1/2) come from eliminating the
     auxiliary edge variables of the underlying splitting: the scaled dual
@@ -238,8 +238,8 @@ class AdmmEngine:
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
         """Validate rho, lam and the graph, fix the run's constants, zero the multipliers."""
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be nonnegative and finite")
         if int(g.degrees.min()) < 1:
@@ -252,7 +252,7 @@ class AdmmEngine:
         self._rho_deg = self.rho * self._deg
         self._bound = 2.0 * self.lam / self.rho
         n = g.n_vertices
-        self._square = is_complete(g) and bool((g.edge_src < g.edge_dst).all())
+        self._square = is_complete(g)
         # The square's L = [x; 1] and R = [1; -x]: L.T @ R holds x[w] - x[v], one rounding each.
         self._left, self._right = np.ones((2, n)), np.ones((2, n))
         self._mu = np.zeros((n, n) if self._square else 2 * g.n_edges)
@@ -329,8 +329,10 @@ def run(
     recorded.  A state or a row metric that overflows or turns NaN raises
     ``DomainError``.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    if not (record_every >= 1 and float(record_every).is_integer()):
+        raise ValueError(f"record_every must be a whole number of at least 1, got {record_every}")
+    if not float(stop.max_iterations).is_integer():
+        raise ValueError(f"max_iterations must be a whole number, got {stop.max_iterations}")
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
     if roles.n_vertices != g.n_vertices:

@@ -1,9 +1,8 @@
-"""Undirected graphs with a fixed edge orientation, discrete calculus, and graph I/O.
+"""Undirected graphs as index arrays, subsets and components, and graph I/O.
 
-Vertices are dense 0-based integers. Every edge carries one fixed orientation
-(lowest id first by default) so that gradients of node fields live on oriented
-edges; quantities that must not depend on the orientation are covered by the
-test suite with explicit orientation flips.
+Vertices are dense 0-based integers.  Every edge is held once, as its
+canonical (low, high) pair, and the edges are in lexicographic order, however
+the input listed them.
 """
 
 from __future__ import annotations
@@ -18,21 +17,16 @@ from .errors import InvalidFieldError, InvalidSubsetError
 class Graph:
     """Immutable undirected graph without self-loops or duplicate edges.
 
-    Held as index arrays: oriented edges ``edge_src``/``edge_dst`` in canonical
-    (low, high) order and a CSR adjacency ``indptr``/``indices`` with ascending
-    neighbor lists.  Connectivity is computed once, at construction.
+    Held as index arrays: edge ends ``edge_src`` < ``edge_dst`` in lexicographic
+    order and a CSR adjacency ``indptr``/``indices`` with ascending neighbor
+    lists.  Connectivity is computed once, at construction.
     """
 
     __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees", "_connected")
 
-    def __init__(
-        self,
-        n_vertices: int,
-        edges: Iterable[tuple[int, int]] | np.ndarray,
-        oriented_edges: Iterable[tuple[int, int]] | np.ndarray | None = None,
-    ) -> None:
-        if n_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
+    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
+        if not (n_vertices >= 1 and float(n_vertices).is_integer()):
+            raise ValueError(f"n_vertices must be a whole number of at least 1, got {n_vertices}")
         n = self._n = int(n_vertices)
         pairs = _edge_array(edges)
         outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
@@ -42,16 +36,11 @@ class Graph:
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-loop at vertex {pairs[loops][0, 0]} is not allowed")
-        _, ends = _by_key(pairs, n)
+        ends = np.sort(pairs, axis=1)  # each edge as (low, high), then in lexicographic order
+        ends = ends[np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")]
         repeated = (ends[1:] == ends[:-1]).all(axis=1)
         if repeated.any():
             raise ValueError(f"duplicate edge {tuple(ends[1:][repeated][0].tolist())}")
-        if oriented_edges is not None:
-            oriented = _edge_array(oriented_edges)
-            order, oriented_ends = _by_key(oriented, n)
-            if not np.array_equal(oriented_ends, ends):
-                raise ValueError("oriented_edges must contain exactly one orientation per edge")
-            ends = oriented[order]
         self._src, self._dst = ends.T.copy()
         # Each edge appears twice in the CSR, once from each end.
         tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
@@ -72,6 +61,7 @@ class Graph:
 
     @property
     def oriented_edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical (low, high) pairs, in lexicographic order."""
         return tuple(zip(self._src.tolist(), self._dst.tolist()))
 
     @property
@@ -130,13 +120,6 @@ def _edge_array(edges) -> np.ndarray:
     return pairs.astype(np.intp, copy=False).reshape(len(pairs), 2)
 
 
-def _by_key(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Order sorting the edges by (low end, high end), and those ends in that order."""
-    ends = np.sort(pairs, axis=1)
-    order = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
-    return order, ends[order]
-
-
 def is_complete(g: Graph) -> bool:
     return g.n_edges == g.n_vertices * (g.n_vertices - 1) // 2
 
@@ -153,48 +136,12 @@ def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarr
     return x
 
 
-def check_edge_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and return an edge field as a float64 array of length |E|."""
-    xi = np.asarray(values, dtype=float)
-    if xi.ndim != 1 or xi.shape[0] != g.n_edges:
-        raise InvalidFieldError(
-            f"edge field must have length {g.n_edges}, got shape {xi.shape}"
-        )
-    if not np.all(np.isfinite(xi)):
-        raise InvalidFieldError("edge field must be finite")
-    return xi
-
-
 def check_subset(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     subset = frozenset(int(v) for v in vertices)
     for v in subset:
         if not 0 <= v < g.n_vertices:
             raise InvalidSubsetError(f"unknown vertex id {v}")
     return subset
-
-
-def grad(g: Graph, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Gradient of a node field: (v, w) maps to x(w) - x(v) per oriented edge."""
-    x = check_node_field(g, x)
-    return x[g.edge_dst] - x[g.edge_src]
-
-
-def div(g: Graph, xi: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Divergence of an edge field: outgoing minus incoming flux at each vertex.
-
-    Adjoint to ``grad`` up to sign: <grad x, xi> = -<x, div xi>, so the entries
-    of the result always sum to zero.
-    """
-    xi = check_edge_field(g, xi)
-    n = g.n_vertices
-    return np.bincount(g.edge_src, weights=xi, minlength=n) - np.bincount(
-        g.edge_dst, weights=xi, minlength=n
-    )
-
-
-def laplacian_apply(g: Graph, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Apply the combinatorial graph Laplacian, -div(grad(x))."""
-    return -div(g, grad(g, x))
 
 
 def perimeter(g: Graph, subset: Iterable[int]) -> int:

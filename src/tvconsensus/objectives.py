@@ -41,7 +41,11 @@ class Quadratic(_Separable):
         return grad, grad
 
     def prox(self, rho, x) -> np.ndarray:
-        """argmin_y f_v(y) + rho[v]/2 (y - x(v))^2 for every agent v."""
+        """argmin_y f_v(y) + rho[v]/2 (y - x(v))^2 for every agent v.
+
+        An infinite rho[v] is not rejected and gives NaN (inf / inf); the ADMM
+        engine rejects an infinite rho in ``start``.
+        """
         _require_positive_rho(rho)
         x = np.asarray(x, dtype=float)
         return (self.centers + rho * x) / (1.0 + rho)

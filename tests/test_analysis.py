@@ -535,6 +535,11 @@ class TestStubbornLimit:
             with pytest.raises(ValueError, match="finite"):
                 stubborn_limit(np.ones(3), bad, 0.1, 1)
 
+    def test_rejects_a_fractional_pinned_count(self):
+        # 1.5 pinned agents used to give the margin 1.5 * lam.
+        with pytest.raises(ValueError, match="s_count must be a whole number"):
+            stubborn_limit(np.ones(3), 5.0, 0.1, s_count=1.5)
+
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_lam_must_be_positive_and_finite(self, lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):

@@ -271,6 +271,12 @@ class TestAgentRoles:
         with pytest.raises(ValueError):
             AgentRoles(3, stubborn_ids=(5,), pinned_values=(1.0,))
 
+    def test_from_pinned_rejects_a_fractional_vertex_id(self):
+        # int() would truncate 1.5 and pin vertex 1.
+        with pytest.raises(ValueError, match="not a vertex id"):
+            AgentRoles.from_pinned(4, {1.5: 1.0})
+        assert AgentRoles.from_pinned(4, {1.0: 1.0}).stubborn_ids == (1,)
+
 
 class TestEngineContract:
     STEPS = 500
@@ -335,6 +341,15 @@ class TestEngineContract:
         with pytest.raises(UnsupportedGraphError):
             AdmmEngine(0.5, 1.0).start(isolated, Quadratic(isolated, x0))
 
+    def test_admm_rejects_an_infinite_rho_before_the_first_step(self):
+        # rho = inf used to pass start and fail at step 1 on the NaN of prox(inf, x).
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        spy = Spy(AdmmEngine(0.5, INF))
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3))
+        assert spy.states == []
+
     def test_start_rejects_mismatched_sizes(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
@@ -395,6 +410,11 @@ class TestEngineContract:
 
 
 class TestSubgradientStep:
+    @pytest.mark.parametrize("gamma0", [INF, float("nan"), 0.0, -1.0])
+    def test_harmonic_schedule_rejects_gamma0_outside_zero_to_infinity(self, gamma0):
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            harmonic_schedule(gamma0)
+
     def test_fixed_point_at_shared_minimum(self):
         g = complete_graph(4)
         x = 2.0 * np.ones(4)
@@ -544,24 +564,27 @@ class TestAdmmStep:
 
     @staticmethod
     def flipped(g, rng):
-        """The same graph with a random half of its edges oriented high to low."""
-        edges = np.column_stack([g.edge_src, g.edge_dst])
+        """The edges of ``g`` in random order, a random half of them high to low."""
+        edges = np.column_stack([g.edge_src, g.edge_dst])[rng.permutation(g.n_edges)]
         flip = rng.random(g.n_edges) < 0.5
         edges[flip] = edges[flip, ::-1]
-        return Graph(g.n_vertices, edges, oriented_edges=edges)
+        return edges
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     @pytest.mark.parametrize("pinned", [False, True])
     # K2's one edge may stay unflipped, and its vertex 2 does not exist.
     @pytest.mark.parametrize("graph", [name for name in CONTRACT_GRAPHS if name != "k2"])
     def test_flipped_orientation_matches_reference_bitwise(self, graph, pinned, kind):
+        # A graph built from reversed, shuffled pairs is its canonical twin, so it
+        # takes the same layouts (the ADMM square on K_N) and the same bitwise steps.
         rng = np.random.default_rng(77)
         base = contract_graph(graph, rng)
-        g = self.flipped(base, rng)
-        assert any(v > w for v, w in g.oriented_edges)
-        # A flipped K_N keeps the subgradient ranks, but ADMM takes the per-edge path.
-        assert subgradient_layout(g) == subgradient_layout(base)
-        assert admm_layout(g) == "edges"
+        edges = self.flipped(base, rng)
+        assert (edges[:, 0] > edges[:, 1]).any()
+        g = Graph(base.n_vertices, edges)
+        assert g.oriented_edges == base.oriented_edges
+        assert (subgradient_layout(g), admm_layout(g)) == (
+            subgradient_layout(base), admm_layout(base))
         n, m = g.n_vertices, g.n_edges
         x0 = tied_data(rng, n)
         roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
@@ -569,12 +592,13 @@ class TestAdmmStep:
         rho, lam = 1.3, 0.3
         spy = Spy(AdmmEngine(lam, rho), watch=admm_multipliers)
         states = run_states(spy, g, x0, objs, roles, 500)
+        twin = run_states(Spy(AdmmEngine(lam, rho)), base, x0, kind(base, x0), roles, 500)
+        assert [x.tobytes() for x in states] == [x.tobytes() for x in twin]
         ref, mu, mu_mean = with_pins(x0, roles), np.zeros(2 * m), np.zeros(n)
         for x, (engine_mu, engine_mu_mean) in zip(states[1:], spy.watched, strict=True):
             ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
             assert x.tobytes() == ref.tobytes()
             assert engine_mu_mean.tobytes() == mu_mean.tobytes()
-            # Equal as numbers: the reverse pairs may hold -0.0 where the reference holds 0.0.
             assert np.array_equal(engine_mu, mu)
             assert np.array_equal(engine_mu[:m], -engine_mu[m:])
         sub_states = run_states(Spy(SubgradientEngine(lam)), g, x0, objs, roles, 500)
@@ -790,6 +814,23 @@ class TestRunDriver:
             record_every=10,
         )
         assert list(traj.iterations) == [0, 10, 20, 25]
+
+    def test_rejects_a_fractional_iteration_cap(self):
+        # A cap of 2.5 used to take 3 steps and leave the final state unrecorded.
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        spy = Spy(SubgradientEngine(0.5))
+        with pytest.raises(ValueError, match="max_iterations must be a whole number"):
+            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3), stop=StopRule(2.5))
+        assert spy.states == []
+
+    def test_rejects_a_fractional_record_interval(self):
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        spy = Spy(SubgradientEngine(0.5))
+        with pytest.raises(ValueError, match="record_every must be a whole number"):
+            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3), record_every=1.5)
+        assert spy.states == []
 
     def test_converged_flag_and_final_state(self, rng):
         g = complete_graph(8)

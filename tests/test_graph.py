@@ -8,10 +8,7 @@ from tvconsensus import (
     complete_graph,
     connected_components,
     cycle_graph,
-    div,
     erdos_renyi,
-    grad,
-    laplacian_apply,
     load_edge_list,
     path_graph,
     perimeter,
@@ -46,16 +43,21 @@ def reference_pieces(n, edges, subset):
     return sorted((frozenset(p) for p in pieces.values()), key=min)
 
 
+def shuffled_and_reversed(g, rng):
+    """The edges of ``g`` in random order, a random half of them high to low."""
+    edges = np.column_stack([g.edge_src, g.edge_dst])[rng.permutation(g.n_edges)]
+    flip = rng.random(g.n_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges
+
+
 def csr_test_graphs():
-    """Seeded random graphs, disconnected ones and explicitly oriented ones."""
+    """Seeded random graphs, disconnected ones and ones built from shuffled, reversed edges."""
     rng = np.random.default_rng(2024)
     graphs = [random_connected_graph(rng) for _ in range(6)]
     graphs += [erdos_renyi(12, 0.15, seed) for seed in range(4)]
     graphs += [Graph(7, [(0, 1), (2, 3), (3, 4), (6, 2)]), Graph(4, []), Graph(1, [])]
-    for g in graphs[:4]:
-        flips = rng.random(g.n_edges) < 0.5
-        oriented = [(w, v) if flip else (v, w) for (v, w), flip in zip(g.oriented_edges, flips)]
-        graphs.append(Graph(g.n_vertices, oriented[::-1], oriented_edges=oriented))
+    graphs += [Graph(g.n_vertices, shuffled_and_reversed(g, rng)) for g in graphs[:4]]
     return graphs
 
 
@@ -77,8 +79,6 @@ class TestConstruction:
                       [(0, float("nan"))], np.array([[0.0, np.inf]])):
             with pytest.raises(ValueError, match="integers"):
                 Graph(3, edges)
-            with pytest.raises(ValueError, match="integers"):
-                Graph(3, [(0, 1), (1, 2)], oriented_edges=edges)
         # Integral floats are still vertex ids.
         for edges in ([(0, 1.0), (2.0, 1)], np.array([[0.0, 1.0], [2.0, 1.0]])):
             assert Graph(3, edges).oriented_edges == ((0, 1), (1, 2))
@@ -88,10 +88,40 @@ class TestConstruction:
         assert g.oriented_edges == ((0, 2), (1, 2))
 
     def test_explicit_orientation(self):
-        g = Graph(3, [(0, 1), (1, 2)], oriented_edges=[(1, 0), (1, 2)])
-        assert g.oriented_edges == ((1, 0), (1, 2))
-        with pytest.raises(ValueError):
-            Graph(3, [(0, 1), (1, 2)], oriented_edges=[(0, 1), (0, 1)])
+        # Orientation is not a Graph setting: reversed pairs come back canonical,
+        # a pair and its reverse are one edge, and the old keyword is refused.
+        g = Graph(3, [(1, 0), (2, 1)])
+        assert g.oriented_edges == ((0, 1), (1, 2))
+        assert g.edge_src.tolist() == [0, 1] and g.edge_dst.tolist() == [1, 2]
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(3, [(0, 1), (1, 0)])
+        with pytest.raises(TypeError):
+            Graph(3, [(0, 1), (1, 2)], oriented_edges=[(1, 0), (1, 2)])
+
+    def test_every_graph_holds_canonical_sorted_edges(self, rng, tmp_path):
+        # ADMM's (n, n) square on K_N relies on this without checking it.
+        graphs = [complete_graph(1), complete_graph(7), path_graph(6), cycle_graph(6),
+                  erdos_renyi(20, 0.3, 4), Graph(4, [])]
+        for _ in range(6):
+            base = random_connected_graph(rng)
+            edges = shuffled_and_reversed(base, rng)
+            g = Graph(base.n_vertices, edges)
+            assert g.oriented_edges == base.oriented_edges
+            path = tmp_path / f"g{len(graphs)}.txt"
+            path.write_text("".join(f"{v} {w}\n" for v, w in edges.tolist()))
+            subset = np.flatnonzero(rng.random(g.n_vertices) < 0.6).tolist() or [0]
+            graphs += [g, load_edge_list(str(path)), g.induced_subgraph(subset)[0]]
+        graphs.append(Graph(5, [(4, 3), (0, 4), (2, 1), (3, 0), (1, 0)]))
+        for g in graphs:
+            assert (g.edge_src < g.edge_dst).all()
+            assert g.oriented_edges == tuple(sorted(g.oriented_edges))
+
+    def test_rejects_a_vertex_count_that_is_not_a_whole_number(self):
+        # int() would truncate 2.5 to a 2-vertex graph.
+        for n in (2.5, 0, -1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="whole number"):
+                Graph(n, [])
+        assert Graph(3.0, [(0, 2)]).n_vertices == 3
 
     def test_degrees_and_adjacency(self):
         g = complete_graph(4)
@@ -191,92 +221,6 @@ class TestCsrAdjacency:
         ]
 
 
-class TestOperators:
-    def test_grad_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        assert grad(g, [0.0, 1.0]).tolist() == [1.0]
-
-    def test_grad_constant_field_is_zero(self):
-        g = complete_graph(5)
-        assert np.all(grad(g, 3.7 * np.ones(5)) == 0.0)
-
-    def test_grad_path(self):
-        g = path_graph(3)
-        assert grad(g, [0.0, 2.0, 1.0]).tolist() == [2.0, -1.0]
-
-    def test_div_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        assert div(g, [1.0]).tolist() == [1.0, -1.0]
-
-    def test_div_zero_field(self):
-        g = cycle_graph(4)
-        assert np.all(div(g, np.zeros(4)) == 0.0)
-
-    def test_div_path(self):
-        g = path_graph(3)
-        assert div(g, [1.0, 1.0]).tolist() == [1.0, 0.0, -1.0]
-
-    def test_div_sums_to_zero(self, rng):
-        for _ in range(20):
-            g = random_connected_graph(rng)
-            xi = rng.normal(size=g.n_edges)
-            assert abs(div(g, xi).sum()) < 1e-12
-
-    def test_laplacian_constant(self):
-        g = complete_graph(4)
-        assert np.all(laplacian_apply(g, np.ones(4)) == 0.0)
-
-    def test_laplacian_single_edge(self):
-        g = Graph(2, [(0, 1)])
-        assert laplacian_apply(g, [0.0, 1.0]).tolist() == [-1.0, 1.0]
-
-    def test_laplacian_matches_degree_minus_adjacency(self, rng):
-        g = complete_graph(4)
-        dense = np.diag(g.degrees.astype(float))
-        for v, w in g.oriented_edges:
-            dense[v, w] -= 1.0
-            dense[w, v] -= 1.0
-        for _ in range(10):
-            x = rng.normal(size=4)
-            assert np.allclose(laplacian_apply(g, x), dense @ x, atol=1e-12)
-            assert x @ laplacian_apply(g, x) >= 0.0
-
-    def test_laplacian_orthogonal_to_ones(self, rng):
-        g = random_connected_graph(rng)
-        x = rng.normal(size=g.n_vertices)
-        assert abs(laplacian_apply(g, x).sum()) < 1e-10
-
-    def test_integration_by_parts(self, rng):
-        for _ in range(50):
-            g = random_connected_graph(rng)
-            x = rng.normal(size=g.n_vertices)
-            xi = rng.normal(size=g.n_edges)
-            lhs = float(grad(g, x) @ xi)
-            rhs = -float(x @ div(g, xi))
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-
-    def test_orientation_independence_of_div(self, rng):
-        g = random_connected_graph(rng)
-        xi = rng.normal(size=g.n_edges)
-        baseline = div(g, xi)
-        flip = int(rng.integers(0, g.n_edges))
-        oriented = list(g.oriented_edges)
-        oriented[flip] = (oriented[flip][1], oriented[flip][0])
-        flipped = Graph(g.n_vertices, g.oriented_edges, oriented_edges=oriented)
-        xi2 = xi.copy()
-        xi2[flip] = -xi2[flip]
-        assert np.allclose(div(flipped, xi2), baseline, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        g = path_graph(3)
-        with pytest.raises(InvalidFieldError):
-            grad(g, [1.0, 2.0])
-        with pytest.raises(InvalidFieldError):
-            div(g, [1.0, 2.0, 3.0])
-        with pytest.raises(InvalidFieldError):
-            grad(g, [1.0, np.nan, 2.0])
-
-
 class TestPerimeter:
     def test_empty_and_full(self):
         g = complete_graph(5)
@@ -350,6 +294,14 @@ class TestGeneratorsAndIo:
         save_edge_list(g, str(path))
         loaded = load_edge_list(str(path))
         assert loaded.oriented_edges == g.oriented_edges
+
+    def test_edge_list_writes_canonical_pairs(self, rng, tmp_path):
+        base = random_connected_graph(rng)
+        g = Graph(base.n_vertices, shuffled_and_reversed(base, rng))
+        path = tmp_path / "g.txt"
+        save_edge_list(g, str(path))
+        lines = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+        assert lines == [tuple(e) for e in zip(base.edge_src.tolist(), base.edge_dst.tolist())]
 
     def test_edge_list_comments_and_errors(self, tmp_path):
         path = tmp_path / "g.txt"

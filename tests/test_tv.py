@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tvconsensus import (
     DualNormResult,
     Graph,
+    InvalidFieldError,
     IterationAnomalyError,
     UnsupportedGraphError,
     coarea_decompose,
@@ -38,6 +39,23 @@ class TestTvNorm:
 
     def test_path_example(self):
         assert tv_norm(path_graph(3), [0.0, 2.0, 1.0]) == 3.0
+
+    def test_matches_the_sum_over_reversed_input_pairs(self, rng):
+        for _ in range(20):
+            base = random_connected_graph(rng)
+            edges = np.column_stack([base.edge_src, base.edge_dst])[::-1]
+            flip = rng.random(base.n_edges) < 0.5
+            edges[flip] = edges[flip, ::-1]
+            x = rng.normal(size=base.n_vertices)
+            expected = sum(abs(x[v] - x[w]) for v, w in edges.tolist())
+            assert tv_norm(Graph(base.n_vertices, edges), x) == pytest.approx(expected, rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        g = path_graph(3)
+        for x in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], [1.0, np.nan, 2.0],
+                  [1.0, np.inf, 2.0]):
+            with pytest.raises(InvalidFieldError):
+                tv_norm(g, x)
 
     def test_translation_invariance(self, rng):
         g = random_connected_graph(rng)
