@@ -30,7 +30,6 @@ from .engines import (
     Trajectory,
     disagreement,
     gossip_limit,
-    harmonic_schedule,
     run,
     uniform_gossip_matrix,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "emit_csv",
     "erdos_renyi",
     "gossip_limit",
-    "harmonic_schedule",
     "is_dual_certificate",
     "load_config",
     "load_edge_list",

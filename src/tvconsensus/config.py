@@ -19,13 +19,7 @@ from typing import NamedTuple, NewType, get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .engines import (
-    AdmmEngine,
-    GossipEngine,
-    StopRule,
-    SubgradientEngine,
-    harmonic_schedule,
-)
+from .engines import AdmmEngine, GossipEngine, StopRule, SubgradientEngine
 from .errors import ConfigError
 from .graph import (
     Graph,
@@ -56,7 +50,7 @@ GENERATORS = {
 }
 OBJECTIVES = {"quadratic": Quadratic, "absolute": Absolute}
 ENGINES = {
-    SubgradientEngine.name: lambda cfg, lam: SubgradientEngine(lam, harmonic_schedule(cfg.gamma0)),
+    SubgradientEngine.name: lambda cfg, lam: SubgradientEngine(lam, gamma0=cfg.gamma0),
     AdmmEngine.name: lambda cfg, lam: AdmmEngine(lam, rho=cfg.rho),
     GossipEngine.name: lambda cfg, lam: GossipEngine(),
 }
@@ -167,6 +161,8 @@ class StubbornConfig:
     values: tuple[Finite, ...] = ()
 
     def checked(self, where: str) -> StubbornConfig:
+        _require(len(set(self.vertices)) == len(self.vertices), f"{where}.vertices",
+                 "duplicate stubborn vertex ids")
         _require(len(self.vertices) == len(self.values), where,
                  "need one pinned value per stubborn vertex")
         return self

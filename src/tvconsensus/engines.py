@@ -21,7 +21,7 @@ its bytes.  Other graphs keep per-edge gathers and bincount.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,17 +91,6 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
     return mean, math.sqrt(d @ d)
 
 
-def harmonic_schedule(gamma0: float = 1.0) -> Callable[[int], float]:
-    """Steps gamma0 / (n + 1): divergent sum, summable squares."""
-    if not 0.0 < gamma0 < math.inf:
-        raise ValueError("gamma0 must be positive and finite")
-
-    def schedule(n: int) -> float:
-        return gamma0 / (n + 1.0)
-
-    return schedule
-
-
 # ---------------------------------------------------------------------------
 # Linear gossip
 # ---------------------------------------------------------------------------
@@ -166,22 +155,25 @@ class Trajectory:
 
 
 class SubgradientEngine:
-    """Descent on the regularized energy with steps gamma_n from ``schedule``.
+    """Descent on the regularized energy with steps gamma_n = gamma0 / (n + 1).
 
-    Each regular vertex moves by gamma_n times the negative objective
-    subgradient plus lam times the sum of neighbor disagreement signs
-    (sign(0) = 0); sign terms are antisymmetric per edge, so the network
-    average is preserved whenever the objective subgradients sum to zero.
+    The steps have a divergent sum and summable squares.  Each regular vertex
+    moves by gamma_n times the negative objective subgradient plus lam times
+    the sum of neighbor disagreement signs (sign(0) = 0); sign terms are
+    antisymmetric per edge, so the network average is preserved whenever the
+    objective subgradients sum to zero.
     """
 
     name = "subgradient"
 
-    def __init__(self, lam: float, schedule: Callable[[int], float] | None = None):
+    def __init__(self, lam: float, gamma0: float = 1.0):
         self.lam = float(lam)
-        self.schedule = schedule if schedule is not None else harmonic_schedule()
+        self.gamma0 = float(gamma0)
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
-        """Validate lam, fix the run's constants and reset the round counter."""
+        """Validate gamma0 and lam, fix the run's constants and reset the round counter."""
+        if not 0.0 < self.gamma0 < np.inf:
+            raise ValueError("gamma0 must be positive and finite")
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be nonnegative and finite")
         self.n = 0
@@ -191,7 +183,7 @@ class SubgradientEngine:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return x(n + 1) as a new array."""
-        gamma = self.schedule(self.n)
+        gamma = self.gamma0 / (self.n + 1.0)
         if self._ranked:
             r = x.copy()  # array methods skip np.sort's and np.searchsorted's wrappers
             r.sort()

@@ -17,12 +17,11 @@ from .errors import InvalidFieldError, InvalidSubsetError
 class Graph:
     """Immutable undirected graph without self-loops or duplicate edges.
 
-    Held as index arrays: edge ends ``edge_src`` < ``edge_dst`` in lexicographic
-    order and a CSR adjacency ``indptr``/``indices`` with ascending neighbor
-    lists.  Connectivity is computed once, at construction.
+    Held as its sorted edge arrays, ``edge_src`` < ``edge_dst`` in lexicographic
+    order, and its degrees.  Connectivity is computed once, at construction.
     """
 
-    __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees", "_connected")
+    __slots__ = ("_n", "_src", "_dst", "_degrees", "_connected")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
         if not (n_vertices >= 1 and float(n_vertices).is_integer()):
@@ -42,14 +41,10 @@ class Graph:
         if repeated.any():
             raise ValueError(f"duplicate edge {tuple(ends[1:][repeated][0].tolist())}")
         self._src, self._dst = ends.T.copy()
-        # Each edge appears twice in the CSR, once from each end.
-        tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
-        self._degrees = np.bincount(tails, minlength=n)
-        self._indptr = np.concatenate([[0], np.cumsum(self._degrees)])
-        self._indices = heads[np.lexsort((heads, tails))]
-        for array in (self._src, self._dst, self._indptr, self._indices, self._degrees):
+        self._degrees = np.bincount(ends.ravel(), minlength=n)
+        for array in (self._src, self._dst, self._degrees):
             array.setflags(write=False)
-        self._connected = not _component_roots(n, tails, heads).any()  # all roots 0
+        self._connected = not _component_roots(n, self._src, self._dst).any()  # all roots 0
 
     @property
     def n_vertices(self) -> int:
@@ -73,15 +68,6 @@ class Graph:
         return self._dst
 
     @property
-    def indptr(self) -> np.ndarray:
-        """CSR row pointers: the neighbors of v are ``indices[indptr[v]:indptr[v + 1]]``."""
-        return self._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._indices
-
-    @property
     def degrees(self) -> np.ndarray:
         return self._degrees
 
@@ -90,13 +76,10 @@ class Graph:
         return self._connected
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        v = int(v)
-        if not 0 <= v < self._n:
-            raise InvalidSubsetError(f"unknown vertex id {v}")
-        return tuple(self._indices[self._indptr[v] : self._indptr[v + 1]].tolist())
-
-    def has_edge(self, v: int, w: int) -> bool:
-        return 0 <= int(v) < self._n and int(w) in self.neighbors(v)
+        """v's neighbours, ascending: the edges ending at v, then the run starting at v."""
+        (v,) = check_subset(self, [v])
+        lo, hi = self._src.searchsorted([v, v + 1])
+        return tuple(self._src[self._dst == v].tolist() + self._dst[lo:hi].tolist())
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices``; returns (graph, sorted original ids)."""
@@ -137,11 +120,14 @@ def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarr
 
 
 def check_subset(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    subset = frozenset(int(v) for v in vertices)
+    """The distinct ids as ints; an unknown or non-integral id raises InvalidSubsetError."""
+    subset = frozenset(vertices)
     for v in subset:
         if not 0 <= v < g.n_vertices:
             raise InvalidSubsetError(f"unknown vertex id {v}")
-    return subset
+        if not float(v).is_integer():
+            raise InvalidSubsetError(f"vertex id {v} is not an integer")
+    return frozenset(map(int, subset))
 
 
 def perimeter(g: Graph, subset: Iterable[int]) -> int:
@@ -153,37 +139,33 @@ def perimeter(g: Graph, subset: Iterable[int]) -> int:
 
 
 def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
-    """Maximal connected pieces of the subgraph induced by ``subset``, by smallest member.
-
-    Only the CSR rows of the members are read.
-    """
+    """Maximal connected pieces of the subgraph induced by ``subset``, by smallest member."""
     members = np.array(sorted(check_subset(g, subset)), dtype=np.intp)
     local = np.full(g.n_vertices, -1, dtype=np.intp)
     local[members] = np.arange(members.size)
-    counts = g.degrees[members]
-    firsts = g.indptr[members] - (np.cumsum(counts) - counts)
-    other = local[g.indices[np.repeat(firsts, counts) + np.arange(counts.sum())]]
-    owner = np.repeat(np.arange(members.size), counts)
-    roots = members[_component_roots(members.size, owner[other >= 0], other[other >= 0])]
+    src, dst = local[g.edge_src], local[g.edge_dst]
+    inside = (src >= 0) & (dst >= 0)
+    roots = members[_component_roots(members.size, src[inside], dst[inside])]
     order = np.argsort(roots, kind="stable")
     breaks = np.flatnonzero(np.diff(roots[order])) + 1
     return [frozenset(piece.tolist()) for piece in np.split(members[order], breaks) if piece.size]
 
 
-def _component_roots(size: int, owner: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Smallest vertex in the component of each of 0..size-1.
+def _component_roots(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Smallest vertex in the component of each of 0..size-1, given each edge once.
 
-    ``owner``/``other`` list every edge in both directions.  Each vertex points
-    to a root no larger than itself.  A round hooks every root onto the smallest
-    root across its edges and shortcuts the pointers.  A round that changes
-    anything lowers a root, so there are at most ``size`` rounds.  On a path
-    only the local minima among the roots stay roots, so the roots halve each
-    round and ceil(log2 size) + 1 rounds suffice.
+    Each vertex points to a root no larger than itself.  A round hooks every
+    root onto the smallest root across its edges, both ways, and shortcuts the
+    pointers.  A round that changes anything lowers a root, so there are at
+    most ``size`` rounds.  On a path only the local minima among the roots stay
+    roots, so the roots halve each round and ceil(log2 size) + 1 rounds suffice.
     """
     root = np.arange(size)
     while True:
         hooked = root.copy()
-        np.minimum.at(hooked, root[owner], root[other])
+        a, b = root[src], root[dst]
+        np.minimum.at(hooked, a, b)
+        np.minimum.at(hooked, b, a)
         while (hooked[hooked] != hooked).any():
             hooked = hooked[hooked]
         if (hooked == root).all():

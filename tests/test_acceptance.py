@@ -26,7 +26,6 @@ from tvconsensus import (
     dual_norm_bruteforce,
     erdos_renyi,
     gossip_limit,
-    harmonic_schedule,
     min_cut,
     perimeter,
     run,
@@ -183,7 +182,7 @@ def test_criterion_06_median_consensus():
     assert np.abs(adm.final_x - median).max() <= 1e-4
 
     sub = run(
-        SubgradientEngine(lam, harmonic_schedule(1.0)), g, x0, objs, roles,
+        SubgradientEngine(lam, gamma0=1.0), g, x0, objs, roles,
         stop=StopRule(max_iterations=2000, disagreement_tol=-1.0, change_tol=-1.0),
         record_every=400,
     )

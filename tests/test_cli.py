@@ -248,6 +248,15 @@ output: {{directory: {tmp_path / "out"}, prefix: bad}}
         )
         assert main(["run", str(cfg_path)]) == 1
 
+    def test_duplicate_stubborn_vertices_are_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "dup.yaml"
+        cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out")
+                            + "stubborn: {vertices: [0, 0], values: [1, 1]}\n")
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: stubborn.vertices: duplicate stubborn vertex ids\n")
+        assert not (tmp_path / "out").exists()
+
     def test_median_run_reaches_median(self, tmp_path):
         cfg_path = tmp_path / "mc.yaml"
         cfg_path.write_text(

@@ -23,7 +23,6 @@ from tvconsensus import (
     disagreement,
     erdos_renyi,
     gossip_limit,
-    harmonic_schedule,
     run,
     tv_norm,
     uniform_gossip_matrix,
@@ -95,9 +94,9 @@ def with_pins(x, roles):
     return x
 
 
-def reference_subgradient_step(g, x, n, objs, lam, schedule):
+def reference_subgradient_step(g, x, n, objs, lam, gamma0):
     """Round n of subgradient descent, recomputing every constant from g."""
-    gamma = schedule(n)
+    gamma = gamma0 / (n + 1.0)
     s = np.sign(x[g.edge_dst] - x[g.edge_src])
     nv = g.n_vertices
     sign_sum = np.bincount(g.edge_src, weights=s, minlength=nv) - np.bincount(
@@ -114,13 +113,13 @@ class ReferenceSubgradientEngine:
 
     def __init__(self, lam):
         self.lam = float(lam)
-        self.schedule = harmonic_schedule()
+        self.gamma0 = 1.0
 
     def start(self, g, objs):
         self.g, self.objs, self.n = g, objs, 0
 
     def step(self, x):
-        x_next = reference_subgradient_step(self.g, x, self.n, self.objs, self.lam, self.schedule)
+        x_next = reference_subgradient_step(self.g, x, self.n, self.objs, self.lam, self.gamma0)
         self.n += 1
         return x_next
 
@@ -300,7 +299,7 @@ class TestEngineContract:
         ref = with_pins(x0, roles)
         for n, x in enumerate(states):
             assert x.tobytes() == ref.tobytes()
-            step = reference_subgradient_step(g, ref, n, objs, 0.3, harmonic_schedule())
+            step = reference_subgradient_step(g, ref, n, objs, 0.3, 1.0)
             ref = with_pins(step, roles)
         assert engine.n == self.STEPS
 
@@ -411,9 +410,10 @@ class TestEngineContract:
 
 class TestSubgradientStep:
     @pytest.mark.parametrize("gamma0", [INF, float("nan"), 0.0, -1.0])
-    def test_harmonic_schedule_rejects_gamma0_outside_zero_to_infinity(self, gamma0):
+    def test_start_rejects_gamma0_outside_zero_to_infinity(self, gamma0):
+        g = complete_graph(3)
         with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
-            harmonic_schedule(gamma0)
+            SubgradientEngine(1.0, gamma0=gamma0).start(g, Quadratic(g, np.zeros(3)))
 
     def test_fixed_point_at_shared_minimum(self):
         g = complete_graph(4)
@@ -429,7 +429,7 @@ class TestSubgradientStep:
         g = Graph(2, [(0, 1)])
         x0 = np.array([0.0, 2.0])
         objs = Quadratic(g, x0)
-        engine = SubgradientEngine(1.0, schedule=lambda n: 0.1)
+        engine = SubgradientEngine(1.0, gamma0=0.1)
         engine.start(g, objs)
         new = engine.step(x0)
         assert np.allclose(new, [0.1, 1.9], atol=1e-15)
@@ -438,7 +438,7 @@ class TestSubgradientStep:
         g = Graph(2, [(0, 1)])
         x = np.array([1.0, 1.0])
         objs = Quadratic(g, np.array([0.0, 2.0]))
-        engine = SubgradientEngine(10.0, schedule=lambda n: 0.5)
+        engine = SubgradientEngine(10.0, gamma0=0.5)
         engine.start(g, objs)
         new = engine.step(x)
         # only the objective pull acts; the edge term vanishes at equality
@@ -605,7 +605,7 @@ class TestAdmmStep:
         ref = with_pins(x0, roles)
         for n, x in enumerate(sub_states):
             assert x.tobytes() == ref.tobytes()
-            ref = with_pins(reference_subgradient_step(g, ref, n, objs, lam, harmonic_schedule()),
+            ref = with_pins(reference_subgradient_step(g, ref, n, objs, lam, 1.0),
                             roles)
 
 
@@ -671,7 +671,7 @@ class TestEngineAgreement:
         sub_graph, kept = g.induced_subgraph(regular)
         anchored = AnchoredQuadratic(
             x_init[list(kept)],
-            [[a for w, a in stubborn.items() if g.has_edge(v, w)] for v in kept],
+            [[a for w, a in stubborn.items() if w in g.neighbors(v)] for v in kept],
             lam,
         )
         reduced = run(
@@ -1031,7 +1031,7 @@ class TestDegenerateGraphs:
         ref = x0.copy()
         for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
             assert np.array_equal(x, ref)
-            ref = with_pins(reference_subgradient_step(g, ref, n, objs, 0.7, harmonic_schedule()),
+            ref = with_pins(reference_subgradient_step(g, ref, n, objs, 0.7, 1.0),
                             roles)
         stop = StopRule(20, NEVER, NEVER)
         assert_same_trajectory(
@@ -1063,7 +1063,7 @@ class TestDegenerateGraphs:
         ref = x0.copy()
         for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
             assert x.tobytes() == ref.tobytes()
-            ref = reference_subgradient_step(g, ref, n, objs, 0.7, harmonic_schedule())
+            ref = reference_subgradient_step(g, ref, n, objs, 0.7, 1.0)
         with pytest.raises(UnsupportedGraphError):
             AdmmEngine(0.7).start(g, objs)
 

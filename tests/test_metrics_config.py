@@ -180,6 +180,7 @@ class TestConfigParsing:
         assert cfg.data.values == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         assert cfg.lam.multiplier == 1.5
         assert cfg.output_dir == "outdir"
+        assert ENGINES["subgradient"](cfg.engines[0], 1.0).gamma0 == 0.5
 
     def test_yaml_syntax_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"
