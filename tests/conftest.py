@@ -4,13 +4,18 @@ import pytest
 from tvconsensus import Graph, build_network, erdos_renyi, min_cut, perimeter
 
 
+MAX_DRAWS = 1000
+
+
 def random_connected_graph(rng: np.random.Generator, n_max: int = 12, p: float = 0.5) -> Graph:
-    """Seeded connected Erdos-Renyi sample by rejection."""
-    while True:
+    """Seeded connected Erdos-Renyi sample by rejection, at most ``MAX_DRAWS`` draws."""
+    for _ in range(MAX_DRAWS):
         n = int(rng.integers(3, n_max + 1))
         g = erdos_renyi(n, p, int(rng.integers(0, 2**31)))
         if g.is_connected:
             return g
+    raise RuntimeError(f"no connected graph in {MAX_DRAWS} draws (n_max={n_max}, p={p}); "
+                       "is Graph.is_connected right?")
 
 
 def mean_zero_field(rng: np.random.Generator, n: int) -> np.ndarray:

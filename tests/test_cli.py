@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from tvconsensus import ac_critical_lambda, complete_graph
 from tvconsensus.cli import main
 from tvconsensus.config import load_config
-from tvconsensus.harness import run_experiment
+from tvconsensus.harness import _median, run_experiment
 
 
 def write_field(path, values):
@@ -188,6 +192,35 @@ class TestRunExperiment:
         assert summary["engines"]["admm"]["converged"]
         csv_text = (tmp_path / "out" / "ac_demo_admm.csv").read_text()
         assert csv_text.startswith("iter,disagreement_log,mean,objective,max_change\n")
+
+    def test_median_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(8)
+        arrays = [np.array([v]) for v in (0.0, -0.0, 2.5)]
+        arrays += [np.array([0.0, -0.0]), np.array([-0.0, 0.0, 1.0]), np.array([1e308, 1e308])]
+        for n in (2, 3, 4, 7, 8, 99, 100):
+            arrays.append(rng.normal(size=n))
+            ties = np.round(rng.normal(size=n))  # whole numbers tie, some at +-0.0
+            ties[rng.random(n) < 0.3] *= -0.0
+            arrays.append(ties)
+        for x in arrays:
+            with np.errstate(over="ignore"):  # both overflow to inf on 1e308 + 1e308
+                got, want = _median(x), float(np.median(x))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+
+    def test_a_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.median's NaN check imports numpy.ma, about 1 MB resident, on first use.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out")
+                            .replace("kind: quadratic", "kind: absolute"))
+        script = ("import sys\n"
+                  "from tvconsensus.config import load_config\n"
+                  "from tvconsensus.harness import run_experiment\n"
+                  f"run_experiment(load_config({str(cfg_path)!r}))\n"
+                  "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)
+        assert json.loads((tmp_path / "out" / "ac_demo_summary.json").read_text())["certificate"]
 
     def test_replay_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

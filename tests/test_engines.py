@@ -28,6 +28,8 @@ from tvconsensus import (
     uniform_gossip_matrix,
 )
 
+from tvconsensus.engines import PYTHON_BLOCK_SIZE
+
 from conftest import random_connected_graph
 from reference_objectives import AnchoredQuadratic
 
@@ -902,14 +904,39 @@ class TestRunDriver:
             run(GossipEngine(), g, x0, Quadratic(g, x0), AgentRoles.none(4),
                 stop=StopRule(3, -1.0, -1.0), metric_lambda=1e308)
 
-    @pytest.mark.parametrize("graph", [complete_graph(3), Graph(3, [(0, 1), (0, 2)])])
-    def test_an_overflowing_state_names_the_engine_and_step(self, graph):
-        # On K3 (ranks) and the star (edges) vertex 0 has sign sum 2, so step 1 overflows.
-        x0 = np.array([0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("record_every", [1, 10])
+    @pytest.mark.parametrize("graph, x0, centres, lam, gamma0, step", [
+        # On K3 (ranks) and the star (edges) vertex 0 has sign sum 2, so 2 * lam overflows.
+        (complete_graph(3), [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1.7e308, 1.0, 1),
+        (Graph(3, [(0, 1), (0, 2)]), [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1.7e308, 1.0, 1),
+        # gamma0 = 1e170 takes x - c from 1e-200 to about 1e-30, then 5e139 (whose rows
+        # stay finite), then past the range: inside a block unless every round is recorded.
+        (cycle_graph(5), [1e-200, -2e-200, 3e-200, 0.0, 5e-200], [0.0] * 5, 0.0, 1e170, 3),
+        (complete_graph(4), [1e-200, -2e-200, 3e-200, 0.0], [0.0] * 4, 1e-300, 1e170, 3),
+        # Too large for the Python-float block: advance loops over step.
+        (complete_graph(12), [1e-200 * (v - 5) for v in range(12)], [0.0] * 12, 1e-300, 1e170, 3),
+    ], ids=["k3", "star", "c5-later-round", "k4-later-round", "k12-later-round"])
+    def test_an_overflowing_state_names_the_engine_and_step(
+            self, graph, x0, centres, lam, gamma0, step, record_every):
+        x0 = np.array(x0)
         with pytest.raises(DomainError,
-                           match="subgradient engine: the state left the finite range at step 1"):
-            run(SubgradientEngine(1.7e308), graph, x0, Quadratic(graph, x0), AgentRoles.none(3),
-                stop=StopRule(3, NEVER, NEVER), metric_lambda=0.0)
+                           match=f"subgradient engine: the state left the finite range at step "
+                                 f"{step} "):
+            run(SubgradientEngine(lam, gamma0), graph, x0, Quadratic(graph, centres),
+                AgentRoles.none(graph.n_vertices), stop=StopRule(20, NEVER, NEVER),
+                record_every=record_every, metric_lambda=0.0)
+
+    def test_integral_float_intervals_give_the_integer_bytes(self):
+        g = complete_graph(7)
+        x0 = np.random.default_rng(2026).uniform(size=7)
+        objs, roles = Quadratic(g, x0), AgentRoles.none(7)
+        lam = 1.25 * ac_critical_lambda(g, x0)
+        whole = run(SubgradientEngine(lam), g, x0, objs, roles,
+                    stop=StopRule(20_000, NEVER, NEVER), record_every=100)
+        floats = run(SubgradientEngine(lam), g, x0, objs, roles,
+                     stop=StopRule(20_000.0, NEVER, NEVER), record_every=100.0)
+        assert_same_trajectory(floats, whole)
+        assert len(floats.iterations) == 201 and type(floats.n_steps) is int
 
 
 # K12, an irregular graph, one vertex and no edges: every layout of the recorder's sums.
@@ -1005,6 +1032,104 @@ class TestLazyChange:
                             record_every=100)
         assert_same_trajectory(traj, ref)
         assert len(traj.iterations) == 201
+
+
+def block_size(g):
+    return g.n_edges + g.n_vertices
+
+
+class TestAdvance:
+    """``advance(x, r)`` gives the bytes of r ``step`` calls, and ``run`` hands it the
+    rounds between recorded rows only where nothing reads them."""
+
+    @staticmethod
+    def scenario(graph, kind, lam):
+        rng = np.random.default_rng(2024)
+        g = contract_graph(graph, rng)
+        x0 = tied_data(rng, g.n_vertices)
+        objective = Quadratic if kind == "quadratic" else Absolute
+        return g, x0, objective(g, x0), SubgradientEngine(lam), SubgradientEngine(lam)
+
+    def test_the_contract_set_has_graphs_on_both_sides_of_the_block_size(self):
+        sizes = {name: block_size(contract_graph(name, np.random.default_rng(2024)))
+                 for name in CONTRACT_GRAPHS}
+        small = {name for name, size in sizes.items() if size <= PYTHON_BLOCK_SIZE}
+        assert {"k2", "k3", "k6", "c9", "petersen", "star"} <= small
+        assert {"k12", "k40"}.isdisjoint(small)
+
+    @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 0.05], ids=["zero", "negative-zero", "0.05"])
+    def test_advance_matches_step_bitwise(self, graph, kind, lam):
+        g, x0, objs, blocked, stepped = self.scenario(graph, kind, lam)
+        blocked.start(g, objs)
+        stepped.start(g, objs)
+        assert (blocked._pairs is not None) == (block_size(g) <= PYTHON_BLOCK_SIZE)
+        x_block, x_step = x0, x0
+        with np.errstate(over="raise", invalid="raise"):
+            for rounds in (1, 6, 0, 93, 200):
+                x_block, done = blocked.advance(x_block, rounds)
+                for _ in range(rounds):
+                    x_step = stepped.step(x_step)
+                assert done == rounds and blocked.n == stepped.n
+                assert x_block.tobytes() == x_step.tobytes()
+        assert blocked.n == 300
+
+    @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
+    def test_record_intervals_agree_on_shared_rows(self, graph, kind):
+        g, x0, objs, _, _ = self.scenario(graph, kind, 0.05)
+        roles, stop = AgentRoles.none(g.n_vertices), StopRule(300, NEVER, NEVER)
+        every = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop)
+        for record_every in (7, 100):
+            traj = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop,
+                       record_every=record_every)
+            rows = traj.iterations
+            assert rows.tolist() == sorted({0, 300, *range(0, 301, record_every)})
+            for name in ("disagreement", "mean", "objective", "max_change"):
+                assert getattr(traj, name).tobytes() == getattr(every, name)[rows].tobytes()
+            assert traj.final_x.tobytes() == every.final_x.tobytes()
+            assert traj.n_steps == 300 and not traj.converged
+
+    def test_a_state_beyond_the_block_bound_is_stepped(self):
+        # |x| sums past 2**1022 on the star, so advance falls back to step, which stays finite.
+        g = Graph(3, [(0, 1), (0, 2)])
+        x0 = np.array([0.0, 1e308, -1e308])
+        blocked, stepped = SubgradientEngine(0.05), SubgradientEngine(0.05)
+        blocked.start(g, Quadratic(g, np.zeros(3)))
+        stepped.start(g, Quadratic(g, np.zeros(3)))
+        assert blocked._pairs is not None
+        with np.errstate(over="raise", invalid="raise"):
+            x_block, done = blocked.advance(x0, 5)
+            x_step = x0
+            for _ in range(5):
+                x_step = stepped.step(x_step)
+        assert done == 5 and x_block.tobytes() == x_step.tobytes()
+
+    def test_plain_engines_advance_by_step(self):
+        g = cycle_graph(6)
+        x0 = np.random.default_rng(3).uniform(size=6)
+        objs = Quadratic(g, x0)
+        for engine in ((AdmmEngine(0.2, 1.3), AdmmEngine(0.2, 1.3)), (GossipEngine(), GossipEngine())):
+            blocked, stepped = engine
+            blocked.start(g, objs)
+            stepped.start(g, objs)
+            x_block, done = blocked.advance(x0, 40)
+            x_step = x0
+            for _ in range(40):
+                x_step = stepped.step(x_step)
+            assert done == 40 and x_block.tobytes() == x_step.tobytes()
+
+    def test_run_steps_every_round_when_a_pin_or_the_stop_rule_reads_it(self):
+        g = cycle_graph(6)
+        x0 = np.random.default_rng(3).uniform(size=6)
+        objs = Quadratic(g, x0)
+        cases = [
+            (AgentRoles.from_pinned(6, {2: 0.4}), StopRule(50, NEVER, NEVER)),
+            (AgentRoles.none(6), StopRule(50, 1e-9, 1e-10)),
+        ]
+        for roles, stop in cases:
+            spy = Spy(SubgradientEngine(0.05))  # a Spy has no advance
+            run(spy, g, x0, objs, roles, stop=stop, record_every=10)
+            assert len(spy.states) == 50
 
 
 class TestDegenerateGraphs:

@@ -283,6 +283,12 @@ class TestComponents:
             connected_components(g, [0.5, 2])
         assert connected_components(g, [0.0, 2]) == [frozenset({0}), frozenset({2})]
 
+    def test_a_wrong_connectivity_flag_fails_the_test_helper(self, monkeypatch, rng):
+        # The rejection sampler gives up with a message instead of redrawing forever.
+        monkeypatch.setattr(Graph, "is_connected", property(lambda g: False))
+        with pytest.raises(RuntimeError, match="no connected graph in 1000 draws"):
+            random_connected_graph(rng)
+
 
 class TestGeneratorsAndIo:
     def test_complete_edge_count(self):
