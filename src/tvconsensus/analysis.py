@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorm import dual_norm_algorithm0
+from .dualnorm import center_field, dual_norm_algorithm0
 from .errors import DomainError, InvalidFieldError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, is_complete
-from .maxflow import center_field, maximize_cut_functional
+from .maxflow import maximize_cut_functional
 from .objectives import Absolute, Quadratic
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
+CERTIFICATE_RTOL = 1e-9  # relative tolerance of certify_consensus_minimizer's verdict
+MEDIAN_PATTERN_MAX_VERTICES = 12  # largest non-complete graph mc_lambda0_exact enumerates
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ def certify_consensus_minimizer(
     objs: Quadratic | Absolute,
     x_star: float,
     lam: float,
-    tol: float = 1e-9,
 ) -> OptimalityCertificate:
     """Decide whether x* times the all-ones field minimizes the regularized energy.
 
@@ -53,11 +54,12 @@ def certify_consensus_minimizer(
     ``u`` is a selection of the box that sums to zero (lo or hi, whichever
     sums nearer zero, if none does); it need not itself lie in the ball.
 
-    ``tol`` is relative, so scaling the data keeps the verdict: the dual gap is
-    held to tol * ||u||_1 and, for a point box, the mean of u to
-    tol * ||u||_inf.  Shifting the data keeps it too: the mean test also allows
-    n * eps * |x*|, the rounding that forming u at the offset x* can leave, and
-    no more.  A non-finite x* or a lam outside (0, inf) raises ``DomainError``.
+    tol = ``CERTIFICATE_RTOL`` is relative, so scaling the data keeps the
+    verdict: the dual gap is held to tol * ||u||_1 and, for a point box, the
+    mean of u to tol * ||u||_inf.  Shifting the data keeps it too: the mean test
+    also allows n * eps * |x*|, the rounding that forming u at the offset x* can
+    leave, and no more.  A non-finite x* or a lam outside (0, inf) raises
+    ``DomainError``.
     """
     if not np.isfinite(x_star):
         raise DomainError(f"x_star must be finite, got {x_star}")
@@ -72,7 +74,7 @@ def certify_consensus_minimizer(
         u = lo.copy()
         mean_u = float(u.mean())
         rounding = u.size * np.finfo(float).eps * abs(float(x_star))
-        if abs(mean_u) > tol * float(np.abs(u).max()) + rounding:
+        if abs(mean_u) > CERTIFICATE_RTOL * float(np.abs(u).max()) + rounding:
             gap = np.inf
         else:
             _, gap = maximize_cut_functional(g, center_field(u), lam)
@@ -82,7 +84,7 @@ def certify_consensus_minimizer(
         t = np.clip(-lo.sum() / (hi - lo).sum(), 0.0, 1.0)
         u = lo + t * (hi - lo)
         mean_u = float(u.mean())
-    verdict = CERTIFIED if gap <= tol * float(np.abs(u).sum()) else VIOLATED
+    verdict = CERTIFIED if gap <= CERTIFICATE_RTOL * float(np.abs(u).sum()) else VIOLATED
     return OptimalityCertificate(
         x_star=float(x_star), u=u, mean_u=mean_u, dual_gap=float(gap), verdict=verdict
     )
@@ -115,7 +117,7 @@ def mc_lambda0_upper(g: Graph) -> float:
     return n / (2.0 * n - 2.0)
 
 
-def mc_lambda0_exact(g: Graph, max_vertices: int = 12) -> float:
+def mc_lambda0_exact(g: Graph) -> float:
     """Worst-case dual norm over all placements of the median sign pattern.
 
     On a complete graph every placement is equivalent under relabeling, so a
@@ -123,7 +125,7 @@ def mc_lambda0_exact(g: Graph, max_vertices: int = 12) -> float:
     of size k holds at most h(k) = min(k, p) - max(0, k - p - z) of the
     pattern's mass (p entries +1, z entries 0), so the answer is the largest
     h(|A|) / per(A) over proper nonempty A.  The subsets are enumerated, which
-    is capped by ``max_vertices``.
+    is capped by ``MEDIAN_PATTERN_MAX_VERTICES``.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("need a connected graph")
@@ -131,9 +133,9 @@ def mc_lambda0_exact(g: Graph, max_vertices: int = 12) -> float:
     pattern = median_sign_pattern(n)
     if is_complete(g):
         return dual_norm_algorithm0(g, pattern).value
-    if n > max_vertices:
+    if n > MEDIAN_PATTERN_MAX_VERTICES:
         raise SizeCapError(
-            f"pattern enumeration capped at {max_vertices} vertices, got {n}"
+            f"pattern enumeration capped at {MEDIAN_PATTERN_MAX_VERTICES} vertices, got {n}"
         )
     p, z = int(np.count_nonzero(pattern > 0)), int(np.count_nonzero(pattern == 0))
     masks = np.arange(1, 2**n - 1)

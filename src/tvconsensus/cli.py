@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import analysis
 from .config import GENERATORS, OBJECTIVES, GraphConfig, build_graph, load_config, reads_file
 from .dualnorm import dual_norm_algorithm0
 from .errors import IterationAnomalyError, TvConsensusError
 from .graph import load_edge_list, read_node_field, save_edge_list
 from .harness import run_experiment
-from .maxflow import center_field
 
 
 def _cmd_run(args) -> int:
@@ -36,8 +33,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_dualnorm(args) -> int:
     g = load_edge_list(args.graph)
-    u = read_node_field(args.field, g.n_vertices)
-    result = dual_norm_algorithm0(g, center_field(u) if args.center else u)
+    result = dual_norm_algorithm0(g, read_node_field(args.field))
     print(f"dual_norm = {result.value:.12g}")
     print(f"witness = {sorted(result.witness_subset)}")
     print(f"iterations = {result.iterations}")
@@ -49,14 +45,14 @@ def _cmd_dualnorm(args) -> int:
 
 def _cmd_critical_lambda(args) -> int:
     g = load_edge_list(args.graph)
-    x0 = read_node_field(args.field, g.n_vertices)
+    x0 = read_node_field(args.field)
     print(f"critical_lambda = {analysis.ac_critical_lambda(g, x0):.12g}")
     return 0
 
 
 def _cmd_certify(args) -> int:
     g = load_edge_list(args.graph)
-    x0 = read_node_field(args.x0, g.n_vertices)
+    x0 = read_node_field(args.x0)
     objs = OBJECTIVES[args.kind](g, x0)
     cert = analysis.certify_consensus_minimizer(g, objs, args.x_star, args.lam)
     print(f"verdict = {cert.verdict}")
@@ -66,7 +62,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_predict_stubborn(args) -> int:
-    x0_regular = np.loadtxt(args.x0r, ndmin=1)
+    x0_regular = read_node_field(args.x0r)
     graph_regular = load_edge_list(args.graph) if args.graph else None
     prediction = analysis.stubborn_limit(
         x0_regular, a=args.a, lam=args.lam, s_count=args.s_count,
@@ -104,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dualnorm", help="dual norm of a node field")
     p.add_argument("--graph", required=True, help="edge list file")
-    p.add_argument("--field", required=True, help="node field file, one value per line")
-    p.add_argument("--center", action="store_true",
-                   help="subtract the mean before computing the norm")
+    p.add_argument("--field", required=True, help="mean-zero node field file, one value per line")
     p.set_defaults(func=_cmd_dualnorm)
 
     p = sub.add_parser("critical-lambda",

@@ -16,10 +16,33 @@ import numpy as np
 
 from .errors import DomainError, IterationAnomalyError, SizeCapError, UnsupportedGraphError
 from .graph import Graph, check_node_field, connected_components, perimeter
-from .maxflow import is_mean_zero, maximize_cut_functional
+from .maxflow import maximize_cut_functional
 
 # Relative stagnation tolerance on the ratio sequence.
 RATIO_STAGNATION_RTOL = 1e-12
+
+# Largest |sum(u)| / sum(|u|) accepted as "mean zero".
+MEAN_ZERO_TOL = 1e-12
+
+BRUTEFORCE_MAX_VERTICES = 16  # largest graph dual_norm_bruteforce enumerates
+
+
+def is_mean_zero(u: np.ndarray) -> bool:
+    return abs(float(u.sum())) <= MEAN_ZERO_TOL * float(np.abs(u).sum())
+
+
+def center_field(u: np.ndarray) -> np.ndarray:
+    """Subtract the mean of u so that it passes the mean-zero test.
+
+    With a large offset (data near 1e6, spread near 1) one subtraction leaves
+    a rounding residue above the tolerance, so the residual mean is taken out
+    a second time.  Only then: repeating it on already-centered data would
+    move the last bit of the field and of every level computed from it.
+    """
+    centered = u - u.mean()
+    if not is_mean_zero(centered):
+        centered = centered - centered.mean()
+    return centered
 
 
 @dataclass(frozen=True)
@@ -100,7 +123,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     )
 
 
-def dual_norm_bruteforce(g: Graph, u, max_vertices: int = 16) -> DualNormResult:
+def dual_norm_bruteforce(g: Graph, u) -> DualNormResult:
     """Dual norm by enumerating connected subsets of size at most |V|/2.
 
     Restricting to connected subsets no larger than half the graph loses
@@ -110,8 +133,10 @@ def dual_norm_bruteforce(g: Graph, u, max_vertices: int = 16) -> DualNormResult:
     _require_connected(g)
     u = check_node_field(g, u)
     n = g.n_vertices
-    if n > max_vertices:
-        raise SizeCapError(f"exhaustive enumeration capped at {max_vertices} vertices, got {n}")
+    if n > BRUTEFORCE_MAX_VERTICES:
+        raise SizeCapError(
+            f"exhaustive enumeration capped at {BRUTEFORCE_MAX_VERTICES} vertices, got {n}"
+        )
     if not np.any(u):
         return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 

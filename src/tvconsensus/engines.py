@@ -2,20 +2,18 @@
 
 Every engine advances a full round at a time: the update of each vertex reads
 only round-n values of its neighbors, so per-vertex updates inside a round
-are independent.  An engine is three calls: ``start(g, objs)`` checks its
-parameters and precomputes its constants, ``step(x)`` returns x(n + 1) as a
-new array, and ``advance(x, rounds)`` takes up to ``rounds`` rounds and returns
-the last state and the number taken.  Pinned (stubborn) agents are a property
-of the network, not of the engine: ``run`` validates x(0) and the roles, writes
-the pinned values into x(0), and writes them again into every state an engine
-returns.
+are independent.  An engine is two calls: ``start(g, objs)`` checks its
+parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
+a new array.  Pinned (stubborn) agents are a property of the network, not of
+the engine: ``run`` validates x(0) and the roles, writes the pinned values into
+x(0), and writes them again into every state an engine returns.
 
 When no agent is pinned and the stop rule cannot fire, nothing reads the rounds
-strictly between two recorded rows, so ``run`` hands each such stretch to
-``advance`` and steps only the recorded rounds.  ADMM and gossip advance by a
-plain loop over ``step``.  On a graph whose edge and vertex counts add up to at
-most ``PYTHON_BLOCK_SIZE`` the subgradient engine advances on Python floats,
-with ``step``'s IEEE operations in ``step``'s order, so both give the same bytes.
+strictly between two recorded rows, so ``run`` hands each such stretch to the
+engine's ``advance(x, rounds)``, if it has one, and steps the rest.  Only the
+subgradient engine has one: on a graph whose edge and vertex counts add up to
+at most ``PYTHON_BLOCK_SIZE`` it takes the rounds on Python floats, with
+``step``'s IEEE operations in ``step``'s order, so both give the same bytes.
 
 The subgradient and ADMM engines sum over the directed neighbour pairs
 (talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
@@ -167,21 +165,6 @@ def _within_block_bound(values: list[float]) -> bool:
     return sum(map(abs, values)) <= _BLOCK_BOUND  # False for inf and NaN
 
 
-class _PlainRounds:
-    def advance(self, x: np.ndarray, rounds: int) -> tuple[np.ndarray, int]:
-        """Take up to ``rounds`` rounds by ``step``; return the last state and the count.
-
-        A round whose arithmetic raises FloatingPointError is not taken, so the
-        caller can replay it through ``step`` and name it.
-        """
-        for done in range(rounds):
-            try:
-                x = self.step(x)
-            except FloatingPointError:
-                return x, done
-        return x, rounds
-
-
 @dataclass
 class Trajectory:
     """Recorded per-iteration metrics of one engine run."""
@@ -196,7 +179,7 @@ class Trajectory:
     n_steps: int
 
 
-class SubgradientEngine(_PlainRounds):
+class SubgradientEngine:
     """Descent on the regularized energy with steps gamma_n = gamma0 / (n + 1).
 
     The steps have a divergent sum and summable squares.  Each regular vertex
@@ -245,14 +228,15 @@ class SubgradientEngine(_PlainRounds):
         return x_next
 
     def advance(self, x: np.ndarray, rounds: int) -> tuple[np.ndarray, int]:
-        """Take up to ``rounds`` rounds; return the last state and the count.
+        """Take up to ``rounds`` rounds on Python floats; return the last state and the count.
 
-        On a small graph the rounds run on Python floats: integer counts of the
-        neighbours above minus below, and ``step``'s own operations in its order
-        (np.sign(x - c) is 0 exactly when x == c).
+        Integer counts of the neighbours above minus below, and ``step``'s own operations in
+        its order (np.sign(x - c) is 0 exactly when x == c).  No round is taken above
+        ``PYTHON_BLOCK_SIZE``, for another objective type or from a state beyond
+        ``_BLOCK_BOUND``, and the block stops before a round that would leave the bound.
         """
         if self._pairs is None or not _within_block_bound(xs := x.tolist()):
-            return super().advance(x, rounds)
+            return x, 0
         pairs, cs, lam, n = self._pairs, self._centers, self.lam, self.n
         for _ in range(rounds):
             gamma = self.gamma0 / (n + 1.0)
@@ -277,7 +261,7 @@ class SubgradientEngine(_PlainRounds):
         return np.array(xs), done
 
 
-class AdmmEngine(_PlainRounds):
+class AdmmEngine:
     """ADMM rounds: project the multipliers, then apply the proximal map.
 
     ``mu`` holds one private scalar per directed neighbor pair (w, v), owned
@@ -362,7 +346,7 @@ class AdmmEngine(_PlainRounds):
         return x_next
 
 
-class GossipEngine(_PlainRounds):
+class GossipEngine:
     """Repeated multiplication by the uniform gossip matrix of the graph."""
 
     name = "gossip"
@@ -399,7 +383,8 @@ def run(
     [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
     the initial metrics with zero change; the final iteration is always
     recorded.  A state or a row metric that overflows or turns NaN raises
-    ``DomainError``.
+    ``DomainError``.  Without pins or a stop rule that can fire, the rounds
+    between rows go to the engine's ``advance``, if any; ``run`` steps the rest.
     """
     if not (record_every >= 1 and float(record_every).is_integer()):
         raise ValueError(f"record_every must be a whole number of at least 1, got {record_every}")
@@ -440,7 +425,8 @@ def run(
     # Change and disagreement are >= 0, so a tolerance <= 0 is never met.
     can_settle = stop.change_tol > 0.0 and stop.disagreement_tol > 0.0
     # Without pins or a stop rule that can fire, nothing reads a round between two rows.
-    quiet = not (pinned or can_settle)
+    advance = getattr(engine, "advance", None)
+    quiet = advance is not None and not (pinned or can_settle)
     converged = False
     k = 0
     try:
@@ -451,7 +437,7 @@ def run(
                     rounds = min((k // record_every + 1) * record_every, max_iterations) - 1 - k
                     if rounds > 0:
                         # A round the engine did not take is stepped below, and raises there.
-                        x, done = engine.advance(x, rounds)
+                        x, done = advance(x, rounds)
                         k += done
                 k += 1
                 try:

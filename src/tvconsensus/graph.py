@@ -246,8 +246,9 @@ def save_edge_list(g: Graph, path: str) -> None:
             fh.write(f"{v} {w}\n")
 
 
-def read_node_field(path: str, n_vertices: int) -> np.ndarray:
-    """Read a node field from text: one value per line, ``#`` starts a comment."""
+def read_node_field(path: str) -> np.ndarray:
+    """Read a node field from text: one value per line, ``#`` starts a comment.
+    The values must be finite; the caller checks their count against its graph."""
     values: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -258,10 +259,6 @@ def read_node_field(path: str, n_vertices: int) -> np.ndarray:
                 values.append(float(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: expected a number, got {raw!r}") from exc
-    if len(values) != n_vertices:
-        raise InvalidFieldError(
-            f"{path}: expected {n_vertices} values, found {len(values)}"
-        )
     x = np.array(values, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidFieldError(f"{path}: values must be finite")

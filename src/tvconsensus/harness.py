@@ -14,11 +14,10 @@ import numpy as np
 
 from . import analysis
 from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_initial_data
-from .dualnorm import dual_norm_algorithm0
+from .dualnorm import center_field, dual_norm_algorithm0
 from .engines import AgentRoles, GossipEngine, Trajectory, run
 from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
 from .graph import Graph
-from .maxflow import center_field
 # perfbench/tracer.py wraps harness.metrics_from_trajectory by name, so the import stays.
 from .metrics import emit_csv, metrics_from_trajectory  # noqa: F401
 from .objectives import Quadratic

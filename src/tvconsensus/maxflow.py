@@ -31,27 +31,6 @@ from .graph import Graph, check_node_field, is_complete, perimeter
 # Residual capacities at or below this fraction of the largest one count as saturated.
 RESIDUAL_EPS = 1e-12
 
-# Largest |sum(u)| / sum(|u|) accepted as "mean zero".
-MEAN_ZERO_TOL = 1e-12
-
-
-def is_mean_zero(u: np.ndarray) -> bool:
-    return abs(float(u.sum())) <= MEAN_ZERO_TOL * float(np.abs(u).sum())
-
-
-def center_field(u: np.ndarray) -> np.ndarray:
-    """Subtract the mean of u so that it passes the mean-zero test.
-
-    With a large offset (data near 1e6, spread near 1) one subtraction leaves
-    a rounding residue above the tolerance, so the residual mean is taken out
-    a second time.  Only then: repeating it on already-centered data would
-    move the last bit of the field and of every level computed from it.
-    """
-    centered = u - u.mean()
-    if not is_mean_zero(centered):
-        centered = centered - centered.mean()
-    return centered
-
 
 def _check_cut_problem(lam: float) -> None:
     if not 0.0 < lam < np.inf:

@@ -3,8 +3,8 @@
 Byte output is deterministic for fixed input: floats use 17 significant
 digits (exact round trip), the disagreement column stores the natural log
 with the literal string ``-inf`` when the disagreement is exactly zero.  A
-``Trajectory`` is written from its columns, without a ``MetricsRow`` per row,
-through the same line formatter as a list of rows.
+``Trajectory`` is written from its columns, without a ``MetricsRow`` per row;
+``parse_csv`` reads the rows back.
 """
 
 from __future__ import annotations
@@ -43,20 +43,15 @@ def _line(iteration, disagreement_log, mean, objective, max_change) -> str:
     return f"{iteration},{disagreement_log:.17g},{mean:.17g},{objective:.17g},{max_change:.17g}"
 
 
-def render_csv(rows: list[MetricsRow] | Trajectory) -> str:
-    """The CSV text of metrics rows, or of a trajectory's rows without building them."""
-    if isinstance(rows, Trajectory):
-        lines = map(_line, *_columns(rows))
-    else:
-        lines = (_line(r.iteration, r.disagreement_log, r.mean, r.objective, r.max_change)
-                 for r in rows)
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+def render_csv(traj: Trajectory) -> str:
+    """The CSV text of a trajectory's rows, written from its columns."""
+    return "\n".join([CSV_HEADER, *map(_line, *_columns(traj))]) + "\n"
 
 
-def emit_csv(rows: list[MetricsRow] | Trajectory, path: str) -> None:
+def emit_csv(traj: Trajectory, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_csv(rows))
+            fh.write(render_csv(traj))
     except OSError as exc:
         raise OSError(f"cannot write metrics to {path}: {exc}") from exc
 

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorm import dual_norm_algorithm0
+from .dualnorm import center_field, dual_norm_algorithm0
 from .errors import UnsupportedGraphError
 from .graph import Graph, check_node_field, perimeter
-from .maxflow import center_field
+
+DUAL_CERTIFICATE_TOL = 1e-9  # the tol of each of is_dual_certificate's three tests
 
 
 def tv_norm(g: Graph, x) -> float:
@@ -62,21 +63,21 @@ def coarea_decompose(g: Graph, x) -> LevelSetDecomposition:
     )
 
 
-def is_dual_certificate(g: Graph, u, x, tol: float = 1e-9) -> bool:
+def is_dual_certificate(g: Graph, u, x) -> bool:
     """Check that u is a subgradient of the TV norm at x.
 
     Requires mean(u) close to zero, dual norm at most 1 + tol, and the pairing
     <u, x - min(x)> (equal to <u, x> for mean-zero u, without the offset of x)
-    to match tv_norm(x) within tol * tv_norm(x).  Raises ``IterationAnomalyError``
-    if the dual norm's ratio iteration hit its bound.
+    to match tv_norm(x) within tol * tv_norm(x), tol = ``DUAL_CERTIFICATE_TOL``.
+    Raises ``IterationAnomalyError`` if the dual norm's ratio iteration hit its bound.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("dual certificates need a connected graph")
     u = check_node_field(g, u)
     x = check_node_field(g, x)
-    if abs(float(u.mean())) > tol:
+    if abs(float(u.mean())) > DUAL_CERTIFICATE_TOL:
         return False
-    if dual_norm_algorithm0(g, center_field(u)).checked_value() > 1.0 + tol:
+    if dual_norm_algorithm0(g, center_field(u)).checked_value() > 1.0 + DUAL_CERTIFICATE_TOL:
         return False
     tv = tv_norm(g, x)
-    return abs(float(u @ (x - x.min())) - tv) <= tol * tv
+    return abs(float(u @ (x - x.min())) - tv) <= DUAL_CERTIFICATE_TOL * tv

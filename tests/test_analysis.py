@@ -35,7 +35,7 @@ from tvconsensus import (
 
 from tvconsensus import analysis, maxflow
 from tvconsensus.analysis import CERTIFIED, VIOLATED, median_sign_pattern
-from tvconsensus.maxflow import center_field
+from tvconsensus.dualnorm import center_field
 
 from conftest import random_connected_graph
 from reference_objectives import reference_subgradient_box

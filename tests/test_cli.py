@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,23 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err.startswith("error: lam must be positive and finite")
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.1 0.2 0.3\n", "expected a number"),  # one line holding three values
+        ("0.1 0.2\n0.3 0.4\n", "expected a number"),  # two columns
+        ("", "need a nonempty vector"),
+    ], ids=["one-line", "two-columns", "empty"])
+    def test_predict_stubborn_reads_the_node_field_format(self, tmp_path, capsys, text, message):
+        xpath = tmp_path / "x0r.txt"
+        xpath.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict-stubborn", "--x0r", str(xpath), "--a", "10", "--lam", "0.05",
+                         "--s-count", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_certify_rejects_non_finite_x_star_and_bad_lambda(self, tmp_path, capsys):
         gpath = tmp_path / "p3.txt"
         main(["gen-graph", "path", "--n", "3", "-o", str(gpath)])
@@ -138,8 +156,9 @@ class TestSubcommands:
         main(["gen-graph", "path", "--n", "3", "-o", str(gpath)])
         upath = tmp_path / "u.txt"
         write_field(upath, [1.0, -1.0])  # wrong length
-        assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 1
         capsys.readouterr()
+        assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 1
+        assert "node field must have length 3, got shape (2,)" in capsys.readouterr().err
 
     def test_malformed_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"

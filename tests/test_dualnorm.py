@@ -15,7 +15,7 @@ from tvconsensus import (
     path_graph,
 )
 from tvconsensus import dualnorm
-from tvconsensus.maxflow import center_field
+from tvconsensus.dualnorm import center_field
 
 from conftest import dinic_maximize_cut_functional, mean_zero_field, random_connected_graph
 

@@ -913,7 +913,7 @@ class TestRunDriver:
         # stay finite), then past the range: inside a block unless every round is recorded.
         (cycle_graph(5), [1e-200, -2e-200, 3e-200, 0.0, 5e-200], [0.0] * 5, 0.0, 1e170, 3),
         (complete_graph(4), [1e-200, -2e-200, 3e-200, 0.0], [0.0] * 4, 1e-300, 1e170, 3),
-        # Too large for the Python-float block: advance loops over step.
+        # Too large for the Python-float block: run steps every round.
         (complete_graph(12), [1e-200 * (v - 5) for v in range(12)], [0.0] * 12, 1e-300, 1e170, 3),
     ], ids=["k3", "star", "c5-later-round", "k4-later-round", "k12-later-round"])
     def test_an_overflowing_state_names_the_engine_and_step(
@@ -1039,8 +1039,8 @@ def block_size(g):
 
 
 class TestAdvance:
-    """``advance(x, r)`` gives the bytes of r ``step`` calls, and ``run`` hands it the
-    rounds between recorded rows only where nothing reads them."""
+    """``advance(x, r)`` gives the bytes of r ``step`` calls or takes no round, and
+    ``run`` hands it the rounds between recorded rows only where nothing reads them."""
 
     @staticmethod
     def scenario(graph, kind, lam):
@@ -1063,7 +1063,10 @@ class TestAdvance:
         g, x0, objs, blocked, stepped = self.scenario(graph, kind, lam)
         blocked.start(g, objs)
         stepped.start(g, objs)
-        assert (blocked._pairs is not None) == (block_size(g) <= PYTHON_BLOCK_SIZE)
+        if block_size(g) > PYTHON_BLOCK_SIZE:
+            x_block, done = blocked.advance(x0, 5)  # run steps the rounds instead
+            assert done == 0 and blocked.n == 0 and x_block.tobytes() == x0.tobytes()
+            return
         x_block, x_step = x0, x0
         with np.errstate(over="raise", invalid="raise"):
             for rounds in (1, 6, 0, 93, 200):
@@ -1090,33 +1093,23 @@ class TestAdvance:
             assert traj.n_steps == 300 and not traj.converged
 
     def test_a_state_beyond_the_block_bound_is_stepped(self):
-        # |x| sums past 2**1022 on the star, so advance falls back to step, which stays finite.
+        # |x| sums past 2**1022 on the star, so advance takes no round and run steps them.
+        # A consensus state and the absolute objective keep every row finite.
         g = Graph(3, [(0, 1), (0, 2)])
-        x0 = np.array([0.0, 1e308, -1e308])
-        blocked, stepped = SubgradientEngine(0.05), SubgradientEngine(0.05)
-        blocked.start(g, Quadratic(g, np.zeros(3)))
-        stepped.start(g, Quadratic(g, np.zeros(3)))
+        x0, objs = np.full(3, 2e307), Absolute(g, np.full(3, 1e307))
+        blocked = SubgradientEngine(0.05)
+        blocked.start(g, objs)
         assert blocked._pairs is not None
-        with np.errstate(over="raise", invalid="raise"):
-            x_block, done = blocked.advance(x0, 5)
-            x_step = x0
-            for _ in range(5):
-                x_step = stepped.step(x_step)
-        assert done == 5 and x_block.tobytes() == x_step.tobytes()
-
-    def test_plain_engines_advance_by_step(self):
-        g = cycle_graph(6)
-        x0 = np.random.default_rng(3).uniform(size=6)
-        objs = Quadratic(g, x0)
-        for engine in ((AdmmEngine(0.2, 1.3), AdmmEngine(0.2, 1.3)), (GossipEngine(), GossipEngine())):
-            blocked, stepped = engine
-            blocked.start(g, objs)
-            stepped.start(g, objs)
-            x_block, done = blocked.advance(x0, 40)
-            x_step = x0
-            for _ in range(40):
-                x_step = stepped.step(x_step)
-            assert done == 40 and x_block.tobytes() == x_step.tobytes()
+        x_block, done = blocked.advance(x0, 5)
+        assert done == 0 and blocked.n == 0 and x_block.tobytes() == x0.tobytes()
+        roles, stop = AgentRoles.none(3), StopRule(20, NEVER, NEVER)
+        every = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop)
+        fifth = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop, record_every=5)
+        rows = fifth.iterations
+        assert rows.tolist() == [0, 5, 10, 15, 20]
+        for name in ("disagreement", "mean", "objective", "max_change"):
+            assert getattr(fifth, name).tobytes() == getattr(every, name)[rows].tobytes()
+        assert fifth.final_x.tobytes() == every.final_x.tobytes()
 
     def test_run_steps_every_round_when_a_pin_or_the_stop_rule_reads_it(self):
         g = cycle_graph(6)

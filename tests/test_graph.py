@@ -344,7 +344,7 @@ class TestGeneratorsAndIo:
     def test_node_field_file(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("# header\n0.5\n1.25\n-3\n")
-        x = read_node_field(str(path), 3)
-        assert x.tolist() == [0.5, 1.25, -3.0]
-        with pytest.raises(InvalidFieldError):
-            read_node_field(str(path), 4)
+        assert read_node_field(str(path)).tolist() == [0.5, 1.25, -3.0]
+        path.write_text("0.5\ninf\n")
+        with pytest.raises(InvalidFieldError, match="values must be finite"):
+            read_node_field(str(path))

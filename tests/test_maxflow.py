@@ -16,7 +16,7 @@ from tvconsensus import (
     perimeter,
 )
 from tvconsensus.analysis import median_sign_pattern
-from tvconsensus.maxflow import center_field
+from tvconsensus.dualnorm import center_field
 
 from conftest import dinic_maximize_cut_functional, mean_zero_field, random_connected_graph
 

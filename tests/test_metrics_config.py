@@ -28,41 +28,55 @@ from tvconsensus.config import (
 from tvconsensus.metrics import CSV_HEADER, render_csv
 
 
+def trajectory(*rows):
+    """A trajectory whose rows are (iteration, disagreement, mean, objective, max_change)."""
+    its, dis, means, objective, change = zip(*rows) if rows else ((),) * 5
+    return Trajectory(
+        iterations=np.array(its, dtype=int),
+        disagreement=np.array(dis, dtype=float),
+        mean=np.array(means, dtype=float),
+        objective=np.array(objective, dtype=float),
+        max_change=np.array(change, dtype=float),
+        final_x=np.zeros(2),
+        converged=False,
+        n_steps=its[-1] if its else 0,
+    )
+
+
 class TestMetricsCsv:
     def test_empty_trajectory_is_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
-        emit_csv([], str(path))
+        emit_csv(trajectory(), str(path))
         assert path.read_text() == CSV_HEADER + "\n"
         assert parse_csv(str(path)) == []
 
     def test_single_row(self, tmp_path):
-        row = MetricsRow(0, -math.inf, 0.5, 1.25, 0.0)
         path = tmp_path / "m.csv"
-        emit_csv([row], str(path))
+        emit_csv(trajectory((0, 0.0, 0.5, 1.25, 0.0)), str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("0,-inf,0.5,")
 
     def test_round_trip_identity(self, tmp_path):
-        rows = [
-            MetricsRow(0, -math.inf, 0.5, 1.25, 0.0),
-            MetricsRow(7, math.log(1.234e-8), -1.0 / 3.0, 2.0**-40, 3.14159e-300),
-            MetricsRow(100000, 0.0, 1e308, 0.1 + 0.2, 5e-324),
-        ]
+        traj = trajectory(
+            (0, 0.0, 0.5, 1.25, 0.0),
+            (7, 1.234e-8, -1.0 / 3.0, 2.0**-40, 3.14159e-300),
+            (100000, 1.0, 1e308, 0.1 + 0.2, 5e-324),
+        )
         path = tmp_path / "m.csv"
-        emit_csv(rows, str(path))
-        assert parse_csv(str(path)) == rows
+        emit_csv(traj, str(path))
+        assert parse_csv(str(path)) == metrics_from_trajectory(traj)
+        assert parse_csv(str(path))[2] == MetricsRow(100000, 0.0, 1e308, 0.1 + 0.2, 5e-324)
 
     def test_deterministic_bytes(self, tmp_path):
-        rows = [MetricsRow(k, float(np.log(k + 1.5)), k * 0.1, k * 1.1, 1e-9) for k in range(50)]
+        traj = trajectory(*((k, k + 1.5, k * 0.1, k * 1.1, 1e-9) for k in range(50)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(rows, str(a))
-        emit_csv(rows, str(b))
+        emit_csv(traj, str(a))
+        emit_csv(traj, str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_render_uses_17_significant_digits(self):
-        rows = [MetricsRow(1, 0.1, 0.1, 0.1, 0.1)]
-        out = render_csv(rows)
+        out = render_csv(trajectory((1, 1.0, 0.1, 0.1, 0.1)))
         assert "0.10000000000000001" in out
 
     def test_parse_rejects_bad_header(self, tmp_path):
@@ -72,30 +86,24 @@ class TestMetricsCsv:
             parse_csv(str(path))
 
     def test_trajectory_path_writes_the_bytes_of_its_rows(self, tmp_path):
-        traj = Trajectory(
-            iterations=np.array([0, 1, 2, 3, 10**6]),
-            # 0.0 is written -inf; then a subnormal, a 17-digit value and a large one.
-            disagreement=np.array([0.0, 5e-324, 0.1 + 0.2, 1.0, 1e308]),
-            mean=np.array([-0.0, 0.0, 1.0 / 3.0, -2.0**-1074, 123456789.01234567]),
-            objective=np.array([1e-310, -0.0, 2.0 / 3.0, 1e300, 0.1]),
-            max_change=np.array([0.0, 5e-324, -0.0, np.nextafter(1.0, 2.0), 3.14159e-300]),
-            final_x=np.zeros(2),
-            converged=False,
-            n_steps=10**6,
+        # 0.0 is written -inf; then a subnormal, a 17-digit value and a large one.
+        traj = trajectory(
+            (0, 0.0, -0.0, 1e-310, 0.0),
+            (1, 5e-324, 0.0, -0.0, 5e-324),
+            (2, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0, -0.0),
+            (3, 1.0, -2.0**-1074, 1e300, np.nextafter(1.0, 2.0)),
+            (10**6, 1e308, 123456789.01234567, 0.1, 3.14159e-300),
         )
-        rows = metrics_from_trajectory(traj)
-        assert render_csv(traj) == render_csv(rows)
-        direct, via_rows = tmp_path / "direct.csv", tmp_path / "rows.csv"
-        emit_csv(traj, str(direct))
-        emit_csv(rows, str(via_rows))
-        assert direct.read_bytes() == via_rows.read_bytes()
-        lines = direct.read_text().splitlines()
+        path = tmp_path / "m.csv"
+        emit_csv(traj, str(path))
+        assert path.read_text() == render_csv(traj)
+        lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1] == "0,-inf,-0,9.9999999999999694e-311,0"
         assert lines[2] == "1,-744.44007192138122,0,-0,4.9406564584124654e-324"
-        parsed = parse_csv(str(direct))
-        assert [[repr(v) for v in vars(r).values()] for r in parsed] == [
-            [repr(v) for v in vars(r).values()] for r in rows
+        # repr tells -0.0 from 0.0, which == does not.
+        assert [[repr(v) for v in vars(r).values()] for r in parse_csv(str(path))] == [
+            [repr(v) for v in vars(r).values()] for r in metrics_from_trajectory(traj)
         ]
 
 
