@@ -23,7 +23,6 @@ from .dualnorm import (
 )
 from .engines import (
     AdmmEngine,
-    AgentRoles,
     GossipEngine,
     StopRule,
     SubgradientEngine,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Absolute",
     "AdmmEngine",
-    "AgentRoles",
     "AssumptionError",
     "ConfigError",
     "CutResult",

@@ -155,8 +155,8 @@ CLIPPED_LOW = "clipped_low"
 class StubbornPrediction:
     """Closed-form consensus limit under an all-to-all pinned coalition.
 
-    ``lambda_ok`` reports the regularity precondition on the regular agents'
-    data when a graph was supplied for checking (None means unchecked); the
+    ``lambda_ok`` reports whether lam is at least the critical level of the
+    regular agents' data, when that level was given (None means unchecked); the
     prediction never leaves [mean - margin, mean + margin].
     """
 
@@ -172,13 +172,14 @@ def stubborn_limit(
     a: float,
     lam: float,
     s_count: int,
-    graph_regular: Graph | None = None,
+    critical_level: float | None = None,
 ) -> StubbornPrediction:
     """Predict the consensus value when s_count pinned agents hold value a.
 
     Valid when every pinned agent neighbors every regular agent and lam is at
-    least the critical level of the regular data on the regular subgraph; pass
-    that subgraph to have the precondition checked.
+    least ``critical_level``, the critical level of the regular data on the
+    regular subgraph (``ac_critical_lambda``); pass it to have the
+    precondition checked.
     """
     x0_regular = np.asarray(x0_regular, dtype=float)
     if x0_regular.ndim != 1 or x0_regular.size == 0:
@@ -193,13 +194,7 @@ def stubborn_limit(
         raise ValueError(f"s_count must be a whole number of at least 1, got {s_count}")
     mean = float(x0_regular.mean())
     margin = lam * s_count
-
-    lambda_ok: bool | None = None
-    if graph_regular is not None:
-        if graph_regular.n_vertices != x0_regular.size:
-            raise ValueError("regular graph does not match the regular data")
-        lambda_ok = lam >= ac_critical_lambda(graph_regular, x0_regular)
-
+    lambda_ok = None if critical_level is None else lam >= critical_level
     if abs(mean - a) <= margin:
         x_star, case = float(a), PULLED_TO_ANCHOR
     elif mean + margin < a:

@@ -63,10 +63,11 @@ def _cmd_certify(args) -> int:
 
 def _cmd_predict_stubborn(args) -> int:
     x0_regular = read_node_field(args.x0r)
-    graph_regular = load_edge_list(args.graph) if args.graph else None
+    critical_level = (
+        analysis.ac_critical_lambda(load_edge_list(args.graph), x0_regular) if args.graph else None
+    )
     prediction = analysis.stubborn_limit(
-        x0_regular, a=args.a, lam=args.lam, s_count=args.s_count,
-        graph_regular=graph_regular,
+        x0_regular, a=args.a, lam=args.lam, s_count=args.s_count, critical_level=critical_level,
     )
     print(f"x_star = {prediction.x_star:.12g}")
     print(f"case = {prediction.case}")

@@ -89,6 +89,8 @@ class GraphConfig:
             _require(bool(self.path), f"{where}.path", f"{self.generator} graphs need a file path")
             return GraphConfig(generator=self.generator, path=self.path)
         _require(self.n >= 1, f"{where}.n", "need a positive vertex count")
+        _require(self.generator != "cycle" or self.n >= 3, f"{where}.n",
+                 "a cycle needs at least 3 vertices")
         _require(0.0 <= self.p <= 1.0, f"{where}.p", "edge probability must be in [0, 1]")
         return replace(self, path=GraphConfig.path)
 

@@ -5,15 +5,18 @@ only round-n values of its neighbors, so per-vertex updates inside a round
 are independent.  An engine is two calls: ``start(g, objs)`` checks its
 parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
 a new array.  Pinned (stubborn) agents are a property of the network, not of
-the engine: ``run`` validates x(0) and the roles, writes the pinned values into
-x(0), and writes them again into every state an engine returns.
+the engine: ``run`` takes them as one vertex -> pinned value mapping, validates
+x(0) and the ids, writes the pinned values into x(0), and writes them again
+into every state an engine returns.
 
 When no agent is pinned and the stop rule cannot fire, nothing reads the rounds
 strictly between two recorded rows, so ``run`` hands each such stretch to the
-engine's ``advance(x, rounds)``, if it has one, and steps the rest.  Only the
-subgradient engine has one: on a graph whose edge and vertex counts add up to
-at most ``PYTHON_BLOCK_SIZE`` it takes the rounds on Python floats, with
-``step``'s IEEE operations in ``step``'s order, so both give the same bytes.
+engine's ``advance(x, rounds)``, if it has one, and steps the rest; once
+``advance`` takes fewer rounds than it was handed, ``run`` steps every later
+round itself.  Only the subgradient engine has one: on a graph whose edge and
+vertex counts add up to at most ``PYTHON_BLOCK_SIZE`` it takes the rounds on
+Python floats, with ``step``'s IEEE operations in ``step``'s order, so both
+give the same bytes.
 
 The subgradient and ADMM engines sum over the directed neighbour pairs
 (talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
@@ -30,60 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
-from .graph import Graph, check_node_field, connected_components, is_complete
+from .errors import AssumptionError, DomainError, UnsupportedGraphError
+from .graph import Graph, check_node_field, check_subset, connected_components, is_complete
 from .objectives import Absolute, Quadratic
 from .tv import _total_variation
-
-
-@dataclass(frozen=True)
-class AgentRoles:
-    """Partition of the vertices into regular and stubborn agents.
-
-    Stubborn agents hold ``pinned_values`` forever; ``run`` overwrites their
-    entries with these values after every round.
-    """
-
-    n_vertices: int
-    stubborn_ids: tuple[int, ...] = ()
-    pinned_values: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.stubborn_ids) != len(set(self.stubborn_ids)):
-            raise ValueError("duplicate stubborn vertex ids")
-        if len(self.stubborn_ids) != len(self.pinned_values):
-            raise ValueError("need one pinned value per stubborn vertex")
-        for v in self.stubborn_ids:
-            if not (0 <= v < self.n_vertices and float(v).is_integer()):
-                raise ValueError(f"stubborn vertex {v} is not a vertex id")
-        order = np.argsort(self.stubborn_ids)
-        object.__setattr__(
-            self, "stubborn_ids", tuple(int(self.stubborn_ids[i]) for i in order)
-        )
-        object.__setattr__(
-            self, "pinned_values", tuple(float(self.pinned_values[i]) for i in order)
-        )
-
-    @classmethod
-    def none(cls, n_vertices: int) -> "AgentRoles":
-        return cls(n_vertices=n_vertices)
-
-    @classmethod
-    def from_pinned(cls, n_vertices: int, pinned: Mapping[int, float]) -> "AgentRoles":
-        ids = tuple(sorted(pinned))
-        return cls(
-            n_vertices=n_vertices,
-            stubborn_ids=ids,
-            pinned_values=tuple(float(pinned[v]) for v in ids),
-        )
-
-    @property
-    def regular_ids(self) -> tuple[int, ...]:
-        stub = set(self.stubborn_ids)
-        return tuple(v for v in range(self.n_vertices) if v not in stub)
 
 
 def disagreement(x) -> float:
@@ -96,6 +53,13 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
     mean = np.add.reduce(x) / x.size
     d = x - mean
     return mean, math.sqrt(d @ d)
+
+
+def _pins(g: Graph, pinned: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The pinned ids in ascending order and their values as floats; an unknown or
+    non-integral id raises ``InvalidSubsetError``."""
+    ids = sorted(check_subset(g, pinned))
+    return np.array(ids, dtype=np.intp), np.array([pinned[v] for v in ids], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +76,24 @@ def uniform_gossip_matrix(g: Graph) -> np.ndarray:
     return w
 
 
-def gossip_limit(g: Graph, roles: AgentRoles) -> np.ndarray:
+def gossip_limit(g: Graph, pinned: Mapping[int, float]) -> np.ndarray:
     """Fixed point of the regular block: solve (I - W_RR) y = W_RS x_S.
 
-    W is ``uniform_gossip_matrix(g)`` and x_S holds the pinned values.  The
-    limit of repeated gossip exists whenever every connected component holds a
-    stubborn vertex; it does not depend on the regular agents' initial values.
-    Returns the values on regular vertices in ascending vertex order.
+    W is ``uniform_gossip_matrix(g)`` and x_S holds the values of ``pinned``,
+    a vertex -> pinned value mapping.  The limit of repeated gossip exists
+    whenever every connected component holds a stubborn vertex; it does not
+    depend on the regular agents' initial values.  Returns the values on
+    regular vertices in ascending vertex order.
     """
-    if roles.n_vertices != g.n_vertices:
-        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
-    if not roles.stubborn_ids:
+    stubborn, values = _pins(g, pinned)
+    if not stubborn.size:
         raise AssumptionError("gossip limit needs at least one stubborn vertex")
-    stubborn = list(roles.stubborn_ids)
-    if any(piece.isdisjoint(stubborn) for piece in connected_components(g, range(g.n_vertices))):
+    if any(piece.isdisjoint(pinned) for piece in connected_components(g, range(g.n_vertices))):
         raise AssumptionError("some connected component holds no stubborn vertex")
     w = uniform_gossip_matrix(g)
-    regular = list(roles.regular_ids)
+    regular = np.setdiff1d(np.arange(g.n_vertices), stubborn)
     w_rr, w_rs = w[np.ix_(regular, regular)], w[np.ix_(regular, stubborn)]
-    return np.linalg.solve(np.eye(len(regular)) - w_rr, w_rs @ np.array(roles.pinned_values))
+    return np.linalg.solve(np.eye(regular.size) - w_rr, w_rs @ values)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +263,8 @@ class AdmmEngine:
             raise ValueError("lam must be nonnegative and finite")
         if int(g.degrees.min()) < 1:
             raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
+        if not math.isfinite(self.rho * int(g.degrees.max())):  # Python floats: no warning
+            raise ValueError(f"rho times the largest degree overflows: rho = {self.rho:g}")
         self._objs = objs
         # Each edge {v, w} yields the directed pairs (talker, owner) = (v, w) and (w, v).
         self._src, self._dst, self._m = g.edge_src, g.edge_dst, g.n_edges
@@ -369,22 +334,25 @@ def run(
     g: Graph,
     x0,
     objs: Quadratic | Absolute,
-    roles: AgentRoles,
+    pinned: Mapping[int, float] = MappingProxyType({}),
     stop: StopRule = StopRule(),
     record_every: int = 1,
     metric_lambda: float | None = None,
 ) -> Trajectory:
     """Iterate an engine and record metrics until the stop rule fires.
 
-    x(0) is x0 with the stubborn entries set to their pinned values, and every
-    state the engine returns gets them again, so no engine handles the roles.
+    ``pinned`` maps each stubborn vertex to its value, and an unknown or
+    non-integral id raises ``InvalidSubsetError``.  x(0) is x0 with those
+    entries set to their pinned values, and every state the engine returns gets
+    them again, so no engine handles the pins.
     The recorded objective is F(x) + metric_lambda * tv(x); metric_lambda
     defaults to the engine's own regularization level, and a level outside
     [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
     the initial metrics with zero change; the final iteration is always
     recorded.  A state or a row metric that overflows or turns NaN raises
     ``DomainError``.  Without pins or a stop rule that can fire, the rounds
-    between rows go to the engine's ``advance``, if any; ``run`` steps the rest.
+    between rows go to the engine's ``advance``, if any; ``run`` steps the rest,
+    and steps every later round once ``advance`` has declined one.
     """
     if not (record_every >= 1 and float(record_every).is_integer()):
         raise ValueError(f"record_every must be a whole number of at least 1, got {record_every}")
@@ -393,13 +361,10 @@ def run(
     record_every, max_iterations = int(record_every), int(stop.max_iterations)
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
-    if roles.n_vertices != g.n_vertices:
-        raise InvalidFieldError(f"roles for {roles.n_vertices} vertices, graph has {g.n_vertices}")
     x = check_node_field(g, x0).copy()
-    pin_ids = np.array(roles.stubborn_ids, dtype=int)
-    pin_values = np.array(roles.pinned_values, dtype=float)
-    pinned = pin_ids.size > 0
-    if pinned:
+    pin_ids, pin_values = _pins(g, pinned)
+    has_pins = pin_ids.size > 0
+    if has_pins:
         x[pin_ids] = pin_values
         check_node_field(g, x)  # the pinned values must be finite too
     engine.start(g, objs)
@@ -426,7 +391,7 @@ def run(
     can_settle = stop.change_tol > 0.0 and stop.disagreement_tol > 0.0
     # Without pins or a stop rule that can fire, nothing reads a round between two rows.
     advance = getattr(engine, "advance", None)
-    quiet = advance is not None and not (pinned or can_settle)
+    quiet = advance is not None and not (has_pins or can_settle)
     converged = False
     k = 0
     try:
@@ -439,6 +404,7 @@ def run(
                         # A round the engine did not take is stepped below, and raises there.
                         x, done = advance(x, rounds)
                         k += done
+                        quiet = done == rounds  # after a declined round, step the rest here
                 k += 1
                 try:
                     x_new = engine.step(x)
@@ -446,7 +412,7 @@ def run(
                     raise DomainError(
                         f"{engine.name} engine: the state left the finite range at step {k} ({exc})"
                     ) from exc
-                if pinned:
+                if has_pins:
                     x_new[pin_ids] = pin_values
                 due = k % record_every == 0 or k == max_iterations
                 if due or can_settle:

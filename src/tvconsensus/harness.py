@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis
 from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_initial_data
 from .dualnorm import center_field, dual_norm_algorithm0
-from .engines import AgentRoles, GossipEngine, Trajectory, run
+from .engines import GossipEngine, Trajectory, run
 from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
 from .graph import Graph
 # perfbench/tracer.py wraps harness.metrics_from_trajectory by name, so the import stays.
@@ -38,9 +38,8 @@ def _critical_dual_norm(g: Graph, x0: np.ndarray) -> float:
     return dual_norm_algorithm0(g, center_field(x0)).checked_value()
 
 
-def _regular_critical_level(g: Graph, x0: np.ndarray, roles: AgentRoles) -> float | None:
+def _regular_critical_level(g: Graph, x0: np.ndarray, regular: list[int]) -> float | None:
     """Critical level of the regular agents' data on their subgraph; None if it is disconnected."""
-    regular = list(roles.regular_ids)
     sub, _ = g.induced_subgraph(regular)
     return _critical_dual_norm(sub, x0[regular]) if sub.is_connected else None
 
@@ -50,13 +49,13 @@ def _resolve_lambda(
     average: bool,
     g: Graph,
     x0: np.ndarray,
-    roles: AgentRoles,
+    pinned: dict[int, float],
     regular_level: float | None,
 ) -> tuple[float, dict]:
     """Resolve lambda and report the reference levels used for classification."""
     info: dict = {"source": "value" if cfg.lam.value is not None else "multiplier"}
     if average:
-        reference = regular_level if roles.stubborn_ids else _critical_dual_norm(g, x0)
+        reference = regular_level if pinned else _critical_dual_norm(g, x0)
         info["critical_lambda"] = reference
     else:
         try:
@@ -92,14 +91,12 @@ def _resolve_lambda(
     return lam, info
 
 
-def _is_scenario1(g: Graph, roles: AgentRoles) -> bool:
+def _is_scenario1(g: Graph, pinned: dict[int, float], regular: list[int]) -> bool:
     """Every stubborn agent adjacent to all regular agents, one common value."""
-    if not roles.stubborn_ids:
+    if len(set(pinned.values())) != 1:
         return False
-    if len(set(roles.pinned_values)) != 1:
-        return False
-    regular = set(roles.regular_ids)
-    return all(regular <= set(g.neighbors(s)) for s in roles.stubborn_ids)
+    regular_set = set(regular)
+    return all(regular_set <= set(g.neighbors(s)) for s in pinned)
 
 
 def _median(x: np.ndarray) -> float:
@@ -128,26 +125,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise ConfigError(f"stubborn.vertices: vertex {v} is not in the graph")
 
     x0 = build_initial_data(cfg.data, g.n_vertices)
-    for v, value in zip(cfg.stubborn.vertices, cfg.stubborn.values):
+    pinned = dict(zip(cfg.stubborn.vertices, cfg.stubborn.values))
+    for v, value in pinned.items():
         x0[v] = value
-    roles = AgentRoles(
-        n_vertices=g.n_vertices,
-        stubborn_ids=cfg.stubborn.vertices,
-        pinned_values=cfg.stubborn.values,
-    )
+    regular = [v for v in range(g.n_vertices) if v not in pinned]
 
     kind = OBJECTIVES[cfg.objective_kind]
     average = kind is Quadratic  # average consensus; median otherwise
-    scenario1 = _is_scenario1(g, roles)
+    scenario1 = _is_scenario1(g, pinned, regular)
     # One dual norm of the regular data serves both lambda and the stubborn prediction.
     regular_level = (
-        _regular_critical_level(g, x0, roles)
-        if roles.stubborn_ids and (average or scenario1) else None
+        _regular_critical_level(g, x0, regular) if pinned and (average or scenario1) else None
     )
-    lam, lam_info = _resolve_lambda(cfg, average, g, x0, roles, regular_level)
+    lam, lam_info = _resolve_lambda(cfg, average, g, x0, pinned, regular_level)
     objs = kind(g, x0)
     # The certificate needs no trajectory: a graph it rejects fails before any engine runs.
-    certificate = None if roles.stubborn_ids else _certificate_block(g, objs, average, x0, lam)
+    certificate = None if pinned else _certificate_block(g, objs, average, x0, lam)
 
     names = [e.name for e in cfg.engines]
     keys = [
@@ -168,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             g,
             x0,
             objs,
-            roles,
+            pinned,
             stop=engine_cfg.stop,
             record_every=engine_cfg.record_every,
             metric_lambda=lam,
@@ -186,7 +179,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "csv": path,
         }
 
-    regular = list(roles.regular_ids)
     summary: dict = {
         "config": cfg.resolved_dict(),
         "graph": {
@@ -207,16 +199,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "certificate": certificate,
     }
 
-    if not roles.stubborn_ids:
+    if not pinned:
         summary["stubborn_analysis"] = None
     else:
         block: dict = {"scenario1": scenario1}
         if scenario1:
             prediction = analysis.stubborn_limit(
                 x0[regular],
-                a=roles.pinned_values[0],
+                a=cfg.stubborn.values[0],
                 lam=lam,
-                s_count=len(roles.stubborn_ids),
+                s_count=len(pinned),
+                critical_level=regular_level,
             )
             achieved = {
                 key: float(trajectories[key].final_x[regular].mean()) for key in minimizers
@@ -226,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 "case": prediction.case,
                 "margin": prediction.margin,
                 "regular_mean": prediction.regular_mean,
-                "lambda_ok": None if regular_level is None else lam >= regular_level,
+                "lambda_ok": prediction.lambda_ok,
             }
             block["achieved_regular_mean"] = achieved
             block["prediction_error"] = {

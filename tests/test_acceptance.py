@@ -12,7 +12,6 @@ import numpy as np
 from tvconsensus import (
     Absolute,
     AdmmEngine,
-    AgentRoles,
     Quadratic,
     StopRule,
     SubgradientEngine,
@@ -134,7 +133,6 @@ def test_criterion_04_ac_supercritical():
         g,
         x0,
         Quadratic(g, x0),
-        AgentRoles.none(99),
         stop=StopRule(max_iterations=2000, disagreement_tol=1e-6, change_tol=INF),
     )
     assert traj.n_steps <= 2000
@@ -154,7 +152,6 @@ def test_criterion_05_ac_subcritical():
         g,
         x0,
         Quadratic(g, x0),
-        AgentRoles.none(99),
         stop=StopRule(max_iterations=3000, disagreement_tol=-1.0, change_tol=-1.0),
     )
     tail = traj.disagreement[-101:]
@@ -172,17 +169,16 @@ def test_criterion_06_median_consensus():
     median = float(np.median(x0))
     lam = 0.5
     objs = Absolute(g, x0)
-    roles = AgentRoles.none(99)
 
     adm = run(
-        AdmmEngine(lam, rho=1.0), g, x0, objs, roles,
+        AdmmEngine(lam, rho=1.0), g, x0, objs,
         stop=StopRule(max_iterations=30_000, disagreement_tol=INF, change_tol=1e-12),
         record_every=10**9,
     )
     assert np.abs(adm.final_x - median).max() <= 1e-4
 
     sub = run(
-        SubgradientEngine(lam, gamma0=1.0), g, x0, objs, roles,
+        SubgradientEngine(lam, gamma0=1.0), g, x0, objs,
         stop=StopRule(max_iterations=2000, disagreement_tol=-1.0, change_tol=-1.0),
         record_every=400,
     )
@@ -199,16 +195,15 @@ def test_criterion_07_stubborn_three_cases():
     g = complete_graph(n_reg + 1)  # one extra agent wired to every regular one
     gr = complete_graph(n_reg)
     x0r = np.random.default_rng(42).uniform(0.0, 1.0, n_reg)
-    lam = 0.05
-    assert lam >= ac_critical_lambda(gr, x0r)
+    lam, crit = 0.05, ac_critical_lambda(gr, x0r)
+    assert lam >= crit
     mean_r = float(x0r.mean())
     for a in (10.0, mean_r + 0.03, -10.0):
-        prediction = stubborn_limit(x0r, a, lam, 1, graph_regular=gr)
+        prediction = stubborn_limit(x0r, a, lam, 1, critical_level=crit)
         assert prediction.lambda_ok
         x0 = np.concatenate([x0r, [a]])
-        roles = AgentRoles.from_pinned(n_reg + 1, {n_reg: a})
         traj = run(
-            AdmmEngine(lam, rho=1.0), g, x0, Quadratic(g, x0), roles,
+            AdmmEngine(lam, rho=1.0), g, x0, Quadratic(g, x0), {n_reg: a},
             stop=StopRule(max_iterations=30_000, disagreement_tol=INF, change_tol=1e-12),
             record_every=10**9,
         )
@@ -225,10 +220,10 @@ def test_criterion_08_gossip_capture():
         g = erdos_renyi(20, 0.3, int(rng.integers(0, 2**31)))
         if g.is_connected:
             break
-    roles = AgentRoles.from_pinned(20, {0: 0.0, 1: 1.0})
+    pins = {0: 0.0, 1: 1.0}
     w = uniform_gossip_matrix(g)
-    direct = gossip_limit(g, roles)
-    regular = list(roles.regular_ids)
+    direct = gossip_limit(g, pins)
+    regular = list(range(2, 20))
 
     finals = []
     for seed in (5, 6):
@@ -261,13 +256,12 @@ def test_criterion_09_engine_cross_agreement():
         crit = ac_critical_lambda(g, x0)
         lam = float(rng.uniform(0.3, 1.8)) * max(crit, 1e-3)
         objs = Quadratic(g, x0)
-        roles = AgentRoles.none(n)
         adm = run(
-            AdmmEngine(lam, 1.0), g, x0, objs, roles,
+            AdmmEngine(lam, 1.0), g, x0, objs,
             stop=StopRule(200_000, INF, 1e-12), record_every=10**9,
         )
         sub = run(
-            SubgradientEngine(lam), g, x0, objs, roles,
+            SubgradientEngine(lam), g, x0, objs,
             stop=StopRule(100_000, -1.0, -1.0), record_every=10**9,
         )
         assert np.abs(adm.final_x - sub.final_x).max() <= 1e-4

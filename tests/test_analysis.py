@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tvconsensus import (
     Absolute,
     AdmmEngine,
-    AgentRoles,
     DomainError,
     DualNormResult,
     Graph,
@@ -106,7 +105,7 @@ class TestCertify:
             grid_best = grid_consensus_minimum(objs, x0)
             assert abs(grid_best - cert.x_star) <= 1e-4
             traj = run(
-                AdmmEngine(lam, 1.0), g, x0, objs, AgentRoles.none(g.n_vertices),
+                AdmmEngine(lam, 1.0), g, x0, objs,
                 stop=StopRule(200_000, INF, 1e-13), record_every=10**9,
             )
             assert np.abs(traj.final_x - cert.x_star).max() <= 1e-4
@@ -120,7 +119,7 @@ class TestCertify:
         cert = certify_consensus_minimizer(g, objs, float(x0.mean()), lam)
         assert cert.verdict == "violated"
         traj = run(
-            AdmmEngine(lam, 1.0), g, x0, objs, AgentRoles.none(6),
+            AdmmEngine(lam, 1.0), g, x0, objs,
             stop=StopRule(200_000, INF, 1e-13), record_every=10**9,
         )
         candidate_energy = objs.value(np.full(6, x0.mean())) + lam * tv_norm(
@@ -395,7 +394,6 @@ class TestMedianLevel:
         lam = 2.0 * mc_lambda0_exact(g)
         traj = run(
             AdmmEngine(lam, 1.0), g, x0, Absolute(g, x0),
-            AgentRoles.none(8),
             stop=StopRule(300_000, INF, 1e-12), record_every=10**9,
         )
         lo, hi = np.sort(x0)[3], np.sort(x0)[4]
@@ -494,8 +492,8 @@ class TestStubbornLimit:
         g = complete_graph(6)
         x0r = rng.uniform(0.0, 1.0, 6)
         crit = ac_critical_lambda(g, x0r)
-        ok = stubborn_limit(x0r, 5.0, 2.0 * crit, 1, graph_regular=g)
-        bad = stubborn_limit(x0r, 5.0, 0.5 * crit, 1, graph_regular=g)
+        ok = stubborn_limit(x0r, 5.0, 2.0 * crit, 1, critical_level=crit)
+        bad = stubborn_limit(x0r, 5.0, 0.5 * crit, 1, critical_level=crit)
         unchecked = stubborn_limit(x0r, 5.0, 2.0 * crit, 1)
         assert ok.lambda_ok is True
         assert bad.lambda_ok is False
@@ -506,16 +504,16 @@ class TestStubbornLimit:
         g = complete_graph(n_reg + 1)  # pinned vertex wired to everyone
         gr = complete_graph(n_reg)
         x0r = rng.uniform(0.0, 1.0, n_reg)
-        lam = max(2.0 * ac_critical_lambda(gr, x0r), 0.05)
+        crit = ac_critical_lambda(gr, x0r)
+        lam = max(2.0 * crit, 0.05)
         mean_r = x0r.mean()
         for a in (mean_r + 20.0, mean_r + 0.5 * lam, mean_r - 20.0):
-            pred = stubborn_limit(x0r, a, lam, 1, graph_regular=gr)
+            pred = stubborn_limit(x0r, a, lam, 1, critical_level=crit)
             assert pred.lambda_ok
             x0 = np.concatenate([x0r, [a]])
-            roles = AgentRoles.from_pinned(n_reg + 1, {n_reg: a})
             objs = Quadratic(g, x0)
             traj = run(
-                AdmmEngine(lam, 1.0), g, x0, objs, roles,
+                AdmmEngine(lam, 1.0), g, x0, objs, {n_reg: a},
                 stop=StopRule(300_000, INF, 1e-13), record_every=10**9,
             )
             achieved = traj.final_x[:n_reg]

@@ -88,3 +88,22 @@ def test_smoke_workload_passes_the_oracles(workload, tmp_path, monkeypatch):
         summary = json.loads((tmp_path / "out" / sc.name / f"{sc.name}_summary.json")
                              .read_text(encoding="utf-8"))
         assert ORACLES.check(sc.expect, summary, results[-1]) == [], sc.name
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_record_share_replay_keeps_the_final_state(workload, tmp_path):
+    """The benchmark replays every traced ``engines.run`` call with recording off
+    (``record_every=10**12``); each replay reaches the recorded run's final state."""
+    scenarios = WORKLOADS.build(workload, 1, "smoke")
+    tracer, trajectories = TRACER.Tracer(), []
+    tracer.install()
+    try:
+        for path in WORKLOADS.write_inputs(scenarios, str(tmp_path)):
+            trajectories += harness.run_experiment(load_config(path)).trajectories.values()
+    finally:
+        tracer.restore()
+    assert len(tracer.run_calls) == len(trajectories) > 0
+    for (args, kwargs), traj in zip(tracer.run_calls, trajectories):
+        quiet = harness.run(*args, **dict(kwargs, record_every=10**12))
+        assert quiet.final_x.tobytes() == traj.final_x.tobytes()
+        assert quiet.n_steps == traj.n_steps

@@ -95,6 +95,32 @@ class TestSubcommands:
         assert "x_star = 0.1784" in out
         assert "case = clipped_high" in out
 
+    def test_predict_stubborn_checks_lambda_on_the_regular_graph(self, tmp_path, capsys):
+        xpath, gpath = tmp_path / "x0r.txt", tmp_path / "g.txt"
+        write_field(xpath, [0.0, 1.0, 0.5])
+        main(["gen-graph", "complete", "--n", "3", "-o", str(gpath)])
+        capsys.readouterr()
+        args = ["predict-stubborn", "--x0r", str(xpath), "--a", "10", "--s-count", "1",
+                "--graph", str(gpath)]
+        assert main(args + ["--lam", "1.0"]) == 0  # the critical level is 0.5 / 2
+        assert "lambda_precondition_ok = True" in capsys.readouterr().out
+        assert main(args + ["--lam", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert "lambda_precondition_ok = False" in captured.out
+        assert captured.err.startswith("warning: lambda is below the critical level")
+
+    def test_predict_stubborn_rejects_a_graph_of_another_size(self, tmp_path, capsys):
+        xpath, gpath = tmp_path / "x0r.txt", tmp_path / "g.txt"
+        write_field(xpath, [0.1, 0.2, 0.3])
+        main(["gen-graph", "complete", "--n", "4", "-o", str(gpath)])
+        capsys.readouterr()
+        code = main(["predict-stubborn", "--x0r", str(xpath), "--a", "10", "--lam", "0.05",
+                     "--s-count", "1", "--graph", str(gpath)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: node field must have length 4")
+
     def test_predict_stubborn_rejects_non_finite_data(self, tmp_path, capsys):
         for values, a in (([0.1, float("nan"), 0.2], "10"), ([0.1, float("inf")], "10"),
                           ([0.1, 0.2], "inf"), ([0.1, 0.2], "nan")):

@@ -6,12 +6,12 @@ import pytest
 from tvconsensus import (
     Absolute,
     AdmmEngine,
-    AgentRoles,
     AssumptionError,
     DomainError,
     GossipEngine,
     Graph,
     InvalidFieldError,
+    InvalidSubsetError,
     Quadratic,
     StopRule,
     SubgradientEngine,
@@ -89,10 +89,10 @@ def tied_data(rng, n):
     return x
 
 
-def with_pins(x, roles):
+def with_pins(x, pins):
     """A copy of x with the stubborn entries set to their pinned values."""
     x = np.array(x, dtype=float)
-    x[list(roles.stubborn_ids)] = roles.pinned_values
+    x[list(pins)] = list(pins.values())
     return x
 
 
@@ -148,9 +148,9 @@ class Spy:
         return x_next
 
 
-def run_states(spy, g, x0, objs, roles, steps):
+def run_states(spy, g, x0, objs, pins, steps):
     """x(0), ..., x(steps) as ``run`` produces them, pins written."""
-    traj = run(spy, g, x0, objs, roles, stop=StopRule(steps, NEVER, NEVER))
+    traj = run(spy, g, x0, objs, pins, stop=StopRule(steps, NEVER, NEVER))
     return spy.states + [traj.final_x]
 
 
@@ -158,11 +158,11 @@ def admm_multipliers(engine):
     return engine.mu.copy(), engine.mu_mean.copy()
 
 
-def reference_run(engine, g, x0, objs, roles, stop=StopRule(), record_every=1,
+def reference_run(engine, g, x0, objs, pins, stop=StopRule(), record_every=1,
                   metric_lambda=None):
     """The eager `run` loop: the max change after every step, recorded or not."""
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
-    x = with_pins(x0, roles)
+    x = with_pins(x0, pins)
     engine.start(g, objs)
     its, dis, means, objective_values, changes = [], [], [], [], []
 
@@ -177,7 +177,7 @@ def reference_run(engine, g, x0, objs, roles, stop=StopRule(), record_every=1,
     converged = False
     k = 0
     while k < stop.max_iterations:
-        x_new = with_pins(engine.step(x), roles)
+        x_new = with_pins(engine.step(x), pins)
         change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
         k += 1
         settled = (
@@ -206,7 +206,7 @@ def assert_same_trajectory(traj, ref):
         assert np.array_equal(getattr(traj, f.name), getattr(ref, f.name)), f.name
 
 
-def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
+def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, pins):
     """One ADMM round from (x, mu, mu_mean), recomputing every constant from g;
     the new x has the pins written, as ``run`` writes them."""
     talker = np.concatenate([g.edge_src, g.edge_dst])
@@ -217,10 +217,10 @@ def reference_admm_step(g, x, mu, mu_mean, objs, rho, lam, roles):
     mu_mean_next = np.bincount(owner, weights=mu_next, minlength=g.n_vertices) / deg
     target = x + mu_mean_next - 0.5 * mu_mean
     x_next = objs.prox(rho * deg, target)
-    return with_pins(x_next, roles), mu_next, mu_mean_next
+    return with_pins(x_next, pins), mu_next, mu_mean_next
 
 
-def reference_uniform_gossip_matrix(g, roles):
+def reference_uniform_gossip_matrix(g, pins=()):
     """The original double loop: weight 1 / (degree + 1) on v and each neighbor."""
     n = g.n_vertices
     w = np.zeros((n, n), dtype=float)
@@ -229,7 +229,7 @@ def reference_uniform_gossip_matrix(g, roles):
         w[v, v] = share
         for nb in g.neighbors(v):
             w[v, nb] = share
-    for v in roles.stubborn_ids:
+    for v in pins:
         w[v] = 0.0
         w[v, v] = 1.0
     return w
@@ -240,43 +240,47 @@ class ReferenceGossipEngine:
 
     name, lam = "gossip", 0.0
 
-    def __init__(self, roles):
-        self.roles = roles
+    def __init__(self, pins):
+        self.pins = pins
 
     def start(self, g, objs):
-        self.w = reference_uniform_gossip_matrix(g, self.roles)
+        self.w = reference_uniform_gossip_matrix(g, self.pins)
 
     def step(self, x):
         return self.w @ x
 
 
-class TestAgentRoles:
-    def test_sorting_and_lookup(self):
-        roles = AgentRoles(5, stubborn_ids=(3, 1), pinned_values=(0.3, 0.1))
-        assert roles.stubborn_ids == (1, 3)
-        assert roles.pinned_values == (0.1, 0.3)
-        assert roles.regular_ids == (0, 2, 4)
-
+class TestPins:
     def test_pin(self):
         g = complete_graph(3)
-        roles = AgentRoles.from_pinned(3, {0: 9.0})
+        pins = {0: 9.0}
         x0 = np.array([1.0, 2.0, 3.0])
-        traj = run(GossipEngine(), g, x0, Quadratic(g, x0), roles,
+        traj = run(GossipEngine(), g, x0, Quadratic(g, x0), pins,
                    stop=StopRule(max_iterations=0))
         assert traj.final_x.tolist() == [9.0, 2.0, 3.0]
         assert x0.tolist() == [1.0, 2.0, 3.0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AgentRoles(3, stubborn_ids=(0, 0), pinned_values=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            AgentRoles(3, stubborn_ids=(5,), pinned_values=(1.0,))
+    @pytest.mark.parametrize("pins, message", [
+        ({5: 1.0}, "unknown vertex id 5"),
+        ({1.5: 1.0}, "not an integer"),  # int() would truncate 1.5 and pin vertex 1
+    ], ids=["unknown", "fractional"])
+    def test_a_bad_vertex_id_is_rejected(self, pins, message):
+        g = complete_graph(4)
+        x0 = np.zeros(4)
+        spy = Spy(GossipEngine())
+        with pytest.raises(InvalidSubsetError, match=message):
+            run(spy, g, x0, Quadratic(g, x0), pins)
+        assert spy.states == []
+        with pytest.raises(InvalidSubsetError, match=message):
+            gossip_limit(g, pins)
 
-    def test_from_pinned_rejects_a_fractional_vertex_id(self):
-        # int() would truncate 1.5 and pin vertex 1.
-        with pytest.raises(ValueError, match="not a vertex id"):
-            AgentRoles.from_pinned(4, {1.5: 1.0})
-        assert AgentRoles.from_pinned(4, {1.0: 1.0}).stubborn_ids == (1,)
+    def test_an_integral_float_id_pins_its_vertex(self):
+        g = complete_graph(4)
+        x0 = np.zeros(4)
+        traj = run(GossipEngine(), g, x0, Quadratic(g, x0), {1.0: 1.0},
+                   stop=StopRule(max_iterations=0))
+        assert traj.final_x.tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert np.array_equal(gossip_limit(g, {1.0: 1.0}), gossip_limit(g, {1: 1.0}))
 
 
 class TestEngineContract:
@@ -288,35 +292,35 @@ class TestEngineContract:
         g = contract_graph(graph, rng)
         n = g.n_vertices
         x0 = tied_data(rng, n)
-        roles = AgentRoles.from_pinned(n, {1: 2.5}) if pinned else AgentRoles.none(n)
+        pins = {1: 2.5} if pinned else {}
         objective = Quadratic if kind == "quadratic" else Absolute
-        return g, x0, objective(g, x0), roles
+        return g, x0, objective(g, x0), pins
 
     @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
     @pytest.mark.parametrize("pinned", [False, True])
     def test_subgradient_matches_reference_bitwise(self, graph, kind, pinned):
-        g, x0, objs, roles = self.scenario(graph, kind, pinned)
+        g, x0, objs, pins = self.scenario(graph, kind, pinned)
         engine = SubgradientEngine(0.3)
-        states = run_states(Spy(engine), g, x0, objs, roles, self.STEPS)
-        ref = with_pins(x0, roles)
+        states = run_states(Spy(engine), g, x0, objs, pins, self.STEPS)
+        ref = with_pins(x0, pins)
         for n, x in enumerate(states):
             assert x.tobytes() == ref.tobytes()
             step = reference_subgradient_step(g, ref, n, objs, 0.3, 1.0)
-            ref = with_pins(step, roles)
+            ref = with_pins(step, pins)
         assert engine.n == self.STEPS
 
     @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
     @pytest.mark.parametrize("pinned", [False, True])
     def test_admm_matches_reference_bitwise(self, graph, kind, pinned):
-        g, x0, objs, roles = self.scenario(graph, kind, pinned)
+        g, x0, objs, pins = self.scenario(graph, kind, pinned)
         rho, lam = 1.3, 2.0
         spy = Spy(AdmmEngine(lam, rho), watch=admm_multipliers)
-        states = run_states(spy, g, x0, objs, roles, self.STEPS)
-        ref = with_pins(x0, roles)
+        states = run_states(spy, g, x0, objs, pins, self.STEPS)
+        ref = with_pins(x0, pins)
         assert states[0].tobytes() == ref.tobytes()
         mu, mu_mean = np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
         for x, (engine_mu, engine_mu_mean) in zip(states[1:], spy.watched, strict=True):
-            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, pins)
             assert x.tobytes() == ref.tobytes()
             assert engine_mu_mean.tobytes() == mu_mean.tobytes()
             assert np.array_equal(engine_mu, mu)
@@ -348,14 +352,23 @@ class TestEngineContract:
         x0 = np.array([0.0, 1.0, 2.0])
         spy = Spy(AdmmEngine(0.5, INF))
         with pytest.raises(ValueError, match="rho must be positive and finite"):
-            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3))
+            run(spy, g, x0, Quadratic(g, x0))
+        assert spy.states == []
+
+    def test_admm_rejects_a_rho_whose_degree_product_overflows(self):
+        # rho * degree = inf used to leak numpy's overflow warning from start, then fail
+        # at step 1 on the NaN of prox(inf, x).
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        spy = Spy(AdmmEngine(0.5, 1e308))
+        with pytest.raises(ValueError, match="rho times the largest degree overflows"):
+            run(spy, g, x0, Quadratic(g, x0))
         assert spy.states == []
 
     def test_start_rejects_mismatched_sizes(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
         objs = Quadratic(g, x0)
-        roles = AgentRoles.none(3)
         engines = (
             SubgradientEngine(0.5),
             AdmmEngine(0.5, 1.0),
@@ -363,36 +376,22 @@ class TestEngineContract:
         )
         for engine in engines:
             with pytest.raises(InvalidFieldError):
-                run(engine, g, x0[:2], objs, roles, stop=StopRule(max_iterations=1))
-
-    def test_start_rejects_roles_of_another_size(self):
-        g = complete_graph(3)
-        x0 = np.array([0.0, 1.0, 2.0])
-        objs = Quadratic(g, x0)
-        engines = (
-            SubgradientEngine(0.5),
-            AdmmEngine(0.3),
-            GossipEngine(),
-        )
-        for roles in (AgentRoles.from_pinned(5, {4: 1.0}), AgentRoles.none(7)):
-            for engine in engines:
-                with pytest.raises(InvalidFieldError, match="roles"):
-                    run(engine, g, x0, objs, roles, stop=StopRule(max_iterations=1))
+                run(engine, g, x0[:2], objs, stop=StopRule(max_iterations=1))
 
     def test_start_rejects_nonfinite_pinned_value(self):
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        roles = AgentRoles.from_pinned(3, {0: float("nan")})
+        pins = {0: float("nan")}
         for engine in (SubgradientEngine(0.5), AdmmEngine(0.5, 1.0)):
             with pytest.raises(InvalidFieldError):
-                run(engine, g, x0, Quadratic(g, x0), roles, stop=StopRule(max_iterations=1))
+                run(engine, g, x0, Quadratic(g, x0), pins, stop=StopRule(max_iterations=1))
 
     def test_rerun_with_the_same_engine_is_identical(self, rng):
         g = complete_graph(5)
         other = cycle_graph(7)
         x0 = rng.normal(size=5)
-        roles = AgentRoles.from_pinned(5, {0: 1.0})
-        objs = Quadratic(g, with_pins(x0, roles))
+        pins = {0: 1.0}
+        objs = Quadratic(g, with_pins(x0, pins))
         other_x0 = rng.normal(size=7)
         stop = StopRule(max_iterations=40, disagreement_tol=-1.0, change_tol=-1.0)
         engines = (
@@ -401,9 +400,9 @@ class TestEngineContract:
             GossipEngine(),
         )
         for engine in engines:
-            first = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
-            run(engine, other, other_x0, Quadratic(other, other_x0), AgentRoles.none(7), stop=stop)
-            second = run(engine, g, x0, objs, roles, stop=stop, metric_lambda=0.3)
+            first = run(engine, g, x0, objs, pins, stop=stop, metric_lambda=0.3)
+            run(engine, other, other_x0, Quadratic(other, other_x0), stop=stop)
+            second = run(engine, g, x0, objs, pins, stop=stop, metric_lambda=0.3)
             for name in ("iterations", "disagreement", "mean", "objective", "max_change",
                          "final_x"):
                 assert np.array_equal(getattr(first, name), getattr(second, name))
@@ -461,9 +460,9 @@ class TestSubgradientStep:
     def test_stubborn_pinned_exactly(self, rng):
         g = complete_graph(5)
         x0 = rng.normal(size=5)
-        roles = AgentRoles.from_pinned(5, {2: x0[2]})
+        pins = {2: x0[2]}
         objs = Quadratic(g, x0)
-        for x in run_states(Spy(SubgradientEngine(1.0)), g, x0, objs, roles, 50):
+        for x in run_states(Spy(SubgradientEngine(1.0)), g, x0, objs, pins, 50):
             assert x[2] == x0[2]
 
 
@@ -539,11 +538,11 @@ class TestAdmmStep:
     def test_stubborn_pinned_exactly(self, rng):
         g = complete_graph(5)
         x0 = rng.normal(size=5)
-        roles = AgentRoles.from_pinned(5, {0: 7.5})
+        pins = {0: 7.5}
         x_init = x0.copy()
         x_init[0] = 7.5
         objs = Quadratic(g, x_init)
-        for x in run_states(Spy(AdmmEngine(0.2, 1.0)), g, x_init, objs, roles, 100):
+        for x in run_states(Spy(AdmmEngine(0.2, 1.0)), g, x_init, objs, pins, 100):
             assert x[0] == 7.5
 
     def test_fixed_point_residuals_decay_at_certified_minimizer(self, rng):
@@ -589,26 +588,26 @@ class TestAdmmStep:
             subgradient_layout(base), admm_layout(base))
         n, m = g.n_vertices, g.n_edges
         x0 = tied_data(rng, n)
-        roles = AgentRoles.from_pinned(n, {2: 1.5}) if pinned else AgentRoles.none(n)
+        pins = {2: 1.5} if pinned else {}
         objs = kind(g, x0)
         rho, lam = 1.3, 0.3
         spy = Spy(AdmmEngine(lam, rho), watch=admm_multipliers)
-        states = run_states(spy, g, x0, objs, roles, 500)
-        twin = run_states(Spy(AdmmEngine(lam, rho)), base, x0, kind(base, x0), roles, 500)
+        states = run_states(spy, g, x0, objs, pins, 500)
+        twin = run_states(Spy(AdmmEngine(lam, rho)), base, x0, kind(base, x0), pins, 500)
         assert [x.tobytes() for x in states] == [x.tobytes() for x in twin]
-        ref, mu, mu_mean = with_pins(x0, roles), np.zeros(2 * m), np.zeros(n)
+        ref, mu, mu_mean = with_pins(x0, pins), np.zeros(2 * m), np.zeros(n)
         for x, (engine_mu, engine_mu_mean) in zip(states[1:], spy.watched, strict=True):
-            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, roles)
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, rho, lam, pins)
             assert x.tobytes() == ref.tobytes()
             assert engine_mu_mean.tobytes() == mu_mean.tobytes()
             assert np.array_equal(engine_mu, mu)
             assert np.array_equal(engine_mu[:m], -engine_mu[m:])
-        sub_states = run_states(Spy(SubgradientEngine(lam)), g, x0, objs, roles, 500)
-        ref = with_pins(x0, roles)
+        sub_states = run_states(Spy(SubgradientEngine(lam)), g, x0, objs, pins, 500)
+        ref = with_pins(x0, pins)
         for n, x in enumerate(sub_states):
             assert x.tobytes() == ref.tobytes()
             ref = with_pins(reference_subgradient_step(g, ref, n, objs, lam, 1.0),
-                            roles)
+                            pins)
 
 
 class TestEngineAgreement:
@@ -620,13 +619,12 @@ class TestEngineAgreement:
 
             lam = 0.7 * max(ac_critical_lambda(g, x0), 1e-2)
             objs = Quadratic(g, x0)
-            roles = AgentRoles.none(g.n_vertices)
             adm = run(
-                AdmmEngine(lam, 1.0), g, x0, objs, roles,
+                AdmmEngine(lam, 1.0), g, x0, objs,
                 stop=StopRule(200_000, INF, 1e-13), record_every=10**9,
             )
             sub = run(
-                SubgradientEngine(lam), g, x0, objs, roles,
+                SubgradientEngine(lam), g, x0, objs,
                 stop=StopRule(100_000, -1.0, -1.0), record_every=10**9,
             )
             assert np.abs(adm.final_x - sub.final_x).max() <= 1e-4
@@ -642,13 +640,12 @@ class TestEngineAgreement:
             x0 = rng.uniform(0.0, 1.0, g.n_vertices)
             lam = 1.5 * max(ac_critical_lambda(g, x0), 1e-2)
             objs = Quadratic(g, x0)
-            roles = AgentRoles.none(g.n_vertices)
             adm = run(
-                AdmmEngine(lam, 1.0), g, x0, objs, roles,
+                AdmmEngine(lam, 1.0), g, x0, objs,
                 stop=StopRule(200_000, INF, 1e-13), record_every=10**9,
             )
             sub = run(
-                SubgradientEngine(lam), g, x0, objs, roles,
+                SubgradientEngine(lam), g, x0, objs,
                 stop=StopRule(100_000, -1.0, -1.0), record_every=10**9,
             )
             assert np.abs(adm.final_x - sub.final_x).max() <= 1e-5
@@ -662,14 +659,13 @@ class TestEngineAgreement:
         x_init = x0.copy()
         for v, a in stubborn.items():
             x_init[v] = a
-        roles = AgentRoles.from_pinned(7, stubborn)
         lam = 0.15
         objs = Quadratic(g, x_init)
         full = run(
-            AdmmEngine(lam, 1.0), g, x_init, objs, roles,
+            AdmmEngine(lam, 1.0), g, x_init, objs, stubborn,
             stop=StopRule(300_000, INF, 1e-13), record_every=10**9,
         )
-        regular = list(roles.regular_ids)
+        regular = [0, 1, 2, 3, 4]
         sub_graph, kept = g.induced_subgraph(regular)
         anchored = AnchoredQuadratic(
             x_init[list(kept)],
@@ -678,7 +674,6 @@ class TestEngineAgreement:
         )
         reduced = run(
             AdmmEngine(lam, 1.0), sub_graph, x_init[regular], anchored,
-            AgentRoles.none(len(regular)),
             stop=StopRule(300_000, INF, 1e-13), record_every=10**9,
         )
         assert np.abs(full.final_x[regular] - reduced.final_x).max() <= 1e-4
@@ -689,7 +684,7 @@ class TestGossip:
         graphs = [random_connected_graph(rng) for _ in range(5)]
         graphs += [complete_graph(7), cycle_graph(8), Graph(5, [(0, 1), (3, 1)])]
         for g in graphs:
-            reference = reference_uniform_gossip_matrix(g, AgentRoles.none(g.n_vertices))
+            reference = reference_uniform_gossip_matrix(g)
             assert np.array_equal(uniform_gossip_matrix(g), reference)
 
     def test_uniform_complete_graph_averages_in_one_step(self, rng):
@@ -702,93 +697,88 @@ class TestGossip:
         """Writing the pins after a plain averaging step gives the identity-row states."""
         rng = np.random.default_rng(10)
         if case == "k100_one_pin":
-            g, pinned = complete_graph(100), {99: 0.53}
+            g, pins = complete_graph(100), {99: 0.53}
         else:
             g = erdos_renyi(400, 10 / 399, 7)
             assert g.is_connected
-            pinned = {17: -1.5, 250: 2.25}
-        roles = AgentRoles.from_pinned(g.n_vertices, pinned)
+            pins = {17: -1.5, 250: 2.25}
         x0 = rng.uniform(size=g.n_vertices)
-        reference = reference_uniform_gossip_matrix(g, roles)
-        ref = with_pins(x0, roles)
-        for x in run_states(Spy(GossipEngine()), g, x0, Quadratic(g, x0), roles, 2_000):
+        reference = reference_uniform_gossip_matrix(g, pins)
+        ref = with_pins(x0, pins)
+        for x in run_states(Spy(GossipEngine()), g, x0, Quadratic(g, x0), pins, 2_000):
             assert np.array_equal(x, ref)
-            ref = with_pins(reference @ ref, roles)
+            ref = with_pins(reference @ ref, pins)
 
     def test_limit_matches_the_identity_row_solve_bitwise(self, rng):
-        for g, pinned in [
+        for g, pins in [
             (complete_graph(100), {99: 0.53}),
-            (cycle_graph(6), {0: 0.0, 3: 1.0}),
+            (cycle_graph(6), {3: 1.0, 0: 0.0}),
             (random_connected_graph(rng, n_max=30), {0: -2.0, 1: 3.0}),
         ]:
-            roles = AgentRoles.from_pinned(g.n_vertices, pinned)
-            w = reference_uniform_gossip_matrix(g, roles)
-            stubborn, regular = list(roles.stubborn_ids), list(roles.regular_ids)
+            w = reference_uniform_gossip_matrix(g, pins)
+            stubborn = sorted(pins)
+            regular = [v for v in range(g.n_vertices) if v not in pins]
             expected = np.linalg.solve(
                 np.eye(len(regular)) - w[np.ix_(regular, regular)],
-                w[np.ix_(regular, stubborn)] @ np.array(roles.pinned_values),
+                w[np.ix_(regular, stubborn)] @ np.array([pins[v] for v in stubborn]),
             )
-            assert np.array_equal(gossip_limit(g, roles), expected)
+            assert np.array_equal(gossip_limit(g, pins), expected)
 
     def test_single_stubborn_drives_everyone(self, rng):
         g = random_connected_graph(rng, n_max=10)
         n = g.n_vertices
-        roles = AgentRoles.from_pinned(n, {0: 4.5})
+        pins = {0: 4.5}
         w = uniform_gossip_matrix(g)
         x = rng.normal(size=n)
         x[0] = 4.5
         for _ in range(100_000):
-            x_new = with_pins(w @ x, roles)
+            x_new = with_pins(w @ x, pins)
             if np.abs(x_new - x).max() < 1e-14:
                 x = x_new
                 break
             x = x_new
         assert np.allclose(x, 4.5, atol=1e-10)
-        limit = gossip_limit(g, roles)
+        limit = gossip_limit(g, pins)
         assert np.allclose(limit, 4.5, atol=1e-12)
 
     def test_two_stubborn_limit_matches_iteration_and_is_nonconstant(self, rng):
         g = cycle_graph(6)
-        roles = AgentRoles.from_pinned(6, {0: 0.0, 3: 1.0})
+        pins = {0: 0.0, 3: 1.0}
         w = uniform_gossip_matrix(g)
-        limit = gossip_limit(g, roles)
+        limit = gossip_limit(g, pins)
         x = rng.normal(size=6)
         x[0], x[3] = 0.0, 1.0
         for _ in range(200_000):
-            x = with_pins(w @ x, roles)
+            x = with_pins(w @ x, pins)
         regular = [1, 2, 4, 5]
         assert np.abs(x[regular] - limit).max() <= 1e-10
         assert limit.max() - limit.min() > 1e-3
 
     def test_limit_independent_of_regular_initialization(self, rng):
         g = complete_graph(5)
-        roles = AgentRoles.from_pinned(5, {0: -2.0, 1: 3.0})
+        pins = {0: -2.0, 1: 3.0}
         w = uniform_gossip_matrix(g)
-        limit = gossip_limit(g, roles)
+        limit = gossip_limit(g, pins)
         for _ in range(3):
             x = rng.normal(scale=10.0, size=5)
             x[0], x[1] = -2.0, 3.0
             for _ in range(5_000):
-                x = with_pins(w @ x, roles)
+                x = with_pins(w @ x, pins)
             assert np.abs(x[2:] - limit).max() <= 1e-10
 
     def test_rejects_unreachable_regular_vertices(self):
         # Two components; the stubborn vertex lives in the other one.
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(AssumptionError):
-            gossip_limit(g, AgentRoles.from_pinned(4, {0: 1.0}))
+            gossip_limit(g, {0: 1.0})
         # An isolated regular vertex is a component of its own.
         g = Graph(3, [(0, 1)])
         with pytest.raises(AssumptionError):
-            gossip_limit(g, AgentRoles.from_pinned(3, {0: 1.0}))
+            gossip_limit(g, {0: 1.0})
 
     def test_rejects_no_stubborn(self):
         with pytest.raises(AssumptionError):
-            gossip_limit(complete_graph(3), AgentRoles.none(3))
-
-    def test_rejects_roles_of_another_size(self):
-        with pytest.raises(InvalidFieldError, match="roles"):
-            gossip_limit(complete_graph(3), AgentRoles.from_pinned(4, {0: 1.0}))
+            gossip_limit(complete_graph(3), {})
 
 
 class TestRunDriver:
@@ -797,7 +787,7 @@ class TestRunDriver:
         x0 = np.array([0.0, 1.0, 2.0])
         objs = Quadratic(g, x0)
         traj = run(
-            AdmmEngine(0.5, 1.0), g, x0, objs, AgentRoles.none(3),
+            AdmmEngine(0.5, 1.0), g, x0, objs,
             stop=StopRule(max_iterations=0),
         )
         assert traj.n_steps == 0
@@ -811,7 +801,7 @@ class TestRunDriver:
         x0 = np.array([0.0, 1.0, 2.0, 3.0])
         objs = Quadratic(g, x0)
         traj = run(
-            AdmmEngine(10.0, 1.0), g, x0, objs, AgentRoles.none(4),
+            AdmmEngine(10.0, 1.0), g, x0, objs,
             stop=StopRule(max_iterations=25, disagreement_tol=-1, change_tol=-1),
             record_every=10,
         )
@@ -823,7 +813,7 @@ class TestRunDriver:
         x0 = np.array([0.0, 1.0, 2.0])
         spy = Spy(SubgradientEngine(0.5))
         with pytest.raises(ValueError, match="max_iterations must be a whole number"):
-            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3), stop=StopRule(2.5))
+            run(spy, g, x0, Quadratic(g, x0), stop=StopRule(2.5))
         assert spy.states == []
 
     def test_rejects_a_fractional_record_interval(self):
@@ -831,7 +821,7 @@ class TestRunDriver:
         x0 = np.array([0.0, 1.0, 2.0])
         spy = Spy(SubgradientEngine(0.5))
         with pytest.raises(ValueError, match="record_every must be a whole number"):
-            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(3), record_every=1.5)
+            run(spy, g, x0, Quadratic(g, x0), record_every=1.5)
         assert spy.states == []
 
     def test_converged_flag_and_final_state(self, rng):
@@ -842,7 +832,7 @@ class TestRunDriver:
         lam = 2.0 * ac_critical_lambda(g, x0)
         objs = Quadratic(g, x0)
         traj = run(
-            AdmmEngine(lam, 1.0), g, x0, objs, AgentRoles.none(8),
+            AdmmEngine(lam, 1.0), g, x0, objs,
             stop=StopRule(max_iterations=50_000, disagreement_tol=1e-9, change_tol=1e-10),
         )
         assert traj.converged
@@ -852,19 +842,19 @@ class TestRunDriver:
     def test_gossip_engine_runs(self, rng):
         g = complete_graph(5)
         x0 = rng.normal(size=5)
-        roles = AgentRoles.from_pinned(5, {0: 1.0})
+        pins = {0: 1.0}
         x_init = x0.copy()
         x_init[0] = 1.0
         objs = Quadratic(g, x_init)
         engine = GossipEngine()
-        traj = run(engine, g, x_init, objs, roles,
+        traj = run(engine, g, x_init, objs, pins,
                    stop=StopRule(20_000, 1e-11, 1e-12), metric_lambda=0.3)
         assert traj.converged
         assert np.allclose(traj.final_x, 1.0, atol=1e-9)
 
     def test_every_state_keeps_the_pins(self):
         class PlusOne:
-            """An engine that knows nothing of the roles: every entry moves up by 1."""
+            """An engine that knows nothing of the pins: every entry moves up by 1."""
 
             name, lam = "plus_one", 0.0
 
@@ -876,9 +866,9 @@ class TestRunDriver:
 
         g = cycle_graph(5)
         x0 = np.arange(5.0)
-        roles = AgentRoles.from_pinned(5, {1: -3.0, 4: 7.5})
+        pins = {1: -3.0, 4: 7.5}
         spy = Spy(PlusOne())
-        traj = run(spy, g, x0, Quadratic(g, x0), roles, stop=StopRule(10, NEVER, NEVER))
+        traj = run(spy, g, x0, Quadratic(g, x0), pins, stop=StopRule(10, NEVER, NEVER))
         states = spy.states + [traj.final_x]
         assert len(states) == 11
         for k, x in enumerate(states):
@@ -893,7 +883,7 @@ class TestRunDriver:
         x0 = np.full(4, 2.0)  # constant, so tv = 0 and inf * tv would record a NaN objective
         spy = Spy(engine() if engine is GossipEngine else engine(0.5))
         with pytest.raises(ValueError, match="metric_lambda must be nonnegative and finite"):
-            run(spy, g, x0, Quadratic(g, x0), AgentRoles.none(4), metric_lambda=metric_lambda)
+            run(spy, g, x0, Quadratic(g, x0), metric_lambda=metric_lambda)
         assert spy.states == []
 
     def test_an_overflowing_metric_term_names_the_engine_and_step(self):
@@ -901,7 +891,7 @@ class TestRunDriver:
         g = complete_graph(4)
         x0 = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(DomainError, match="gossip engine: the row metrics at step 0 left"):
-            run(GossipEngine(), g, x0, Quadratic(g, x0), AgentRoles.none(4),
+            run(GossipEngine(), g, x0, Quadratic(g, x0),
                 stop=StopRule(3, -1.0, -1.0), metric_lambda=1e308)
 
     @pytest.mark.parametrize("record_every", [1, 10])
@@ -923,17 +913,17 @@ class TestRunDriver:
                            match=f"subgradient engine: the state left the finite range at step "
                                  f"{step} "):
             run(SubgradientEngine(lam, gamma0), graph, x0, Quadratic(graph, centres),
-                AgentRoles.none(graph.n_vertices), stop=StopRule(20, NEVER, NEVER),
+                stop=StopRule(20, NEVER, NEVER),
                 record_every=record_every, metric_lambda=0.0)
 
     def test_integral_float_intervals_give_the_integer_bytes(self):
         g = complete_graph(7)
         x0 = np.random.default_rng(2026).uniform(size=7)
-        objs, roles = Quadratic(g, x0), AgentRoles.none(7)
+        objs = Quadratic(g, x0)
         lam = 1.25 * ac_critical_lambda(g, x0)
-        whole = run(SubgradientEngine(lam), g, x0, objs, roles,
+        whole = run(SubgradientEngine(lam), g, x0, objs,
                     stop=StopRule(20_000, NEVER, NEVER), record_every=100)
-        floats = run(SubgradientEngine(lam), g, x0, objs, roles,
+        floats = run(SubgradientEngine(lam), g, x0, objs,
                      stop=StopRule(20_000.0, NEVER, NEVER), record_every=100.0)
         assert_same_trajectory(floats, whole)
         assert len(floats.iterations) == 201 and type(floats.n_steps) is int
@@ -958,13 +948,13 @@ class TestRecorder:
         if graph == "irregular":
             assert g.degrees.min() < g.degrees.max() and g.n_edges > 8
         x0 = tied_data(np.random.default_rng(17), g.n_vertices)
-        objs, roles, lam = kind(g, x0), AgentRoles.none(g.n_vertices), 0.37
+        objs, lam = kind(g, x0), 0.37
         engines = [SubgradientEngine(0.3), GossipEngine()]
         if g.degrees.min() > 0:
             engines.append(AdmmEngine(0.3, 1.3))
         for engine in engines:
             spy = Spy(engine)
-            traj = run(spy, g, x0, objs, roles, stop=StopRule(60, NEVER, NEVER),
+            traj = run(spy, g, x0, objs, stop=StopRule(60, NEVER, NEVER),
                        metric_lambda=lam)
             states = spy.states + [traj.final_x]
             assert traj.iterations.tolist() == list(range(61))
@@ -983,15 +973,15 @@ class TestLazyChange:
     def scenario(engine_name, pinned):
         g = cycle_graph(6)
         x0 = np.random.default_rng(3).uniform(size=6)
-        roles = AgentRoles.from_pinned(6, {2: 0.4}) if pinned else AgentRoles.none(6)
+        pins = {2: 0.4} if pinned else {}
         lam = 2.0 * ac_critical_lambda(g, x0)
-        x0 = with_pins(x0, roles)
+        x0 = with_pins(x0, pins)
         engine = {
             "subgradient": lambda: SubgradientEngine(lam),
             "admm": lambda: AdmmEngine(lam, 1.0),
             "gossip": GossipEngine,
         }[engine_name]
-        return g, x0, Quadratic(g, x0), roles, engine
+        return g, x0, Quadratic(g, x0), pins, engine
 
     @pytest.mark.parametrize("engine_name", ["subgradient", "admm", "gossip"])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -1005,17 +995,17 @@ class TestLazyChange:
         StopRule(0, 1e-9, 1e-10),
     ], ids=["never", "both", "change_only", "disagreement_only", "always", "zero_steps"])
     def test_matches_the_eager_loop(self, engine_name, pinned, record_every, stop):
-        g, x0, objs, roles, engine = self.scenario(engine_name, pinned)
-        traj = run(engine(), g, x0, objs, roles, stop=stop, record_every=record_every)
-        ref = reference_run(engine(), g, x0, objs, roles, stop=stop, record_every=record_every)
+        g, x0, objs, pins, engine = self.scenario(engine_name, pinned)
+        traj = run(engine(), g, x0, objs, pins, stop=stop, record_every=record_every)
+        ref = reference_run(engine(), g, x0, objs, pins, stop=stop, record_every=record_every)
         assert_same_trajectory(traj, ref)
 
     def test_stop_rule_fires_for_admm_and_gossip(self):
         stop = StopRule(300, 1e-9, 1e-10)
         for name in ("admm", "gossip"):
             for pinned in (False, True):
-                g, x0, objs, roles, engine = self.scenario(name, pinned)
-                traj = run(engine(), g, x0, objs, roles, stop=stop, record_every=100)
+                g, x0, objs, pins, engine = self.scenario(name, pinned)
+                traj = run(engine(), g, x0, objs, pins, stop=stop, record_every=100)
                 assert traj.converged and traj.n_steps < 300
                 assert traj.max_change[-1] < 1e-10
 
@@ -1025,10 +1015,9 @@ class TestLazyChange:
         x0 = np.random.default_rng(2026).uniform(size=7)
         objs = Quadratic(g, x0)
         lam = 1.25 * ac_critical_lambda(g, x0)
-        roles = AgentRoles.none(7)
         stop = StopRule(20_000, NEVER, NEVER)
-        traj = run(SubgradientEngine(lam), g, x0, objs, roles, stop=stop, record_every=100)
-        ref = reference_run(ReferenceSubgradientEngine(lam), g, x0, objs, roles, stop=stop,
+        traj = run(SubgradientEngine(lam), g, x0, objs, stop=stop, record_every=100)
+        ref = reference_run(ReferenceSubgradientEngine(lam), g, x0, objs, {}, stop=stop,
                             record_every=100)
         assert_same_trajectory(traj, ref)
         assert len(traj.iterations) == 201
@@ -1080,10 +1069,10 @@ class TestAdvance:
     @pytest.mark.parametrize("graph, kind", GRAPH_KINDS)
     def test_record_intervals_agree_on_shared_rows(self, graph, kind):
         g, x0, objs, _, _ = self.scenario(graph, kind, 0.05)
-        roles, stop = AgentRoles.none(g.n_vertices), StopRule(300, NEVER, NEVER)
-        every = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop)
+        stop = StopRule(300, NEVER, NEVER)
+        every = run(SubgradientEngine(0.05), g, x0, objs, stop=stop)
         for record_every in (7, 100):
-            traj = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop,
+            traj = run(SubgradientEngine(0.05), g, x0, objs, stop=stop,
                        record_every=record_every)
             rows = traj.iterations
             assert rows.tolist() == sorted({0, 300, *range(0, 301, record_every)})
@@ -1102,9 +1091,9 @@ class TestAdvance:
         assert blocked._pairs is not None
         x_block, done = blocked.advance(x0, 5)
         assert done == 0 and blocked.n == 0 and x_block.tobytes() == x0.tobytes()
-        roles, stop = AgentRoles.none(3), StopRule(20, NEVER, NEVER)
-        every = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop)
-        fifth = run(SubgradientEngine(0.05), g, x0, objs, roles, stop=stop, record_every=5)
+        stop = StopRule(20, NEVER, NEVER)
+        every = run(SubgradientEngine(0.05), g, x0, objs, stop=stop)
+        fifth = run(SubgradientEngine(0.05), g, x0, objs, stop=stop, record_every=5)
         rows = fifth.iterations
         assert rows.tolist() == [0, 5, 10, 15, 20]
         for name in ("disagreement", "mean", "objective", "max_change"):
@@ -1116,13 +1105,33 @@ class TestAdvance:
         x0 = np.random.default_rng(3).uniform(size=6)
         objs = Quadratic(g, x0)
         cases = [
-            (AgentRoles.from_pinned(6, {2: 0.4}), StopRule(50, NEVER, NEVER)),
-            (AgentRoles.none(6), StopRule(50, 1e-9, 1e-10)),
+            ({2: 0.4}, StopRule(50, NEVER, NEVER)),
+            ({}, StopRule(50, 1e-9, 1e-10)),
         ]
-        for roles, stop in cases:
+        for pins, stop in cases:
             spy = Spy(SubgradientEngine(0.05))  # a Spy has no advance
-            run(spy, g, x0, objs, roles, stop=stop, record_every=10)
+            run(spy, g, x0, objs, pins, stop=stop, record_every=10)
             assert len(spy.states) == 50
+
+
+    def test_a_declined_stretch_is_not_handed_back(self):
+        # K12 is above the block size, so advance declines the first stretch; run then
+        # steps every round without asking again.
+        g = complete_graph(12)
+        x0 = np.random.default_rng(5).uniform(size=12)
+        objs, stop = Quadratic(g, x0), StopRule(2_000, NEVER, NEVER)
+        engine, calls = SubgradientEngine(0.05), []
+        advance = engine.advance
+
+        def counted(x, rounds):
+            calls.append(rounds)
+            return advance(x, rounds)
+
+        engine.advance = counted
+        traj = run(engine, g, x0, objs, stop=stop, record_every=100)
+        assert calls == [99]
+        every = run(SubgradientEngine(0.05), g, x0, objs, stop=stop)
+        assert traj.final_x.tobytes() == every.final_x.tobytes()
 
 
 class TestDegenerateGraphs:
@@ -1137,49 +1146,47 @@ class TestDegenerateGraphs:
 
     @staticmethod
     def scenario(case):
-        g, pinned = TestDegenerateGraphs.CASES[case]
-        n = g.n_vertices
-        roles = AgentRoles.from_pinned(n, pinned)
-        x0 = with_pins(np.random.default_rng(8).normal(size=n), roles)
-        return g, x0, Quadratic(g, x0), roles
+        g, pins = TestDegenerateGraphs.CASES[case]
+        x0 = with_pins(np.random.default_rng(8).normal(size=g.n_vertices), pins)
+        return g, x0, Quadratic(g, x0), pins
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_subgradient_matches_reference(self, case):
-        g, x0, objs, roles = self.scenario(case)
+        g, x0, objs, pins = self.scenario(case)
         ref = x0.copy()
-        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
+        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, pins, 20)):
             assert np.array_equal(x, ref)
             ref = with_pins(reference_subgradient_step(g, ref, n, objs, 0.7, 1.0),
-                            roles)
+                            pins)
         stop = StopRule(20, NEVER, NEVER)
         assert_same_trajectory(
-            run(SubgradientEngine(0.7), g, x0, objs, roles, stop=stop),
-            reference_run(ReferenceSubgradientEngine(0.7), g, x0, objs, roles, stop=stop),
+            run(SubgradientEngine(0.7), g, x0, objs, pins, stop=stop),
+            reference_run(ReferenceSubgradientEngine(0.7), g, x0, objs, pins, stop=stop),
         )
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_gossip_matches_reference(self, case):
-        g, x0, objs, roles = self.scenario(case)
-        w = reference_uniform_gossip_matrix(g, roles)
+        g, x0, objs, pins = self.scenario(case)
+        w = reference_uniform_gossip_matrix(g, pins)
         ref = x0.copy()
-        for x in run_states(Spy(GossipEngine()), g, x0, objs, roles, 20):
+        for x in run_states(Spy(GossipEngine()), g, x0, objs, pins, 20):
             assert np.array_equal(x, ref)
-            ref = with_pins(w @ ref, roles)
+            ref = with_pins(w @ ref, pins)
         stop = StopRule(20, 1e-9, 1e-10)
         assert_same_trajectory(
-            run(GossipEngine(), g, x0, objs, roles, stop=stop),
-            reference_run(ReferenceGossipEngine(roles), g, x0, objs, roles, stop=stop),
+            run(GossipEngine(), g, x0, objs, pins, stop=stop),
+            reference_run(ReferenceGossipEngine(pins), g, x0, objs, pins, stop=stop),
         )
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     @pytest.mark.parametrize("case", ["single_vertex", "edgeless"])
     def test_degree_zero_graphs_are_regular(self, case, kind):
-        g, x0, _, roles = self.scenario(case)
+        g, x0, _, pins = self.scenario(case)
         x0[-1] = -0.0
         objs = kind(g, x0)
         assert subgradient_layout(g) == ("ranks" if case == "single_vertex" else "edges")
         ref = x0.copy()
-        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, roles, 20)):
+        for n, x in enumerate(run_states(Spy(SubgradientEngine(0.7)), g, x0, objs, pins, 20)):
             assert x.tobytes() == ref.tobytes()
             ref = reference_subgradient_step(g, ref, n, objs, 0.7, 1.0)
         with pytest.raises(UnsupportedGraphError):
@@ -1187,17 +1194,17 @@ class TestDegenerateGraphs:
 
     @pytest.mark.parametrize("case", ["single_vertex", "isolated_vertex", "edgeless"])
     def test_admm_rejects_a_vertex_without_neighbours(self, case):
-        g, x0, objs, roles = self.scenario(case)
+        g, x0, objs, pins = self.scenario(case)
         with pytest.raises(UnsupportedGraphError):
-            run(AdmmEngine(0.7), g, x0, objs, roles, stop=StopRule(5))
+            run(AdmmEngine(0.7), g, x0, objs, pins, stop=StopRule(5))
 
     def test_admm_all_pinned_matches_reference(self):
-        g, x0, objs, roles = self.scenario("all_pinned")
+        g, x0, objs, pins = self.scenario("all_pinned")
         engine = AdmmEngine(0.7, 1.3)
-        states = run_states(Spy(engine), g, x0, objs, roles, 20)
+        states = run_states(Spy(engine), g, x0, objs, pins, 20)
         ref, mu, mu_mean = x0.copy(), np.zeros(2 * g.n_edges), np.zeros(g.n_vertices)
         for x in states[1:]:
-            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, 1.3, 0.7, roles)
+            ref, mu, mu_mean = reference_admm_step(g, ref, mu, mu_mean, objs, 1.3, 0.7, pins)
             assert np.array_equal(x, ref)
             assert np.array_equal(x, x0)
         assert np.array_equal(engine.mu, mu)
@@ -1212,7 +1219,7 @@ class TestLambdaToZero:
     def scenario(kind):
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
         x0 = np.random.default_rng(5).normal(size=6)
-        return g, x0, kind(g, x0), AgentRoles.none(6)
+        return g, x0, kind(g, x0)
 
     @staticmethod
     def assert_finite(traj):
@@ -1221,19 +1228,19 @@ class TestLambdaToZero:
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     def test_subgradient_stays_at_the_centres(self, kind):
-        g, x0, objs, roles = self.scenario(kind)
+        g, x0, objs = self.scenario(kind)
         for lam in self.LAMS:
-            traj = run(SubgradientEngine(lam), g, x0, objs, roles, stop=StopRule(300, NEVER, NEVER))
+            traj = run(SubgradientEngine(lam), g, x0, objs, stop=StopRule(300, NEVER, NEVER))
             self.assert_finite(traj)
             assert traj.final_x.tobytes() == x0.tobytes()
             assert np.all(traj.max_change == 0.0)
 
     @pytest.mark.parametrize("kind", [Quadratic, Absolute])
     def test_admm_stays_at_the_centres(self, kind):
-        g, x0, objs, roles = self.scenario(kind)
+        g, x0, objs = self.scenario(kind)
         finals = []
         for lam in self.LAMS:
-            traj = run(AdmmEngine(lam, 1.0), g, x0, objs, roles, stop=StopRule(300, NEVER, NEVER))
+            traj = run(AdmmEngine(lam, 1.0), g, x0, objs, stop=StopRule(300, NEVER, NEVER))
             self.assert_finite(traj)
             finals.append(traj.final_x.tobytes())
             if kind is Absolute:
@@ -1245,9 +1252,9 @@ class TestLambdaToZero:
         assert finals[0] == finals[1]
 
     def test_gossip_metric_at_lambda_zero(self):
-        g, x0, objs, roles = self.scenario(Quadratic)
+        g, x0, objs = self.scenario(Quadratic)
         engine = GossipEngine()
-        runs = [run(engine, g, x0, objs, roles, metric_lambda=lam) for lam in self.LAMS]
+        runs = [run(engine, g, x0, objs, metric_lambda=lam) for lam in self.LAMS]
         for traj in runs:
             self.assert_finite(traj)
             assert traj.converged

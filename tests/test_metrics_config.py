@@ -169,6 +169,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="stubborn"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_cycle_needs_three_vertices(self, n):
+        bad = with_overrides(graph={"generator": "cycle", "n": n})
+        with pytest.raises(ConfigError, match=r"graph\.n: a cycle needs at least 3 vertices"):
+            parse_config(bad)
+
     def test_bad_probability(self):
         bad = with_overrides(graph={"generator": "erdos_renyi", "n": 5, "p": 1.5})
         with pytest.raises(ConfigError, match=r"graph.p"):
