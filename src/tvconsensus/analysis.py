@@ -21,10 +21,10 @@ from .errors import DomainError, InvalidFieldError, SizeCapError, UnsupportedGra
 from .graph import Graph, check_node_field, is_complete
 from .maxflow import maximize_cut_functional
 from .objectives import Absolute, Quadratic
+from .tv import CERTIFICATE_RTOL
 
 CERTIFIED = "certified"
 VIOLATED = "violated"
-CERTIFICATE_RTOL = 1e-9  # relative tolerance of certify_consensus_minimizer's verdict
 MEDIAN_PATTERN_MAX_VERTICES = 12  # largest non-complete graph mc_lambda0_exact enumerates
 
 
@@ -100,11 +100,7 @@ def ac_critical_lambda(g: Graph, x0) -> float:
 
 def median_sign_pattern(n: int) -> np.ndarray:
     """Canonical below/above-median pattern: -1s, then a 0 for odd n, then +1s."""
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        return np.concatenate([-np.ones(k), [0.0], np.ones(k)])
-    k = n // 2
-    return np.concatenate([-np.ones(k), np.ones(k)])
+    return np.sign(np.arange(n) - (n - 1) / 2)
 
 
 def mc_lambda0_upper(g: Graph) -> float:
@@ -120,30 +116,30 @@ def mc_lambda0_upper(g: Graph) -> float:
 def mc_lambda0_exact(g: Graph) -> float:
     """Worst-case dual norm over all placements of the median sign pattern.
 
-    On a complete graph every placement is equivalent under relabeling, so a
-    single representative suffices.  Otherwise the two maxima swap: a subset A
-    of size k holds at most h(k) = min(k, p) - max(0, k - p - z) of the
-    pattern's mass (p entries +1, z entries 0), so the answer is the largest
-    h(|A|) / per(A) over proper nonempty A.  The subsets are enumerated, which
-    is capped by ``MEDIAN_PATTERN_MAX_VERTICES``.
+    The two maxima swap: a subset A of size k holds at most
+    h(k) = min(k, p) - max(0, k - p - z) of the pattern's mass (p entries +1,
+    z entries 0), so the answer is the largest h(|A|) / per(A) over proper
+    nonempty A.  On K_N the (size, perimeter) rows are (k, k(N - k)); other
+    graphs enumerate their subsets, capped by ``MEDIAN_PATTERN_MAX_VERTICES``.
     """
     if not g.is_connected:
         raise UnsupportedGraphError("need a connected graph")
     n = g.n_vertices
-    pattern = median_sign_pattern(n)
     if is_complete(g):
-        return dual_norm_algorithm0(g, pattern).value
-    if n > MEDIAN_PATTERN_MAX_VERTICES:
+        k = np.arange(1, n)
+        per = k * (n - k)
+    elif n > MEDIAN_PATTERN_MAX_VERTICES:
         raise SizeCapError(
             f"pattern enumeration capped at {MEDIAN_PATTERN_MAX_VERTICES} vertices, got {n}"
         )
-    p, z = int(np.count_nonzero(pattern > 0)), int(np.count_nonzero(pattern == 0))
-    masks = np.arange(1, 2**n - 1)
-    inside = (masks[:, None] >> np.arange(n)) & 1
-    k = inside.sum(axis=1)
-    per = (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+    else:
+        masks = np.arange(1, 2**n - 1)
+        inside = (masks[:, None] >> np.arange(n)) & 1
+        k = inside.sum(axis=1)
+        per = (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+    p, z = n // 2, n % 2
     h = np.minimum(k, p) - np.maximum(0, k - p - z)
-    return float(np.max(h / per))
+    return float(np.max(h / per, initial=0.0))
 
 
 PULLED_TO_ANCHOR = "pulled_to_a"

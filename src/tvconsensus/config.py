@@ -92,6 +92,7 @@ class GraphConfig:
         _require(self.generator != "cycle" or self.n >= 3, f"{where}.n",
                  "a cycle needs at least 3 vertices")
         _require(0.0 <= self.p <= 1.0, f"{where}.p", "edge probability must be in [0, 1]")
+        _require(self.seed >= 0, f"{where}.seed", "must be nonnegative")
         return replace(self, path=GraphConfig.path)
 
 
@@ -116,6 +117,7 @@ class DataConfig:
             _require(bool(self.values), f"{where}.values",
                      "explicit data needs a nonempty 'values' list")
             return DataConfig(source=self.source, values=self.values, outliers=self.outliers)
+        _require(self.seed >= 0, f"{where}.seed", "must be nonnegative")
         _require(math.isfinite(self.high - self.low), where, "high - low must be finite")
         return replace(self, values=DataConfig.values)
 

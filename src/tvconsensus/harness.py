@@ -123,6 +123,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for v in cfg.stubborn.vertices:
         if not 0 <= v < g.n_vertices:
             raise ConfigError(f"stubborn.vertices: vertex {v} is not in the graph")
+    if len(set(cfg.stubborn.vertices)) == g.n_vertices:
+        raise ConfigError("stubborn.vertices: at least one vertex must stay regular")
 
     x0 = build_initial_data(cfg.data, g.n_vertices)
     pinned = dict(zip(cfg.stubborn.vertices, cfg.stubborn.values))
@@ -193,7 +195,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "initial": {
             "mean": float(x0.mean()),
             "median": _median(x0),
-            "regular_mean": float(x0[regular].mean()) if regular else None,
+            "regular_mean": float(x0[regular].mean()),
         },
         "engines": engine_summaries,
         "certificate": certificate,

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorm import center_field, dual_norm_algorithm0
+from .dualnorm import center_field
 from .errors import UnsupportedGraphError
 from .graph import Graph, check_node_field, perimeter
+from .maxflow import maximize_cut_functional
 
-DUAL_CERTIFICATE_TOL = 1e-9  # the tol of each of is_dual_certificate's three tests
+CERTIFICATE_RTOL = 1e-9  # relative tolerance of every certificate verdict
 
 
 def tv_norm(g: Graph, x) -> float:
@@ -50,10 +51,6 @@ def coarea_decompose(g: Graph, x) -> LevelSetDecomposition:
     """Exact level-set decomposition of x using its sorted distinct values."""
     x = check_node_field(g, x)
     levels = np.unique(x)
-    if levels.size <= 1:
-        return LevelSetDecomposition(
-            thresholds=tuple(float(t) for t in levels), perimeters=()
-        )
     perims = []
     for upper in levels[1:]:
         perims.append(perimeter(g, np.nonzero(x >= upper)[0]))
@@ -66,18 +63,20 @@ def coarea_decompose(g: Graph, x) -> LevelSetDecomposition:
 def is_dual_certificate(g: Graph, u, x) -> bool:
     """Check that u is a subgradient of the TV norm at x.
 
-    Requires mean(u) close to zero, dual norm at most 1 + tol, and the pairing
+    With tol = ``CERTIFICATE_RTOL`` * ||u||_1, requires |sum(u)| <= tol, the
+    cut gain max_A <u, 1_A> - perimeter(A) of the centered u at most tol (one
+    cut: u then lies in the unit dual-norm ball), and the pairing
     <u, x - min(x)> (equal to <u, x> for mean-zero u, without the offset of x)
-    to match tv_norm(x) within tol * tv_norm(x), tol = ``DUAL_CERTIFICATE_TOL``.
-    Raises ``IterationAnomalyError`` if the dual norm's ratio iteration hit its bound.
+    to match tv_norm(x) within ``CERTIFICATE_RTOL`` * tv_norm(x).
     """
     if not g.is_connected:
         raise UnsupportedGraphError("dual certificates need a connected graph")
     u = check_node_field(g, u)
     x = check_node_field(g, x)
-    if abs(float(u.mean())) > DUAL_CERTIFICATE_TOL:
+    tol = CERTIFICATE_RTOL * float(np.abs(u).sum())
+    if abs(float(u.sum())) > tol:
         return False
-    if dual_norm_algorithm0(g, center_field(u)).checked_value() > 1.0 + DUAL_CERTIFICATE_TOL:
+    if maximize_cut_functional(g, center_field(u), 1.0)[1] > tol:
         return False
     tv = tv_norm(g, x)
-    return abs(float(u @ (x - x.min())) - tv) <= DUAL_CERTIFICATE_TOL * tv
+    return abs(float(u @ (x - x.min())) - tv) <= CERTIFICATE_RTOL * tv

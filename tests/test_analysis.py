@@ -437,6 +437,29 @@ class TestMedianLevel:
                 assert mc_lambda0_exact(g) > 0.0
 
 
+    def test_sign_pattern_keeps_its_bytes(self):
+        def concatenated(n):
+            k = n // 2
+            middle = [0.0] if n % 2 else []
+            return np.concatenate([-np.ones(k), middle, np.ones(k)])
+
+        for n in range(1, 500):
+            pattern = median_sign_pattern(n)
+            assert pattern.dtype == np.float64
+            assert pattern.tobytes() == concatenated(n).tobytes()
+
+    def test_complete_graph_rows_match_the_dual_norm_bitwise(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dual norm ran for a median level")
+
+        for n in range(1, 301):
+            g = complete_graph(n)
+            expected = dual_norm_algorithm0(g, median_sign_pattern(n)).value
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "dual_norm_algorithm0", refuse)
+                assert mc_lambda0_exact(g) == expected
+
+
 class TestCompleteGraphsSkipTheMaxFlow:
     def test_paper_k99_runs_without_a_network(self, monkeypatch):
         def refuse(*args):

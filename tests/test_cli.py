@@ -335,6 +335,25 @@ output: {{directory: {tmp_path / "out"}, prefix: bad}}
             "error: stubborn.vertices: duplicate stubborn vertex ids\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["quadratic", "absolute"])
+    @pytest.mark.parametrize("values", [[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    def test_pinning_every_vertex_is_a_config_error(self, tmp_path, capsys, kind, values):
+        cfg_path = tmp_path / "all.yaml"
+        cfg_path.write_text(
+            f"""
+graph: {{generator: complete, n: 3}}
+objective: {{kind: {kind}}}
+lambda: {{value: 0.2}}
+engines: [{{name: admm}}]
+stubborn: {{vertices: [0, 1, 2], values: {values}}}
+output: {{directory: {tmp_path / "out"}, prefix: all}}
+"""
+        )
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: stubborn.vertices: at least one vertex must stay regular\n")
+        assert not (tmp_path / "out").exists()
+
     def test_median_run_reaches_median(self, tmp_path):
         cfg_path = tmp_path / "mc.yaml"
         cfg_path.write_text(
@@ -548,5 +567,5 @@ stubborn: {{vertices: [8], values: [5.0]}}
         cfg_path.write_text(self.CONFIG.format(kind=kind, lam=lam, outdir=tmp_path / "out"))
         result = run_experiment(load_config(str(cfg_path)))
         assert result.summary["stubborn_analysis"]["prediction"]["lambda_ok"] is lambda_ok
-        # The regular level on K8, plus the median pattern level on K9 for absolute objectives.
-        assert sorted(calls) == ([8] if kind == "quadratic" else [8, 9])
+        # The regular level on K8; the median pattern level on K9 is a closed form.
+        assert calls == [8]

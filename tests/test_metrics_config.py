@@ -180,6 +180,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"graph.p"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("section, where", [
+        ({"graph": {"generator": "erdos_renyi", "n": 5, "seed": -1}}, r"graph\.seed"),
+        ({"graph": {"generator": "complete", "n": 5, "seed": -1}}, r"graph\.seed"),
+        ({"objective": {"kind": "quadratic", "data": {"source": "uniform", "seed": -3}}},
+         r"objective\.data\.seed"),
+    ])
+    def test_negative_seed(self, section, where):
+        with pytest.raises(ConfigError, match=where + ": must be nonnegative"):
+            parse_config(with_overrides(**section))
+
     def test_yaml_loading(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(

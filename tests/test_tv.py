@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvconsensus import (
-    DualNormResult,
     Graph,
     InvalidFieldError,
-    IterationAnomalyError,
     UnsupportedGraphError,
     coarea_decompose,
     complete_graph,
@@ -18,7 +16,7 @@ from tvconsensus import (
     perimeter,
     tv_norm,
 )
-from tvconsensus import tv
+from tvconsensus import maxflow, tv
 
 from conftest import mean_zero_field, random_connected_graph
 
@@ -150,13 +148,32 @@ class TestDualCertificate:
         with pytest.raises(UnsupportedGraphError):
             is_dual_certificate(g, np.zeros(4), np.zeros(4))
 
-    def test_anomaly_raises(self, monkeypatch):
-        def cut_off(g, u):
-            return DualNormResult(0.5, frozenset({0}), iterations=1, anomaly=True)
+    def test_mean_tolerance_is_relative(self):
+        # sum(u) = 2e-12: not a TV subgradient, whatever an absolute tolerance says.
+        assert not is_dual_certificate(Graph(2, [(0, 1)]), [1e-12, 1e-12], [0.0, 0.0])
 
-        monkeypatch.setattr(tv, "dual_norm_algorithm0", cut_off)
-        with pytest.raises(IterationAnomalyError):
-            is_dual_certificate(Graph(2, [(0, 1)]), np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
+    def test_one_cut_and_no_dual_norm(self, rng, monkeypatch):
+        # The dual norm iteration would take several cuts; the certificate takes one.
+        calls = []
+
+        def counted(inner, name):
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(tv, "maximize_cut_functional",
+                            counted(tv.maximize_cut_functional, "functional"))
+        monkeypatch.setattr(maxflow, "min_cut", counted(maxflow.min_cut, "cut"))
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+        field = mean_zero_field(rng, 6)
+        u = field / dual_norm_algorithm0(g, field).value
+        calls.clear()
+        assert is_dual_certificate(g, u, np.zeros(6))
+        assert calls == ["functional", "cut"]
+        calls.clear()
+        assert not is_dual_certificate(g, 1.5 * u, np.zeros(6))
+        assert calls == ["functional", "cut"]
 
     def test_pairing_tolerance_is_relative(self):
         # <u, x> = 1 against tv(x) = 3; at scale 1e-12 an absolute tolerance

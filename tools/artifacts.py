@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the benchmark workloads' CSV/JSON artifacts, for a byte-identity check.
 
-    python3 tools/artifacts.py DEST [--scale full|smoke]
+    python3 tools/artifacts.py DEST [--scale full|smoke] [--against REV]
 
 For each workload of ``perfbench/workloads.py`` and each seed in {1, 9001},
 this writes the inputs with root ``.`` in a fresh temporary working directory,
@@ -9,14 +9,22 @@ so the paths the summaries echo are relative; runs every config through this
 checkout's ``load_config`` and ``run_experiment``; and copies ``out/`` to
 ``DEST/<workload>_<seed>/``.  Two checkouts write the same artifacts exactly
 when ``diff -r`` finds no difference between their DEST trees.
+
+With ``--against REV`` the script also extracts ``git archive REV src
+perfbench tools`` into a temporary directory, runs that tree's own writer at
+the same scale, prints each path whose bytes differ between the two trees (or
+that only one of them has) and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -49,13 +57,49 @@ def write_artifacts(dest: Path, scale: str) -> None:
                     os.chdir(home)
 
 
+def write_artifacts_at(rev: str, dest: Path, scale: str) -> None:
+    """Run the writer of git revision ``rev`` of this repository into ``dest``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "perfbench", "tools"],
+        check=True, capture_output=True,
+    ).stdout
+    with tempfile.TemporaryDirectory(prefix="artifacts-rev-") as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        subprocess.run(
+            [sys.executable, str(Path(tree) / "tools" / "artifacts.py"), str(dest),
+             "--scale", scale],
+            check=True,
+        )
+
+
+def differing_paths(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files that only one tree has or whose bytes differ."""
+    files = [{str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    return sorted(
+        path for path in files[0] | files[1]
+        if path not in files[0] or path not in files[1]
+        or (a / path).read_bytes() != (b / path).read_bytes()
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dest", type=Path, help="directory to write, one folder per run")
     parser.add_argument("--scale", choices=sorted(workloads.SCALES), default="full")
+    parser.add_argument("--against", metavar="REV",
+                        help="also run the writer of git revision REV and compare the trees")
     args = parser.parse_args(argv)
-    write_artifacts(args.dest.resolve(), args.scale)
-    return 0
+    dest = args.dest.resolve()
+    write_artifacts(dest, args.scale)
+    if args.against is None:
+        return 0
+    with tempfile.TemporaryDirectory(prefix="artifacts-against-") as other:
+        write_artifacts_at(args.against, Path(other) / "out", args.scale)
+        differing = differing_paths(dest, Path(other) / "out")
+    for path in differing:
+        print(path)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
