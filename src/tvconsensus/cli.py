@@ -34,12 +34,9 @@ def _cmd_run(args) -> int:
 def _cmd_dualnorm(args) -> int:
     g = load_edge_list(args.graph)
     result = dual_norm_algorithm0(g, read_node_field(args.field))
-    print(f"dual_norm = {result.value:.12g}")
+    print(f"dual_norm = {result.checked_value():.12g}")
     print(f"witness = {sorted(result.witness_subset)}")
     print(f"iterations = {result.iterations}")
-    if result.anomaly:
-        print("anomaly: iteration bound exceeded", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -82,7 +79,8 @@ def _cmd_predict_stubborn(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    g = build_graph(GraphConfig(generator=args.generator, n=args.n, p=args.p, seed=args.seed))
+    cfg = GraphConfig(generator=args.generator, n=args.n, p=args.p, seed=args.seed)
+    g = build_graph(cfg.checked("gen-graph"))
     save_edge_list(g, args.output)
     print(f"wrote {g.n_vertices} vertices, {g.n_edges} edges to {args.output}")
     return 0

@@ -11,7 +11,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidFieldError, InvalidSubsetError
+from .errors import InvalidFieldError, InvalidSubsetError, UnsupportedGraphError
 
 
 class Graph:
@@ -241,6 +241,12 @@ def load_edge_list(path: str) -> Graph:
 
 
 def save_edge_list(g: Graph, path: str) -> None:
+    """Write ``g`` in the format ``load_edge_list`` reads back as the same graph."""
+    if not g.degrees[-1]:
+        raise UnsupportedGraphError(
+            f"vertex {g.n_vertices - 1} has no edges; an edge list infers the vertex count "
+            "from the largest id, so it cannot carry an isolated highest vertex"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         for v, w in g.oriented_edges:
             fh.write(f"{v} {w}\n")

@@ -6,9 +6,9 @@ resolved configuration, so every run is reproducible from its artifacts alone.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .metrics import emit_csv, metrics_from_trajectory  # noqa: F401
 from .objectives import Quadratic
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentResult:
     config: ExperimentConfig
     lam: float
@@ -33,15 +33,15 @@ class ExperimentResult:
     trajectories: dict[str, Trajectory]
 
 
-def _critical_dual_norm(g: Graph, x0: np.ndarray) -> float:
-    """Dual norm of the centered data; anomalies abort the run."""
+def _critical_level(g: Graph, x0: np.ndarray, pinned: dict[int, float]) -> float | None:
+    """Dual norm of the regular agents' centered data on their subgraph (the whole graph
+    when nothing is pinned); None if the pins disconnect it.  Anomalies abort the run."""
+    if pinned:
+        g, regular = g.induced_subgraph(v for v in range(g.n_vertices) if v not in pinned)
+        if not g.is_connected:
+            return None
+        x0 = x0[list(regular)]
     return dual_norm_algorithm0(g, center_field(x0)).checked_value()
-
-
-def _regular_critical_level(g: Graph, x0: np.ndarray, regular: list[int]) -> float | None:
-    """Critical level of the regular agents' data on their subgraph; None if it is disconnected."""
-    sub, _ = g.induced_subgraph(regular)
-    return _critical_dual_norm(sub, x0[regular]) if sub.is_connected else None
 
 
 def _resolve_lambda(
@@ -50,13 +50,11 @@ def _resolve_lambda(
     g: Graph,
     x0: np.ndarray,
     pinned: dict[int, float],
-    regular_level: float | None,
 ) -> tuple[float, dict]:
     """Resolve lambda and report the reference levels used for classification."""
     info: dict = {"source": "value" if cfg.lam.value is not None else "multiplier"}
     if average:
-        reference = regular_level if pinned else _critical_dual_norm(g, x0)
-        info["critical_lambda"] = reference
+        reference = info["critical_lambda"] = _critical_level(g, x0, pinned)
     else:
         try:
             reference = analysis.mc_lambda0_exact(g)
@@ -134,12 +132,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     kind = OBJECTIVES[cfg.objective_kind]
     average = kind is Quadratic  # average consensus; median otherwise
-    scenario1 = _is_scenario1(g, pinned, regular)
-    # One dual norm of the regular data serves both lambda and the stubborn prediction.
-    regular_level = (
-        _regular_critical_level(g, x0, regular) if pinned and (average or scenario1) else None
-    )
-    lam, lam_info = _resolve_lambda(cfg, average, g, x0, pinned, regular_level)
+    lam, lam_info = _resolve_lambda(cfg, average, g, x0, pinned)
     objs = kind(g, x0)
     # The certificate needs no trajectory: a graph it rejects fails before any engine runs.
     certificate = None if pinned else _certificate_block(g, objs, average, x0, lam)
@@ -204,25 +197,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not pinned:
         summary["stubborn_analysis"] = None
     else:
+        scenario1 = _is_scenario1(g, pinned, regular)
         block: dict = {"scenario1": scenario1}
-        if scenario1:
+        # The closed form minimizes the quadratic energy only; its lambda_ok reuses the
+        # regular agents' critical level that resolved lambda.
+        if scenario1 and average:
             prediction = analysis.stubborn_limit(
                 x0[regular],
                 a=cfg.stubborn.values[0],
                 lam=lam,
                 s_count=len(pinned),
-                critical_level=regular_level,
+                critical_level=lam_info["critical_lambda"],
             )
             achieved = {
                 key: float(trajectories[key].final_x[regular].mean()) for key in minimizers
             }
-            block["prediction"] = {
-                "x_star": prediction.x_star,
-                "case": prediction.case,
-                "margin": prediction.margin,
-                "regular_mean": prediction.regular_mean,
-                "lambda_ok": prediction.lambda_ok,
-            }
+            block["prediction"] = dataclasses.asdict(prediction)
             block["achieved_regular_mean"] = achieved
             block["prediction_error"] = {
                 key: abs(value - prediction.x_star) for key, value in achieved.items()

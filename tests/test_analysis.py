@@ -365,6 +365,10 @@ class TestMedianLevel:
     def test_k99_closed_form_bound(self):
         assert np.isclose(mc_lambda0_upper(complete_graph(99)), 99.0 / 196.0, atol=1e-15)
 
+    def test_closed_form_bound_needs_two_vertices(self):
+        with pytest.raises(UnsupportedGraphError, match="^need at least two vertices$"):
+            mc_lambda0_upper(complete_graph(1))
+
     def test_k99_exact_via_symmetry(self):
         # One representative placement suffices on a complete graph.
         assert np.isclose(mc_lambda0_exact(complete_graph(99)), 1.0 / 50.0, atol=1e-12)

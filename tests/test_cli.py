@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvconsensus import ac_critical_lambda, complete_graph
+from tvconsensus import ConfigError, ac_critical_lambda, complete_graph
 from tvconsensus.cli import main
-from tvconsensus.config import load_config
+from tvconsensus.config import load_config, parse_config
 from tvconsensus.harness import _median, run_experiment
 
 
@@ -222,6 +222,43 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("anomaly: ")
+
+    def test_dualnorm_anomaly_exits_2(self, tmp_path, capsys, monkeypatch):
+        from tvconsensus import DualNormResult
+        import tvconsensus.cli as cli
+
+        def cut_off(g, u):
+            return DualNormResult(1.0, frozenset({0}), iterations=1, anomaly=True)
+
+        monkeypatch.setattr(cli, "dual_norm_algorithm0", cut_off)
+        gpath = tmp_path / "g.txt"
+        main(["gen-graph", "path", "--n", "2", "-o", str(gpath)])
+        upath = tmp_path / "u.txt"
+        write_field(upath, [1.0, -1.0])
+        capsys.readouterr()
+        assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 2
+        captured = capsys.readouterr()
+        assert "dual_norm =" not in captured.out
+        assert captured.err.startswith("anomaly: ")
+
+    def test_gen_graph_validates_the_seed(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        argv = ["gen-graph", "erdos_renyi", "--n", "5", "--p", "0.5", "--seed", "-1"]
+        assert main(argv + ["-o", str(gpath)]) == 1
+        assert capsys.readouterr().err == "error: gen-graph.seed: must be nonnegative\n"
+        assert not gpath.exists()
+
+    @pytest.mark.parametrize("argv, vertex", [
+        (["erdos_renyi", "--n", "20", "--p", "0.1", "--seed", "20"], 19),
+        (["path", "--n", "1"], 0),
+    ])
+    def test_gen_graph_refuses_what_an_edge_list_cannot_carry(self, tmp_path, capsys, argv, vertex):
+        gpath = tmp_path / "g.txt"
+        assert main(["gen-graph", *argv, "-o", str(gpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: vertex {vertex} has no edges")
+        assert not gpath.exists()
 
 
 class TestRunExperiment:
@@ -566,6 +603,67 @@ stubborn: {{vertices: [8], values: [5.0]}}
         cfg_path = tmp_path / "stub.yaml"
         cfg_path.write_text(self.CONFIG.format(kind=kind, lam=lam, outdir=tmp_path / "out"))
         result = run_experiment(load_config(str(cfg_path)))
-        assert result.summary["stubborn_analysis"]["prediction"]["lambda_ok"] is lambda_ok
-        # The regular level on K8; the median pattern level on K9 is a closed form.
-        assert calls == [8]
+        block = result.summary["stubborn_analysis"]
+        if kind == "quadratic":
+            assert block["prediction"]["lambda_ok"] is lambda_ok
+            # One dual norm, on the regular agents' K8, serves the classification and lambda_ok.
+            assert calls == [8]
+        else:
+            # The closed form solves the quadratic energy only; the median level on K9
+            # is a closed form, so an absolute run needs no dual norm.
+            assert "prediction" not in block
+            assert calls == []
+
+    @staticmethod
+    def pinned_config(tmp_path, graph, vertices, values, lam):
+        return parse_config({
+            "graph": graph,
+            "objective": {"kind": "quadratic", "data": {"source": "uniform", "seed": 5}},
+            "lambda": lam,
+            "engines": [{"name": "admm", "max_iterations": 20}],
+            "output": {"directory": str(tmp_path), "prefix": "pins"},
+            "stubborn": {"vertices": vertices, "values": values},
+        })
+
+    def test_pins_that_disconnect_the_regular_agents_give_no_level(self, tmp_path, monkeypatch):
+        import tvconsensus.harness as harness
+
+        monkeypatch.setattr(harness, "dual_norm_algorithm0", None)  # must not be called
+        path3 = {"generator": "path", "n": 3}
+        result = run_experiment(self.pinned_config(tmp_path, path3, [1], [5.0], {"value": 0.5}))
+        assert result.summary["lambda"]["critical_lambda"] is None
+        assert result.summary["lambda"]["classification"] is None
+        block = result.summary["stubborn_analysis"]
+        assert block["scenario1"] is True
+        assert block["prediction"]["lambda_ok"] is None
+        with pytest.raises(ConfigError, match="^lambda.multiplier: no positive reference level"):
+            run_experiment(self.pinned_config(tmp_path, path3, [1], [5.0], {"multiplier": 2.0}))
+
+    def test_distinct_pinned_values_get_no_prediction(self, tmp_path):
+        k4 = {"generator": "complete", "n": 4}
+        result = run_experiment(self.pinned_config(tmp_path, k4, [0, 1], [5.0, 6.0], {"value": 0.5}))
+        assert result.summary["lambda"]["critical_lambda"] > 0.0
+        assert result.summary["stubborn_analysis"] == {"scenario1": False}
+
+    def test_absolute_run_reports_no_quadratic_prediction(self, tmp_path, monkeypatch):
+        """A median run with a pinned agent does not reach the quadratic closed form
+        clip(a, mean +- lambda), so the summary does not claim it."""
+        import tvconsensus.harness as harness
+
+        calls = []
+
+        def counted(g, u, _inner=harness.dual_norm_algorithm0):
+            calls.append(g.n_vertices)
+            return _inner(g, u)
+
+        monkeypatch.setattr(harness, "dual_norm_algorithm0", counted)
+        cfg_path = tmp_path / "stub.yaml"
+        cfg_path.write_text(
+            self.CONFIG.format(kind="absolute", lam=0.2, outdir=tmp_path / "out")
+            .replace("max_iterations: 50", "max_iterations: 30000")
+        )
+        result = run_experiment(load_config(str(cfg_path)))
+        # The regular agents split instead of meeting at one value.
+        assert np.ptp(result.trajectories["admm"].final_x[:8]) > 0.2
+        assert result.summary["stubborn_analysis"] == {"scenario1": True}
+        assert calls == []

@@ -67,6 +67,24 @@ class TestRatioIteration:
             assert result.iterations <= g.n_edges
             assert not result.anomaly
 
+    def test_stalled_ratio_keeps_the_previous_witness(self, monkeypatch):
+        """A cut that reports a positive gain for a subset with no better ratio ends
+        the iteration; the last improving subset stays the witness."""
+        lams = []
+
+        def no_better_cut(g, u, lam):
+            lams.append(lam)
+            return frozenset({0, 1}), 1.0  # ratio 1 / 1 on the path, below lam
+
+        monkeypatch.setattr(dualnorm, "maximize_cut_functional", no_better_cut)
+        result = dual_norm_algorithm0(path_graph(3), np.array([2.0, -1.0, -1.0]))
+        assert lams == [2.0]
+        assert result.value == 2.0
+        assert result.witness_subset == frozenset({0})
+        assert result.lambda_sequence == (2.0,)
+        assert result.iterations == 1
+        assert not result.anomaly
+
     def test_witness_achieves_value(self, rng):
         from tvconsensus import perimeter
 

@@ -5,6 +5,7 @@ from tvconsensus import (
     Graph,
     InvalidFieldError,
     InvalidSubsetError,
+    UnsupportedGraphError,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -148,6 +149,10 @@ class TestConstruction:
         with pytest.raises(InvalidSubsetError, match="not an integer"):
             g.induced_subgraph([1.7, 2])
         assert g.induced_subgraph([1.0, 2])[1] == (1, 2)
+
+    def test_induced_subgraph_needs_a_vertex(self):
+        with pytest.raises(InvalidSubsetError, match="^induced subgraph needs at least one vertex$"):
+            path_graph(3).induced_subgraph([])
 
 
 class TestCsrAdjacency:
@@ -321,7 +326,28 @@ class TestGeneratorsAndIo:
         path = tmp_path / "g.txt"
         save_edge_list(g, str(path))
         loaded = load_edge_list(str(path))
+        assert loaded.n_vertices == g.n_vertices
         assert loaded.oriented_edges == g.oriented_edges
+
+    @pytest.mark.parametrize("g", [Graph(3, [(0, 1)]), path_graph(1)])
+    def test_edge_list_refuses_an_isolated_highest_vertex(self, tmp_path, g):
+        path = tmp_path / "g.txt"
+        with pytest.raises(UnsupportedGraphError, match=f"^vertex {g.n_vertices - 1} has no edges"):
+            save_edge_list(g, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 2 3\n", ":2: expected 'u v', got '1 2 3\\n'"),
+        ("0 1\n1 x\n", ":2: vertex ids must be integers"),
+        ("# header\n0 -1\n", ":2: vertex ids must be nonnegative"),
+        ("# only comments\n\n", ": no edges found"),
+    ])
+    def test_edge_list_rejections(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_edge_list(str(path))
+        assert str(info.value) == f"{path}{message}"
 
     def test_edge_list_writes_canonical_pairs(self, rng, tmp_path):
         base = random_connected_graph(rng)

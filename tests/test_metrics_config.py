@@ -213,6 +213,23 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match=f"cannot parse {re.escape(str(path))}: "):
                 load_config(str(path))
 
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "missing.yaml"
+        with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: empty configuration$"):
+            load_config(str(path))
+
+    def test_value_that_is_not_a_number(self):
+        bad = with_overrides(graph={"generator": "erdos_renyi", "n": 5, "p": "half"})
+        with pytest.raises(ConfigError, match=r"^graph\.p: expected a number, got 'half'$"):
+            parse_config(bad)
+
 
 class TestBuilders:
     def test_build_graph_dispatch(self):
@@ -226,6 +243,15 @@ class TestBuilders:
         b = build_initial_data(cfg.data, 5)
         assert np.array_equal(a, b)
         assert np.all((a >= 0.0) & (a <= 1.0))
+
+    def test_outlier_on_an_unknown_vertex(self):
+        cfg = parse_config(with_overrides(objective={
+            "kind": "quadratic",
+            "data": {"source": "explicit", "values": [1.0, 2.0, 3.0],
+                     "outliers": [{"vertex": 3, "value": 10.0}]},
+        }))
+        with pytest.raises(ConfigError, match=r"^objective\.data\.outliers: unknown vertex 3$"):
+            build_initial_data(cfg.data, 3)
 
     def test_explicit_data_with_outliers(self):
         cfg = parse_config(
