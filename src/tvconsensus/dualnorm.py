@@ -128,10 +128,13 @@ def dual_norm_bruteforce(g: Graph, u) -> DualNormResult:
 
     Restricting to connected subsets no larger than half the graph loses
     nothing: complements have equal perimeter and opposite subset sum, and a
-    disconnected maximizer is never better than its best component.
+    disconnected maximizer is never better than its best component.  Like the
+    iteration, it takes a mean-zero u only; any other field raises ``DomainError``.
     """
     _require_connected(g)
     u = check_node_field(g, u)
+    if not is_mean_zero(u):
+        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
     n = g.n_vertices
     if n > BRUTEFORCE_MAX_VERTICES:
         raise SizeCapError(
@@ -154,16 +157,15 @@ def dual_norm_bruteforce(g: Graph, u) -> DualNormResult:
     eligible = sizes <= (n / 2)
     ratios = np.abs(subset_sums) / np.maximum(perims, 1)
 
-    # Scanning eligible masks in decreasing ratio order, the first connected
-    # one realizes the maximum over the whole enumeration family.
-    for idx in np.argsort(-ratios, kind="stable"):
-        if eligible[idx]:
-            subset = np.flatnonzero((masks[idx] >> np.arange(n)) & 1).tolist()
-            if len(connected_components(g, subset)) == 1:
-                return DualNormResult(
-                    value=float(ratios[idx]), witness_subset=frozenset(subset), iterations=0
-                )
-    return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
+    # Scanning eligible masks in decreasing ratio order, the first connected one realizes
+    # the maximum over the whole family; a nonzero mean-zero u has n >= 2, so one exists.
+    order = np.argsort(-ratios, kind="stable")
+    for idx in order[eligible[order]]:
+        subset = np.flatnonzero((masks[idx] >> np.arange(n)) & 1).tolist()
+        if len(connected_components(g, subset)) == 1:
+            return DualNormResult(
+                value=float(ratios[idx]), witness_subset=frozenset(subset), iterations=0
+            )
 
 
 def dual_feasibility_gap(g: Graph, u, lam: float) -> float:

@@ -103,7 +103,7 @@ def gossip_limit(g: Graph, pinned: Mapping[int, float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop at the iteration cap or once the state is both settled and flat."""
+    """Stop at the iteration cap or once the unpinned agents are settled and the state flat."""
 
     max_iterations: int = 100_000
     disagreement_tol: float = 1e-9
@@ -344,7 +344,8 @@ def run(
     ``pinned`` maps each stubborn vertex to its value, and an unknown or
     non-integral id raises ``InvalidSubsetError``.  x(0) is x0 with those
     entries set to their pinned values, and every state the engine returns gets
-    them again, so no engine handles the pins.
+    them again, so no engine handles the pins.  The stop rule reads the
+    disagreement of the unpinned agents only; the recorded one covers all agents.
     The recorded objective is F(x) + metric_lambda * tv(x); metric_lambda
     defaults to the engine's own regularization level, and a level outside
     [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
@@ -389,6 +390,10 @@ def run(
 
     # Change and disagreement are >= 0, so a tolerance <= 0 is never met.
     can_settle = stop.change_tol > 0.0 and stop.disagreement_tol > 0.0
+    free_disagreement = disagreement  # the stop rule reads the unpinned agents only
+    if has_pins:  # pins need not agree; with every agent pinned, a flat run has settled
+        free = np.bincount(pin_ids, minlength=g.n_vertices) == 0
+        free_disagreement = lambda x_now: disagreement(x_now[free]) if free.any() else 0.0
     # Without pins or a stop rule that can fire, nothing reads a round between two rows.
     advance = getattr(engine, "advance", None)
     quiet = advance is not None and not (has_pins or can_settle)
@@ -419,7 +424,7 @@ def run(
                     change = float(np.maximum.reduce(np.abs(x_new - x)))
                     converged = (
                         change < stop.change_tol
-                        and disagreement(x_new) < stop.disagreement_tol
+                        and free_disagreement(x_new) < stop.disagreement_tol
                     )
                     if due or converged:
                         record(k, x_new, change)

@@ -7,7 +7,8 @@ the input listed them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import math
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,6 +212,21 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _records(path: str) -> Iterator[tuple[int, str, str]]:
+    """(number, raw line, text without ``#`` comment or outer blanks) of each line with text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, raw, text
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def load_edge_list(path: str) -> Graph:
     """Read a graph from text: one ``u v`` pair per line, ``#`` starts a comment.
 
@@ -218,26 +234,20 @@ def load_edge_list(path: str) -> Graph:
     vertices therefore cannot be represented by this format.
     """
     edges: list[tuple[int, int]] = []
-    max_id = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
-            try:
-                v, w = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: vertex ids must be integers") from exc
-            if v < 0 or w < 0:
-                raise ValueError(f"{path}:{lineno}: vertex ids must be nonnegative")
-            edges.append((v, w))
-            max_id = max(max_id, v, w)
+    for lineno, raw, text in _records(path):
+        parts = text.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw!r}")
+        try:
+            v, w = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: vertex ids must be integers") from exc
+        if v < 0 or w < 0:
+            raise ValueError(f"{path}:{lineno}: vertex ids must be nonnegative")
+        edges.append((v, w))
     if not edges:
         raise ValueError(f"{path}: no edges found")
-    return Graph(max_id + 1, edges)
+    return Graph(max(map(max, edges)) + 1, edges)
 
 
 def save_edge_list(g: Graph, path: str) -> None:
@@ -247,25 +257,19 @@ def save_edge_list(g: Graph, path: str) -> None:
             f"vertex {g.n_vertices - 1} has no edges; an edge list infers the vertex count "
             "from the largest id, so it cannot carry an isolated highest vertex"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        for v, w in g.oriented_edges:
-            fh.write(f"{v} {w}\n")
+    write_text(path, "".join(f"{v} {w}\n" for v, w in g.oriented_edges))
 
 
 def read_node_field(path: str) -> np.ndarray:
     """Read a node field from text: one value per line, ``#`` starts a comment.
     The values must be finite; the caller checks their count against its graph."""
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: expected a number, got {raw!r}") from exc
-    x = np.array(values, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidFieldError(f"{path}: values must be finite")
-    return x
+    for lineno, raw, text in _records(path):
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise InvalidFieldError(f"{path}:{lineno}: values must be finite, got {raw!r}")
+        values.append(value)
+    return np.array(values, dtype=float)

@@ -17,7 +17,7 @@ from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_in
 from .dualnorm import center_field, dual_norm_algorithm0
 from .engines import GossipEngine, Trajectory, run
 from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
-from .graph import Graph
+from .graph import Graph, write_text
 # perfbench/tracer.py wraps harness.metrics_from_trajectory by name, so the import stays.
 from .metrics import emit_csv, metrics_from_trajectory  # noqa: F401
 from .objectives import Quadratic
@@ -224,9 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for key, traj in trajectories.items():
         emit_csv(traj, csv_paths[key])
     summary_path = os.path.join(cfg.output_dir, f"{cfg.prefix}_summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     return ExperimentResult(
         config=cfg,

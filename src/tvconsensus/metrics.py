@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .engines import Trajectory
+from .graph import _records, write_text
 
 CSV_HEADER = "iter,disagreement_log,mean,objective,max_change"
 
@@ -49,33 +50,22 @@ def render_csv(traj: Trajectory) -> str:
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_csv(traj))
-    except OSError as exc:
-        raise OSError(f"cannot write metrics to {path}: {exc}") from exc
+    write_text(path, render_csv(traj))
 
 
 def parse_csv(path: str) -> list[MetricsRow]:
+    """The rows of a metrics CSV; a bad header or row raises ``ValueError`` at ``path:line``."""
+    records = _records(path)
+    lineno, raw, header = next(records, (1, "", ""))
+    if header != CSV_HEADER:
+        raise ValueError(f"{path}:{lineno}: unexpected header {raw!r}")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
-            rows.append(
-                MetricsRow(
-                    iteration=int(parts[0]),
-                    disagreement_log=float(parts[1]),
-                    mean=float(parts[2]),
-                    objective=float(parts[3]),
-                    max_change=float(parts[4]),
-                )
-            )
+    for lineno, raw, text in records:
+        try:
+            iteration, *values = text.split(",")
+            rows.append(MetricsRow(int(iteration), *map(float, values)))
+        except (TypeError, ValueError) as exc:  # TypeError: a row without five columns
+            raise ValueError(
+                f"{path}:{lineno}: expected an integer and four numbers, got {raw!r}"
+            ) from exc
     return rows

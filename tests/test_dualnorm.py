@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvconsensus import (
+    DomainError,
     Graph,
     SizeCapError,
     UnsupportedGraphError,
@@ -127,6 +128,18 @@ class TestEnumerationOracle:
             result = dual_norm_bruteforce(g, u)
             assert 1 <= len(result.witness_subset) <= g.n_vertices / 2
             assert len(connected_components(g, result.witness_subset)) == 1
+
+    @pytest.mark.parametrize("g", [path_graph(3), Graph(1, [])])
+    def test_zero_field(self, g):
+        result = dual_norm_bruteforce(g, np.zeros(g.n_vertices))
+        assert (result.value, result.witness_subset, result.iterations) == (0.0, frozenset(), 0)
+
+    @pytest.mark.parametrize("g, u", [(path_graph(3), [1.0, 1.0, 1.0]), (Graph(1, []), [2.0])])
+    def test_rejects_a_field_that_is_not_mean_zero(self, g, u):
+        with pytest.raises(DomainError, match=r"^node field must have zero mean, got mean "):
+            dual_norm_bruteforce(g, u)
+        with pytest.raises(DomainError, match=r"^node field must have zero mean, got mean "):
+            dual_norm_algorithm0(g, u)
 
     def test_size_cap(self):
         g = complete_graph(18)

@@ -160,9 +160,11 @@ def admm_multipliers(engine):
 
 def reference_run(engine, g, x0, objs, pins, stop=StopRule(), record_every=1,
                   metric_lambda=None):
-    """The eager `run` loop: the max change after every step, recorded or not."""
+    """The eager `run` loop: the max change after every step, recorded or not.  The stop
+    rule reads the unpinned agents' disagreement, 0 when every agent is pinned."""
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
     x = with_pins(x0, pins)
+    free = [v for v in range(g.n_vertices) if v not in pins]
     engine.start(g, objs)
     its, dis, means, objective_values, changes = [], [], [], [], []
 
@@ -181,7 +183,8 @@ def reference_run(engine, g, x0, objs, pins, stop=StopRule(), record_every=1,
         change = float(np.max(np.abs(x_new - x))) if x_new.size else 0.0
         k += 1
         settled = (
-            change < stop.change_tol and disagreement(x_new) < stop.disagreement_tol
+            change < stop.change_tol
+            and (disagreement(x_new[free]) if free else 0.0) < stop.disagreement_tol
         )
         if k % record_every == 0 or settled or k == stop.max_iterations:
             record(k, x_new, change)
@@ -1008,6 +1011,20 @@ class TestLazyChange:
                 traj = run(engine(), g, x0, objs, pins, stop=stop, record_every=100)
                 assert traj.converged and traj.n_steps < 300
                 assert traj.max_change[-1] < 1e-10
+
+    def test_a_pin_away_from_the_regular_limit_still_converges(self):
+        # The regular agents settle at stubborn_limit's clipped_high x* = 2.5, away from
+        # the pin at 5.0; the stop rule reads the unpinned agents only, so the run stops
+        # instead of going on to its 100,000-step cap.
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        traj = run(AdmmEngine(1.0), g, x0, Quadratic(g, x0), {0: 5.0})
+        assert traj.converged and traj.n_steps < 1_000
+        assert traj.final_x[0] == 5.0
+        assert np.allclose(traj.final_x[1:], 2.5, rtol=0.0, atol=1e-8)
+        # The recorded disagreement still covers every agent, the pin included.
+        assert traj.disagreement[-1] == pytest.approx(disagreement(traj.final_x))
+        assert traj.disagreement[-1] > 2.0
 
     def test_benchmark_sweep_shape(self):
         """20,000 subgradient steps on K7, every 100th recorded, tolerances never met."""

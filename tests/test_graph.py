@@ -299,6 +299,16 @@ class TestGeneratorsAndIo:
     def test_complete_edge_count(self):
         assert complete_graph(99).n_edges == 99 * 98 // 2
 
+    def test_generators_reject_their_own_bad_arguments(self):
+        with pytest.raises(ValueError, match=r"^a cycle needs at least 3 vertices$"):
+            cycle_graph(2)
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"^edge probability must be in \[0, 1\]$"):
+                erdos_renyi(5, p, seed=0)
+
+    def test_repr(self):
+        assert repr(cycle_graph(5)) == "Graph(n_vertices=5, n_edges=5)"
+
     def test_cycle_and_path(self):
         assert cycle_graph(5).n_edges == 5
         assert path_graph(5).n_edges == 4
@@ -366,6 +376,24 @@ class TestGeneratorsAndIo:
         bad.write_text("0 0\n")
         with pytest.raises(ValueError):
             load_edge_list(str(bad))
+
+    def test_edge_list_is_written_with_newline_line_ends(self, tmp_path):
+        path = tmp_path / "g.txt"
+        save_edge_list(path_graph(3), str(path))
+        assert path.read_bytes() == b"0 1\n1 2\n"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("0.5\n# note\ninf  # too big\n", InvalidFieldError,
+         ":3: values must be finite, got 'inf  # too big\\n'"),
+        ("0.5\n\nnan\n", InvalidFieldError, ":3: values must be finite, got 'nan\\n'"),
+        ("0.5\nx\n", ValueError, ":2: expected a number, got 'x\\n'"),
+    ])
+    def test_node_field_rejections_name_the_line(self, tmp_path, text, error, message):
+        path = tmp_path / "x.txt"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            read_node_field(str(path))
+        assert str(info.value) == f"{path}{message}"
 
     def test_node_field_file(self, tmp_path):
         path = tmp_path / "x.txt"

@@ -85,6 +85,34 @@ class TestMetricsCsv:
         with pytest.raises(ValueError):
             parse_csv(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", ":1: unexpected header ''"),
+        ("\nnope\n", ":2: unexpected header 'nope\\n'"),
+        (f"{CSV_HEADER}\n0,-inf,0.5,1,0\n\n1,x,0.5,1,0\n",
+         ":4: expected an integer and four numbers, got '1,x,0.5,1,0\\n'"),
+        (f"{CSV_HEADER}\n0,-inf,0.5,1\n", ":2: expected an integer and four numbers, got "
+         "'0,-inf,0.5,1\\n'"),
+        (f"{CSV_HEADER}\n0.5,-inf,0.5,1,0\n", ":2: expected an integer and four numbers, got "
+         "'0.5,-inf,0.5,1,0\\n'"),
+    ])
+    def test_parse_rejections_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_csv(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    def test_parse_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{CSV_HEADER}\n\n0,-inf,0.5,1.25,0\n\n")
+        assert parse_csv(str(path)) == [MetricsRow(0, -math.inf, 0.5, 1.25, 0.0)]
+
+    def test_emit_into_a_missing_directory_names_the_path(self, tmp_path):
+        path = tmp_path / "missing" / "m.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            emit_csv(trajectory(), str(path))
+        assert str(path) in str(info.value)
+
     def test_trajectory_path_writes_the_bytes_of_its_rows(self, tmp_path):
         # 0.0 is written -inf; then a subnormal, a 17-digit value and a large one.
         traj = trajectory(

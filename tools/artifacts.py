@@ -13,7 +13,8 @@ when ``diff -r`` finds no difference between their DEST trees.
 With ``--against REV`` the script also extracts ``git archive REV src
 perfbench tools`` into a temporary directory, runs that tree's own writer at
 the same scale, prints each path whose bytes differ between the two trees (or
-that only one of them has) and exits 1 if there is any.
+that only one of them has) and exits 1 if there is any.  A REV that git cannot
+archive exits 1 before anything runs.
 """
 
 from __future__ import annotations
@@ -57,12 +58,20 @@ def write_artifacts(dest: Path, scale: str) -> None:
                     os.chdir(home)
 
 
-def write_artifacts_at(rev: str, dest: Path, scale: str) -> None:
-    """Run the writer of git revision ``rev`` of this repository into ``dest``."""
-    archive = subprocess.run(
+def git_archive(rev: str) -> bytes:
+    """``src``, ``perfbench`` and ``tools`` of git revision ``rev`` as a tar archive; an
+    unknown revision exits 1 with git's message."""
+    proc = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "perfbench", "tools"],
-        check=True, capture_output=True,
-    ).stdout
+        capture_output=True,
+    )
+    if proc.returncode:
+        sys.exit(f"cannot archive revision {rev}: {proc.stderr.decode().strip()}")
+    return proc.stdout
+
+
+def write_artifacts_from(archive: bytes, dest: Path, scale: str) -> None:
+    """Run the writer of an archived tree into ``dest``."""
     with tempfile.TemporaryDirectory(prefix="artifacts-rev-") as tree:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tree, filter="data")
@@ -91,11 +100,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="also run the writer of git revision REV and compare the trees")
     args = parser.parse_args(argv)
     dest = args.dest.resolve()
+    archive = None if args.against is None else git_archive(args.against)
     write_artifacts(dest, args.scale)
-    if args.against is None:
+    if archive is None:
         return 0
     with tempfile.TemporaryDirectory(prefix="artifacts-against-") as other:
-        write_artifacts_at(args.against, Path(other) / "out", args.scale)
+        write_artifacts_from(archive, Path(other) / "out", args.scale)
         differing = differing_paths(dest, Path(other) / "out")
     for path in differing:
         print(path)
