@@ -12,6 +12,7 @@ The generator, objective and engine names are the keys of ``GENERATORS``,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import NamedTuple, NewType, get_args, get_origin, get_type_hints
@@ -200,7 +201,7 @@ class ExperimentConfig:
 def _plain(value):
     """Sections as dicts and tuples as lists."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+        return {name: _plain(getattr(value, name)) for _, name, *_ in _schema(type(value))}
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
@@ -211,6 +212,7 @@ def _as_mapping(node, where: str) -> dict:
     return node
 
 
+@functools.cache  # once per class: each dataclasses.fields call grew the tuple free lists
 def _schema(cls) -> list[tuple[str, str, object, bool]]:
     """(YAML key, field name, type, required) for each field of a dataclass or NamedTuple."""
     hints = get_type_hints(cls)

@@ -14,9 +14,9 @@ strictly between two recorded rows, so ``run`` hands each such stretch to the
 engine's ``advance(x, rounds)``, if it has one, and steps the rest; once
 ``advance`` takes fewer rounds than it was handed, ``run`` steps every later
 round itself.  Only the subgradient engine has one: on a graph whose edge and
-vertex counts add up to at most ``PYTHON_BLOCK_SIZE`` it takes the rounds on
-Python floats, with ``step``'s IEEE operations in ``step``'s order, so both
-give the same bytes.
+vertex counts add up to at most ``PYTHON_BLOCK_SIZE`` it takes the rounds in a
+straight-line Python kernel that ``start`` generates for the graph, with
+``step``'s IEEE operations in ``step``'s order, so both give the same bytes.
 
 The subgradient and ADMM engines sum over the directed neighbour pairs
 (talker, owner), (src, dst) for each edge and then (dst, src), in a layout that
@@ -31,6 +31,7 @@ its bytes.  Other graphs keep per-edge gathers and bincount.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -110,22 +111,54 @@ class StopRule:
     change_tol: float = 1e-10
 
 
-# A quiet block of subgradient rounds runs on Python floats when n_edges + n_vertices is
-# at most this; its cost grows with that sum, while ``step`` sits at numpy's fixed cost.
-# Median µs per round of 9 alternating 2,000-round timings, two sessions (Python 3.11,
-# numpy 2.4, 2-core shared machine), block against step: K7 (28) 4.2 / 6.3, K9 (45)
-# 6.3-8.0 / 6.7-10.4, C24 (48) 7.0-7.4 / 7.0, ER(16) (50) 6.5-7.2 / 6.5-7.0, C28 (56)
-# 8.0-8.4 / 7.2-7.5, K12 (78) 10.9 / 7.5.
+# Quiet subgradient rounds run in a kernel generated for the graph when n_edges + n_vertices
+# is at most this; its cost grows with that sum, while ``step`` sits at numpy's fixed cost.
+# Median µs per round of 9 alternating 2,000-round timings in three sessions (Python 3.11,
+# numpy 2.4, 2-core shared machine), kernel / step: K7 (28) 2.1-3.1 / 7.3-12.1, K9 (45)
+# 3.7-5.2 / 8.9-13.4, C24 (48) 5.2-5.9 / 9.5-12.8, K12 (78) 5.6-8.0 / 7.6-12.7, C40 (80)
+# 7.2-10.0 / 8.5-13.0; it still wins at K14 (105), loses at C64 (128), and compiles in 1-4 ms.
 PYTHON_BLOCK_SIZE = 48
 
-# A block state and the centres stay within +-2**1022, so no difference of two of them
-# overflows.  The first round to leave the bound, a non-finite one included, ends the
-# block, and ``run`` replays it through ``step`` under np.errstate.
+# A block state and the centres stay within +-2**1022, so no difference of two overflows; the
+# first round to leave it, inf or NaN included, ends the block, and ``run`` steps it instead.
 _BLOCK_BOUND = 2.0**1022
 
 
 def _within_block_bound(values: list[float]) -> bool:
     return sum(map(abs, values)) <= _BLOCK_BOUND  # False for inf and NaN
+
+
+# The kernel's local names, interned once: the compiler interns every identifier, and names
+# that died with each kernel churned the interned-string table until it resized (+0.5 MB).
+_NAMES = [sys.intern(f"{p}{i}") for p in "xcdy" for i in range(PYTHON_BLOCK_SIZE)]
+
+
+def _block_kernel(n_vertices: int, pairs: list[tuple[int, int]], median: bool):
+    """Generate ``kernel(xs, cs, lam, gamma0, n, rounds) -> (state, new n)``: straight-line
+    ``step`` on locals x0, x1, ..., each edge sign d_e once, up to the first round whose
+    |x0| + |x1| + ... is not within ``_BLOCK_BOUND``."""
+    count, signs = ["0"] * n_vertices, []  # each vertex's neighbours above minus below
+    for e, (lo, hi) in enumerate(pairs):
+        signs.append(f"        d{e} = (x{lo} < x{hi}) - (x{hi} < x{lo})")
+        count[lo] += f" + d{e}"
+        count[hi] += f" - d{e}"
+    xs, cs = ("".join(f"{name}{v}, " for v in range(n_vertices)) for name in "xc")
+    term = "((x{v} > c{v}) - (x{v} < c{v}))" if median else "(x{v} - c{v})"
+    source = "\n".join([
+        "def kernel(xs, cs, lam, gamma0, n, rounds, bound=_BLOCK_BOUND, abs=abs):",
+        f"    {xs}= xs; {cs}= cs",
+        "    for k in range(n, n + rounds):",
+        "        gamma = gamma0 / (k + 1.0)",
+        *signs,
+        *(f"        y{v} = x{v} + (({count[v]}) * lam - {term.format(v=v)}) * gamma"
+          for v in range(n_vertices)),
+        f"        if not {' + '.join(f'abs(y{v})' for v in range(n_vertices))} <= bound:",
+        f"            return [{xs}], k",
+        *(f"        x{v} = y{v}" for v in range(n_vertices)),
+        f"    return [{xs}], n + rounds",
+    ])
+    exec(source, namespace := {"_BLOCK_BOUND": _BLOCK_BOUND})
+    return namespace.pop("kernel")  # no function <-> globals cycle: freed with the engine
 
 
 @dataclass
@@ -168,12 +201,12 @@ class SubgradientEngine:
         self._objs = objs
         self._ranked = is_complete(g)
         self._src, self._dst = g.edge_src, g.edge_dst
-        self._pairs = None  # the (low, high) edges of a graph that advances on Python floats
+        self._pairs = self._kernel = None  # the (low, high) edges and kernel of a small graph
         if g.n_edges + g.n_vertices <= PYTHON_BLOCK_SIZE and type(objs) in (Quadratic, Absolute):
             self._centers = objs.centers.tolist()
             if _within_block_bound(self._centers):
                 self._pairs = list(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
-                self._median = type(objs) is Absolute
+                self._kernel = _block_kernel(g.n_vertices, self._pairs, type(objs) is Absolute)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One round: return x(n + 1) as a new array."""
@@ -193,33 +226,13 @@ class SubgradientEngine:
     def advance(self, x: np.ndarray, rounds: int) -> tuple[np.ndarray, int]:
         """Take up to ``rounds`` rounds on Python floats; return the last state and the count.
 
-        Integer counts of the neighbours above minus below, and ``step``'s own operations in
-        its order (np.sign(x - c) is 0 exactly when x == c).  No round is taken above
-        ``PYTHON_BLOCK_SIZE``, for another objective type or from a state beyond
-        ``_BLOCK_BOUND``, and the block stops before a round that would leave the bound.
+        The rounds run in the kernel ``start`` generated, with ``step``'s IEEE operations in
+        its order.  No round is taken above ``PYTHON_BLOCK_SIZE``, for another objective type
+        or from a state beyond ``_BLOCK_BOUND``, and the kernel stops before leaving the bound.
         """
         if self._pairs is None or not _within_block_bound(xs := x.tolist()):
             return x, 0
-        pairs, cs, lam, n = self._pairs, self._centers, self.lam, self.n
-        for _ in range(rounds):
-            gamma = self.gamma0 / (n + 1.0)
-            count = [0] * len(xs)
-            for lo, hi in pairs:
-                a, b = xs[lo], xs[hi]
-                if a < b:
-                    count[lo] += 1
-                    count[hi] -= 1
-                elif b < a:
-                    count[lo] -= 1
-                    count[hi] += 1
-            if self._median:
-                new = [xv + (sv * lam - ((xv > cv) - (xv < cv))) * gamma
-                       for xv, sv, cv in zip(xs, count, cs)]
-            else:
-                new = [xv + (sv * lam - (xv - cv)) * gamma for xv, sv, cv in zip(xs, count, cs)]
-            if not _within_block_bound(new):
-                break
-            xs, n = new, n + 1
+        xs, n = self._kernel(xs, self._centers, self.lam, self.gamma0, self.n, rounds)
         done, self.n = n - self.n, n
         return np.array(xs), done
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -1149,6 +1151,109 @@ class TestAdvance:
         assert calls == [99]
         every = run(SubgradientEngine(0.05), g, x0, objs, stop=stop)
         assert traj.final_x.tobytes() == every.final_x.tobytes()
+
+    @staticmethod
+    def assert_advance_is_step(engine, g, objs, x0):
+        """Start ``engine`` and check its advances against a fresh engine's steps."""
+        stepped = SubgradientEngine(engine.lam, engine.gamma0)
+        engine.start(g, objs)
+        stepped.start(g, objs)
+        x_block, x_step = x0, x0
+        with np.errstate(over="raise", invalid="raise"):
+            for rounds in (1, 6, 0, 93, 200):
+                x_block, done = engine.advance(x_block, rounds)
+                for _ in range(rounds):
+                    x_step = stepped.step(x_step)
+                assert done == rounds and engine.n == stepped.n
+                assert x_block.tobytes() == x_step.tobytes()
+
+    def test_a_restarted_engine_rebuilds_its_kernel(self):
+        # C8 after K7, then an 8-vertex path with vertex 7 isolated, then its absolute
+        # objective after the quadratic one: a kernel kept from an earlier start unpacks
+        # the wrong number of vertices, or takes the wrong edges or objective.
+        rng = np.random.default_rng(11)
+        engine = SubgradientEngine(0.05)
+        k7 = complete_graph(7)
+        x0 = tied_data(rng, 7)
+        run(engine, k7, x0, Quadratic(k7, x0), stop=StopRule(300, NEVER, NEVER),
+            record_every=100)
+        c8, path = cycle_graph(8), Graph(8, [(v, v + 1) for v in range(6)])
+        for g, objective in [(c8, Quadratic), (path, Quadratic), (path, Absolute)]:
+            x0 = tied_data(rng, g.n_vertices)
+            self.assert_advance_is_step(engine, g, objective(g, x0), x0)
+
+    def test_the_kernel_is_freed_with_its_engine(self):
+        # No reference cycle holds the generated function, so it goes without a collection.
+        g, x0 = cycle_graph(8), np.arange(8.0)
+        engine = SubgradientEngine(0.05)
+        engine.start(g, Quadratic(g, x0))
+        kernel = weakref.ref(engine._kernel)
+        gc.disable()
+        try:
+            del engine
+            assert kernel() is None
+        finally:
+            gc.enable()
+
+    # One-vertex unpacking, empty sign sums and absolute vertices sitting on their centres.
+    DEGENERATE = {
+        "single_vertex": Graph(1, []),
+        "edgeless": Graph(3, []),
+        "isolated_vertex": Graph(4, [(0, 1), (1, 2)]),
+        "k2": complete_graph(2),
+    }
+
+    @pytest.mark.parametrize("graph", list(DEGENERATE))
+    @pytest.mark.parametrize("objective", [Quadratic, Absolute])
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 0.05], ids=["zero", "negative-zero", "0.05"])
+    @pytest.mark.parametrize("start", ["on-centres", "off-centres"])
+    def test_degenerate_graphs_match_step_bitwise(self, graph, objective, lam, start):
+        g = self.DEGENERATE[graph]
+        centres = np.array([-0.0, 0.0, -0.0, 2.0])[: g.n_vertices]
+        x0 = centres if start == "on-centres" else np.array([0.0, -0.0, 1.0, 2.0])[: g.n_vertices]
+        self.assert_advance_is_step(SubgradientEngine(lam), g, objective(g, centres), x0)
+
+    # sweep_small's full-scale shapes: K7, C8 and an 8-vertex graph with 17 edges.
+    SWEEP_GRAPHS = {
+        "k7": complete_graph(7),
+        "c8": cycle_graph(8),
+        "er8": Graph(8, [(v, (v + 1) % 8) for v in range(8)]
+                     + [(0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (2, 6), (3, 7), (4, 6), (5, 7)]),
+    }
+
+    @pytest.mark.parametrize("graph", list(SWEEP_GRAPHS))
+    @pytest.mark.parametrize("objective", [Quadratic, Absolute])
+    def test_the_sweep_graphs_take_every_round_they_are_handed(self, graph, objective):
+        g = self.SWEEP_GRAPHS[graph]
+        assert g.n_edges == {"k7": 21, "c8": 8, "er8": 17}[graph]
+        x0 = np.random.default_rng(2026).uniform(size=g.n_vertices)
+        engine, calls = SubgradientEngine(0.05), []
+        advance = engine.advance
+
+        def counted(x, rounds):
+            x, done = advance(x, rounds)
+            calls.append((rounds, done))
+            return x, done
+
+        engine.advance = counted
+        run(engine, g, x0, objective(g, x0), stop=StopRule(2_000, NEVER, NEVER),
+            record_every=100)
+        assert calls == [(99, 99)] * 20
+
+    def test_the_block_stops_before_the_round_that_leaves_the_bound(self):
+        # gamma0 = 1e170 takes x - c from 1e-200 to about 1e-30, then 5e139, then past
+        # 2**1022 in round 3: the block takes two rounds, and step raises on the third.
+        g = cycle_graph(5)
+        x0 = np.array([1e-200, -2e-200, 3e-200, 0.0, 5e-200])
+        objs = Quadratic(g, np.zeros(5))
+        blocked, stepped = SubgradientEngine(0.0, 1e170), SubgradientEngine(0.0, 1e170)
+        blocked.start(g, objs)
+        stepped.start(g, objs)
+        x_block, done = blocked.advance(x0, 10)
+        assert done == 2 and blocked.n == 2
+        assert x_block.tobytes() == stepped.step(stepped.step(x0)).tobytes()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            blocked.step(x_block)
 
 
 class TestDegenerateGraphs:
