@@ -120,6 +120,7 @@ class DataConfig:
             return DataConfig(source=self.source, values=self.values, outliers=self.outliers)
         _require(self.seed >= 0, f"{where}.seed", "must be nonnegative")
         _require(math.isfinite(self.high - self.low), where, "high - low must be finite")
+        _require(self.high >= self.low, f"{where}.high", "must be at least low")
         return replace(self, values=DataConfig.values)
 
 
@@ -153,6 +154,8 @@ class EngineConfig:
         _positive(self.rho, f"{where}.rho")
         _require(self.max_iterations >= 0, f"{where}.max_iterations", "must be nonnegative")
         _require(self.record_every >= 1, f"{where}.record_every", "must be at least 1")
+        for key in ("disagreement_tol", "change_tol"):
+            _require(not math.isnan(getattr(self, key)), f"{where}.{key}", "must not be NaN")
         return self
 
     @property

@@ -5,7 +5,13 @@ production path is a ratio iteration: given a current ratio lam, a min-cut
 call (a closed form on complete graphs) maximizes <u, 1_A> - lam * perimeter(A);
 a strictly positive maximum yields a strictly better ratio, and the perimeter
 of the maximizer drops by at least one edge per improvement, so the number of
-min-cut calls never exceeds |E|.  A subset-enumeration oracle is provided for cross-checking.
+min-cut calls never exceeds |E|.  The iteration starts at the best singleton,
+the vertex v with the largest |u_v| / deg_v: a vertex and its complement both
+have perimeter deg_v, so this is the best ratio among all singletons and
+complements, one O(|V|) pass.  Any start whose ratio is that of a real subset
+is a lower bound on the dual norm, so the result stays exact; on sparse graphs
+the answer is often this singleton, and the one min cut left only verifies it.
+A subset-enumeration oracle is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -76,9 +82,10 @@ def _require_connected(g: Graph) -> None:
 def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     """Dual norm by ratio iteration over min cuts.
 
-    Starts from the singleton with the largest |u| (or its complement, so the
-    subset sum is nonnegative) and repeatedly replaces the current ratio by
-    the ratio of the subset maximizing the cut functional; stops as soon as
+    Starts from the singleton v with the largest |u_v| / deg_v (or its
+    complement when u_v < 0, so the subset sum is nonnegative), the best ratio
+    any singleton or complement reaches, and repeatedly replaces the current
+    ratio by the ratio of the subset maximizing the cut functional; stops as soon as
     the maximum drops to zero, i.e. when the ratio stagnates.  The ratio is
     the dual norm only for a mean-zero u; any other field raises ``DomainError``.
     """
@@ -89,7 +96,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     if not np.any(u):
         return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 
-    start = int(np.argmax(np.abs(u)))
+    start = int(np.argmax(np.abs(u) / g.degrees))
     if u[start] >= 0.0:
         subset = frozenset([start])
     else:

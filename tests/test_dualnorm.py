@@ -13,12 +13,39 @@ from tvconsensus import (
     dual_feasibility_gap,
     dual_norm_algorithm0,
     dual_norm_bruteforce,
+    erdos_renyi,
+    maximize_cut_functional,
     path_graph,
 )
 from tvconsensus import dualnorm
 from tvconsensus.dualnorm import center_field
 
-from conftest import dinic_maximize_cut_functional, mean_zero_field, random_connected_graph
+from conftest import (
+    dinic_maximize_cut_functional,
+    largest_entry_dual_norm,
+    mean_zero_field,
+    random_connected_graph,
+)
+
+
+def star_graph(n: int) -> Graph:
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def first_connected_er(n: int, p: float) -> Graph:
+    return next(g for g in (erdos_renyi(n, p, seed) for seed in range(100)) if g.is_connected)
+
+
+def counted_cuts(monkeypatch) -> list[float]:
+    """Record the level of each cut ``dual_norm_algorithm0`` makes from now on."""
+    lams = []
+
+    def counted(g, u, lam):
+        lams.append(lam)
+        return maximize_cut_functional(g, u, lam)
+
+    monkeypatch.setattr(dualnorm, "maximize_cut_functional", counted)
+    return lams
 
 
 class TestRatioIteration:
@@ -86,6 +113,30 @@ class TestRatioIteration:
         assert result.iterations == 1
         assert not result.anomaly
 
+    def test_one_cut_when_a_leaf_beats_the_hub(self, monkeypatch):
+        # The hub holds the largest |u| (ratio 3 / 5), leaf 1 the best |u| / deg
+        # (1.5 / 1), which is the dual norm: the one cut only verifies the start.
+        g = star_graph(6)
+        u = np.array([3.0, -1.5, -0.5, -0.5, -0.25, -0.25])
+        assert largest_entry_dual_norm(g, u).iterations == 2
+        lams = counted_cuts(monkeypatch)
+        result = dual_norm_algorithm0(g, u)
+        assert lams == [1.5]
+        assert (result.value, result.iterations) == (1.5, 1)
+        assert result.witness_subset == frozenset(range(6)) - {1}
+
+    def test_one_cut_on_a_sparse_random_graph(self, monkeypatch):
+        g = erdos_renyi(400, 10 / 399, 0)
+        assert g.is_connected
+        u = center_field(np.random.default_rng(0).uniform(0.0, 1.0, 400))
+        reference = largest_entry_dual_norm(g, u)
+        assert reference.iterations == 7
+        lams = counted_cuts(monkeypatch)
+        result = dual_norm_algorithm0(g, u)
+        assert len(lams) == result.iterations == 1
+        assert result.value == reference.value
+        assert result.witness_subset == reference.witness_subset
+
     def test_witness_achieves_value(self, rng):
         from tvconsensus import perimeter
 
@@ -97,6 +148,51 @@ class TestRatioIteration:
             assert abs(
                 result.value * perimeter(g, witness) - abs(u[witness].sum())
             ) <= 1e-9
+
+
+class TestStartingPoint:
+    """``dual_norm_algorithm0`` against ``largest_entry_dual_norm``, the same
+    loop started at the largest |u| rather than the largest |u| / deg.
+
+    Both starts are subsets whose ratio is a lower bound on the dual norm, so
+    both loops end at its value.  With continuous data the maximizer is unique
+    and found by the same cut, so value and witness are equal bit for bit.
+    Integer-valued data has ties: another optimal subset can be the witness,
+    and its sum, taken over other entries, can differ in the last bits (of the
+    108 such fields here, 7 end at another witness and 4 at another value, by
+    at most 6.7e-16 relative), so the value is compared to 1e-14 relative.
+    """
+
+    GRAPHS = {
+        **{f"sparse-er{n}": first_connected_er(n, 4 / (n - 1)) for n in (12, 30, 60)},
+        **{f"dense-er{n}": first_connected_er(n, 0.5) for n in (8, 25, 60)},
+        **{f"path{n}": path_graph(n) for n in (2, 7, 60)},
+        **{f"cycle{n}": cycle_graph(n) for n in (3, 8, 60)},
+        **{f"star{n}": star_graph(n) for n in (3, 10, 60)},
+        **{f"K{n}": complete_graph(n) for n in (4, 9, 60)},
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_continuous_data_gives_the_same_answer_in_no_more_cuts(self, name):
+        g = self.GRAPHS[name]
+        for seed in range(6):
+            u = center_field(np.random.default_rng(seed).uniform(0.0, 1.0, g.n_vertices))
+            reference = largest_entry_dual_norm(g, u)
+            result = dual_norm_algorithm0(g, u)
+            assert result.value == reference.value
+            assert result.witness_subset == reference.witness_subset
+            assert result.iterations <= reference.iterations
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_integer_data_gives_the_same_value(self, name):
+        g = self.GRAPHS[name]
+        for seed in range(6):
+            x = np.random.default_rng(seed).integers(0, 4, g.n_vertices).astype(float)
+            if np.ptp(x) == 0.0:
+                continue
+            u = center_field(x)
+            reference = largest_entry_dual_norm(g, u).value
+            assert abs(dual_norm_algorithm0(g, u).value - reference) <= 1e-14 * reference
 
 
 class TestEnumerationOracle:

@@ -412,10 +412,22 @@ class TestSchema:
         with pytest.raises(ConfigError, match=r"objective\.data: high - low must be finite"):
             parse_config(with_overrides(objective={"kind": "quadratic", "data": data}))
 
+    def test_uniform_range_must_not_be_reversed(self):
+        data = {"low": 1.0, "high": 0.0}
+        with pytest.raises(ConfigError, match=r"objective\.data\.high: must be at least low"):
+            parse_config(with_overrides(objective={"kind": "quadratic", "data": data}))
+        data = {"low": 0.5, "high": 0.5}
+        assert parse_config(with_overrides(objective={"kind": "quadratic", "data": data}))
+
     def test_tolerances_take_infinite_and_negative_values(self):
         cfg = parse_config(with_overrides(engines=[
             {"name": "admm", "disagreement_tol": math.inf, "change_tol": -1.0}]))
         assert cfg.engines[0].stop == StopRule(disagreement_tol=math.inf, change_tol=-1.0)
+
+    @pytest.mark.parametrize("key", ["disagreement_tol", "change_tol"])
+    def test_tolerances_reject_nan(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"engines[1].{key}: must not be NaN")):
+            parse_config(with_overrides(engines=[{"name": "admm"}, {"name": "gossip", key: math.nan}]))
 
     @pytest.mark.parametrize("overrides, path", [
         ({"graph": {"generator": "complete", "n": True}}, "graph.n"),
