@@ -263,7 +263,9 @@ def _convert(tp, value, where: str):
                  f"expected an integer, got {value!r}")
         return int(value)
     if tp is str:
-        return str(value)
+        _require(isinstance(value, str), where, f"expected a string, got {value!r}; quote a number")
+        return value
+    _require(not isinstance(value, bool), where, f"expected a number, got {value!r}")
     try:  # float, Finite and float | None
         number = float(value)
     except (TypeError, ValueError):

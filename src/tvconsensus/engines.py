@@ -113,10 +113,10 @@ class StopRule:
 
 # Quiet subgradient rounds run in a kernel generated for the graph when n_edges + n_vertices
 # is at most this; its cost grows with that sum, while ``step`` sits at numpy's fixed cost.
-# Median µs per round of 9 alternating 2,000-round timings in three sessions (Python 3.11,
-# numpy 2.4, 2-core shared machine), kernel / step: K7 (28) 2.1-3.1 / 7.3-12.1, K9 (45)
-# 3.7-5.2 / 8.9-13.4, C24 (48) 5.2-5.9 / 9.5-12.8, K12 (78) 5.6-8.0 / 7.6-12.7, C40 (80)
-# 7.2-10.0 / 8.5-13.0; it still wins at K14 (105), loses at C64 (128), and compiles in 1-4 ms.
+# Median µs per round of 9 interleaved 2,000-round timings in three sessions (Python 3.11,
+# numpy 2.4, 2-core shared machine), kernel / step: K7 (28) 1.4-2.3 / 7.0-12.5, K9 (45)
+# 3.0-3.3 / 11.5-12.5, C24 (48) 3.7-6.8 / 10.0-13.8, K12 (78) 3.6-5.5 / 6.1-12.5, C40 (80)
+# 4.4-7.2 / 6.7-13.9; it still wins at K16 (136), ties at C80 (160), and compiles in 1-3 ms.
 PYTHON_BLOCK_SIZE = 48
 
 # A block state and the centres stay within +-2**1022, so no difference of two overflows; the
@@ -136,23 +136,29 @@ _NAMES = [sys.intern(f"{p}{i}") for p in "xcdy" for i in range(PYTHON_BLOCK_SIZE
 def _block_kernel(n_vertices: int, pairs: list[tuple[int, int]], median: bool):
     """Generate ``kernel(xs, cs, lam, gamma0, n, rounds) -> (state, new n)``: straight-line
     ``step`` on locals x0, x1, ..., each edge sign d_e once, up to the first round whose
-    |x0| + |x1| + ... is not within ``_BLOCK_BOUND``."""
-    count, signs = ["0"] * n_vertices, []  # each vertex's neighbours above minus below
+    |x0| + |x1| + ... is not within ``_BLOCK_BOUND``.  It computes in floats only, which
+    CPython specializes, with ``step``'s bytes: a sign is +-1.0 or 0.0 where a bool difference
+    was +-1 or 0; a count of under ``PYTHON_BLOCK_SIZE`` unit terms is exact and, from +0.0,
+    never -0.0 (x + y is -0.0 only if both are), so ``count * lam`` is an int count's double;
+    the absolute term's 0.0 is np.sign's, as np.sign(-0.0) is +0.0; and the inline magnitude
+    differs from ``abs`` only on -0.0 while NaN stays NaN, so the bound exit declines alike."""
+    count, signs = ["0.0"] * n_vertices, []  # each vertex's neighbours above minus below
     for e, (lo, hi) in enumerate(pairs):
-        signs.append(f"        d{e} = (x{lo} < x{hi}) - (x{hi} < x{lo})")
+        signs.append(f"        d{e} = 1.0 if x{lo} < x{hi} else -1.0 if x{hi} < x{lo} else 0.0")
         count[lo] += f" + d{e}"
         count[hi] += f" - d{e}"
     xs, cs = ("".join(f"{name}{v}, " for v in range(n_vertices)) for name in "xc")
-    term = "((x{v} > c{v}) - (x{v} < c{v}))" if median else "(x{v} - c{v})"
+    term = "(1.0 if x{v} > c{v} else -1.0 if x{v} < c{v} else 0.0)" if median else "(x{v} - c{v})"
+    magnitudes = " + ".join(f"(y{v} if y{v} >= 0.0 else -y{v})" for v in range(n_vertices))
     source = "\n".join([
-        "def kernel(xs, cs, lam, gamma0, n, rounds, bound=_BLOCK_BOUND, abs=abs):",
+        "def kernel(xs, cs, lam, gamma0, n, rounds, bound=_BLOCK_BOUND):",
         f"    {xs}= xs; {cs}= cs",
         "    for k in range(n, n + rounds):",
         "        gamma = gamma0 / (k + 1.0)",
         *signs,
         *(f"        y{v} = x{v} + (({count[v]}) * lam - {term.format(v=v)}) * gamma"
           for v in range(n_vertices)),
-        f"        if not {' + '.join(f'abs(y{v})' for v in range(n_vertices))} <= bound:",
+        f"        if not {magnitudes} <= bound:",
         f"            return [{xs}], k",
         *(f"        x{v} = y{v}" for v in range(n_vertices)),
         f"    return [{xs}], n + rounds",

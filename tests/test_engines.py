@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvconsensus import (
     Absolute,
@@ -1046,6 +1048,17 @@ def block_size(g):
     return g.n_edges + g.n_vertices
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs whose edge and vertex counts add up to at most ``PYTHON_BLOCK_SIZE``,
+    isolated vertices and edgeless graphs included."""
+    n = draw(st.integers(1, PYTHON_BLOCK_SIZE))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=PYTHON_BLOCK_SIZE - n)
+                 if pairs else st.just([]))
+    return Graph(n, edges)
+
+
 class TestAdvance:
     """``advance(x, r)`` gives the bytes of r ``step`` calls or takes no round, and
     ``run`` hands it the rounds between recorded rows only where nothing reads them."""
@@ -1254,6 +1267,34 @@ class TestAdvance:
         assert x_block.tobytes() == stepped.step(stepped.step(x0)).tobytes()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             blocked.step(x_block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(), data=st.data(), objective=st.sampled_from([Quadratic, Absolute]),
+           lam=st.one_of(st.sampled_from([0.0, -0.0, 0.05]),
+                         st.floats(0.0, 1e308, allow_infinity=False)),
+           gamma0=st.floats(0.0, 1e308, exclude_min=True, allow_infinity=False),
+           rounds=st.integers(0, 300))
+    def test_advance_is_step_up_to_the_first_round_beyond_the_bound(
+        self, g, data, objective, lam, gamma0, rounds
+    ):
+        ties = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+        field = st.lists(ties, min_size=g.n_vertices, max_size=g.n_vertices).map(np.array)
+        x0, centres = data.draw(field), data.draw(field)
+        objs = objective(g, centres)
+        blocked, stepped = SubgradientEngine(lam, gamma0), SubgradientEngine(lam, gamma0)
+        blocked.start(g, objs)
+        stepped.start(g, objs)
+        # Step every round, and take the rounds up to the first state that is not finite
+        # or whose |x|_1, summed left to right, is above 2**1022.
+        states = [x0]
+        with np.errstate(all="ignore"):
+            while len(states) <= rounds:
+                states.append(stepped.step(states[-1]))
+        beyond = [not sum(map(abs, x.tolist())) <= 2.0**1022 for x in states]
+        expected = beyond.index(True) - 1 if any(beyond) else rounds
+        x_block, done = blocked.advance(x0, rounds)
+        assert done == expected and blocked.n == done
+        assert x_block.tobytes() == states[done].tobytes()
 
 
 class TestDegenerateGraphs:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from tvconsensus import (
     ConfigError,
@@ -446,6 +447,50 @@ class TestSchema:
         cfg = parse_config(with_overrides(engines=[{"name": "admm", "max_iterations": 50.0}]))
         assert cfg.engines[0].max_iterations == 50
         assert isinstance(cfg.engines[0].max_iterations, int)
+
+    @pytest.mark.parametrize("overrides, path, value", [
+        ({"output": {"prefix": None}}, "output.prefix", "None"),
+        ({"output": {"prefix": 5}}, "output.prefix", "5"),
+        ({"output": {"directory": {"a": 1}}}, "output.directory", "{'a': 1}"),
+        ({"graph": {"generator": "edgelist", "path": None}}, "graph.path", "None"),
+        ({"graph": {"generator": 1, "n": 4}}, "graph.generator", "1"),
+        ({"objective": {"kind": True}}, "objective.kind", "True"),
+        ({"objective": {"kind": "quadratic", "data": {"source": ["uniform"]}}},
+         "objective.data.source", "['uniform']"),
+        ({"engines": [{"name": 2.5}]}, "engines[0].name", "2.5"),
+    ])
+    def test_string_fields_reject_other_types(self, overrides, path, value):
+        message = f"{path}: expected a string, got {value}; quote a number"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(with_overrides(**overrides))
+
+    def test_quoted_numbers_are_strings(self):
+        cfg = parse_config(with_overrides(output={"directory": "2024", "prefix": "7"}))
+        assert (cfg.output_dir, cfg.prefix) == ("2024", "7")
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"objective": {"kind": "quadratic",
+                        "data": {"source": "explicit", "values": [1.0, True, False, 0.5, 2.0]}}},
+         "objective.data.values[1]"),
+        ({"objective": {"kind": "quadratic", "data": {"low": False}}}, "objective.data.low"),
+        ({"lambda": {"value": True}}, "lambda.value"),
+        ({"lambda": {"multiplier": True}}, "lambda.multiplier"),
+        ({"engines": [{"name": "admm", "rho": True}]}, "engines[0].rho"),
+        ({"engines": [{"name": "subgradient", "gamma0": True}]}, "engines[0].gamma0"),
+        ({"engines": [{"name": "admm", "change_tol": False}]}, "engines[0].change_tol"),
+        ({"graph": {"generator": "erdos_renyi", "n": 5, "p": True}}, "graph.p"),
+        ({"stubborn": {"vertices": [0], "values": [True]}}, "stubborn.values[0]"),
+    ])
+    def test_number_fields_reject_booleans(self, overrides, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a number, got "):
+            parse_config(with_overrides(**overrides))
+
+    def test_number_fields_take_numeric_strings(self):
+        # PyYAML reads 1e-9 (no dot) as the string '1e-9'.
+        cfg = parse_config(yaml.safe_load(yaml.safe_dump(with_overrides(
+            engines=[{"name": "subgradient", "gamma0": "1e-9", "change_tol": "1e-12"}]))))
+        assert (cfg.engines[0].gamma0, cfg.engines[0].change_tol) == (1e-9, 1e-12)
+        assert yaml.safe_load("tol: 1e-9") == {"tol": "1e-9"}
 
     def test_stop_defaults_come_from_stop_rule(self):
         assert EngineConfig(name="admm").stop == StopRule()
