@@ -18,8 +18,8 @@ import numpy as np
 
 from .dualnorm import center_field, dual_norm_algorithm0
 from .errors import DomainError, InvalidFieldError, SizeCapError, UnsupportedGraphError
-from .graph import Graph, check_node_field, is_complete
-from .maxflow import maximize_cut_functional
+from .graph import Graph, check_node_field, is_complete, require_connected
+from .maxflow import _check_cut_problem, maximize_cut_functional
 from .objectives import Absolute, Quadratic
 from .tv import CERTIFICATE_RTOL
 
@@ -63,10 +63,8 @@ def certify_consensus_minimizer(
     """
     if not np.isfinite(x_star):
         raise DomainError(f"x_star must be finite, got {x_star}")
-    if not 0.0 < lam < np.inf:
-        raise DomainError(f"lam must be positive and finite, got {lam}")
-    if not g.is_connected:
-        raise UnsupportedGraphError("certificates need a connected graph")
+    _check_cut_problem(lam)
+    require_connected(g, "certificates")
     lo, hi = objs.subgradient_box(float(x_star))
 
     if np.all(lo == hi):
@@ -122,8 +120,7 @@ def mc_lambda0_exact(g: Graph) -> float:
     nonempty A.  On K_N the (size, perimeter) rows are (k, k(N - k)); other
     graphs enumerate their subsets, capped by ``MEDIAN_PATTERN_MAX_VERTICES``.
     """
-    if not g.is_connected:
-        raise UnsupportedGraphError("need a connected graph")
+    require_connected(g, "median critical levels")
     n = g.n_vertices
     if is_complete(g):
         k = np.arange(1, n)
@@ -184,8 +181,7 @@ def stubborn_limit(
         raise InvalidFieldError("regular initial values must be finite")
     if not np.isfinite(a):
         raise ValueError("pinned value a must be finite")
-    if not 0.0 < lam < np.inf:
-        raise ValueError("lam must be positive and finite")
+    _check_cut_problem(lam)
     if not (s_count >= 1 and float(s_count).is_integer()):
         raise ValueError(f"s_count must be a whole number of at least 1, got {s_count}")
     mean = float(x0_regular.mean())

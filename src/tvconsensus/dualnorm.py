@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IterationAnomalyError, SizeCapError, UnsupportedGraphError
-from .graph import Graph, check_node_field, connected_components, perimeter
+from .errors import DomainError, IterationAnomalyError, SizeCapError
+from .graph import Graph, check_node_field, connected_components, perimeter, require_connected
 from .maxflow import maximize_cut_functional
 
 # Relative stagnation tolerance on the ratio sequence.
@@ -74,11 +74,6 @@ class DualNormResult:
         return self.value
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected:
-        raise UnsupportedGraphError("dual norm is only defined on connected graphs")
-
-
 def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     """Dual norm by ratio iteration over min cuts.
 
@@ -89,7 +84,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     the maximum drops to zero, i.e. when the ratio stagnates.  The ratio is
     the dual norm only for a mean-zero u; any other field raises ``DomainError``.
     """
-    _require_connected(g)
+    require_connected(g, "dual norms")
     u = check_node_field(g, u)
     if not is_mean_zero(u):
         raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
@@ -138,7 +133,7 @@ def dual_norm_bruteforce(g: Graph, u) -> DualNormResult:
     disconnected maximizer is never better than its best component.  Like the
     iteration, it takes a mean-zero u only; any other field raises ``DomainError``.
     """
-    _require_connected(g)
+    require_connected(g, "dual norms")
     u = check_node_field(g, u)
     if not is_mean_zero(u):
         raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
@@ -182,6 +177,6 @@ def dual_feasibility_gap(g: Graph, u, lam: float) -> float:
     when every subset meets the bound; a u that also sums to zero then lies
     in the dual-norm ball of radius lam.
     """
-    _require_connected(g)
+    require_connected(g, "dual norms")
     _, value = maximize_cut_functional(g, u, lam)
     return value

@@ -6,8 +6,8 @@ are independent.  An engine is two calls: ``start(g, objs)`` checks its
 parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
 a new array.  Pinned (stubborn) agents are a property of the network, not of
 the engine: ``run`` takes them as one vertex -> pinned value mapping, validates
-x(0) and the ids, writes the pinned values into x(0), and writes them again
-into every state an engine returns.
+x(0), the ids and the values, writes the pinned values into x(0), and writes them
+again into every state an engine returns.
 
 When no agent is pinned and the stop rule cannot fire, nothing reads the rounds
 strictly between two recorded rows, so ``run`` hands each such stretch to the
@@ -38,8 +38,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, UnsupportedGraphError
-from .graph import Graph, check_node_field, check_subset, connected_components, is_complete
+from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
+from .graph import Graph, check_node_field, connected_components, is_complete, subset_mask
 from .objectives import Absolute, Quadratic
 from .tv import _total_variation
 
@@ -58,9 +58,13 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
 
 def _pins(g: Graph, pinned: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """The pinned ids in ascending order and their values as floats; an unknown or
-    non-integral id raises ``InvalidSubsetError``."""
-    ids = sorted(check_subset(g, pinned))
-    return np.array(ids, dtype=np.intp), np.array([pinned[v] for v in ids], dtype=float)
+    non-integral id raises ``InvalidSubsetError`` and a non-finite value ``InvalidFieldError``."""
+    ids = np.flatnonzero(subset_mask(g, pinned))
+    values = np.array([pinned[v] for v in ids.tolist()], dtype=float)
+    bad = ids[~np.isfinite(values)]
+    if bad.size:
+        raise InvalidFieldError(f"pinned value {pinned[bad[0]]} at vertex {bad[0]} is not finite")
+    return ids, values
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +364,15 @@ def run(
 ) -> Trajectory:
     """Iterate an engine and record metrics until the stop rule fires.
 
-    ``pinned`` maps each stubborn vertex to its value, and an unknown or
-    non-integral id raises ``InvalidSubsetError``.  x(0) is x0 with those
-    entries set to their pinned values, and every state the engine returns gets
-    them again, so no engine handles the pins.  The stop rule reads the
-    disagreement of the unpinned agents only; the recorded one covers all agents.
-    The recorded objective is F(x) + metric_lambda * tv(x); metric_lambda
-    defaults to the engine's own regularization level, and a level outside
-    [0, inf) raises ``ValueError`` before the first step.  Iteration 0 carries
-    the initial metrics with zero change; the final iteration is always
+    ``pinned`` maps each stubborn vertex to its value; an unknown or non-integral
+    id raises ``InvalidSubsetError`` and a non-finite value ``InvalidFieldError``.
+    x(0) is x0 with those entries set to their pinned values, and every state the
+    engine returns gets them again, so no engine handles the pins.  The stop rule
+    reads the disagreement of the unpinned agents only; the recorded one covers
+    all agents.  The recorded objective is F(x) + metric_lambda * tv(x);
+    metric_lambda defaults to the engine's own regularization level, and a level
+    outside [0, inf) raises ``ValueError`` before the first step.  Iteration 0
+    carries the initial metrics with zero change; the final iteration is always
     recorded.  A state or a row metric that overflows or turns NaN raises
     ``DomainError``.  Without pins or a stop rule that can fire, the rounds
     between rows go to the engine's ``advance``, if any; ``run`` steps the rest,
@@ -376,17 +380,16 @@ def run(
     """
     if not (record_every >= 1 and float(record_every).is_integer()):
         raise ValueError(f"record_every must be a whole number of at least 1, got {record_every}")
-    if not float(stop.max_iterations).is_integer():
-        raise ValueError(f"max_iterations must be a whole number, got {stop.max_iterations}")
-    record_every, max_iterations = int(record_every), int(stop.max_iterations)
+    cap = stop.max_iterations
+    if not (cap >= 0 and float(cap).is_integer()):
+        raise ValueError(f"max_iterations must be a whole number of at least 0, got {cap}")
+    record_every, max_iterations = int(record_every), int(cap)
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
     x = check_node_field(g, x0).copy()
     pin_ids, pin_values = _pins(g, pinned)
+    x[pin_ids] = pin_values
     has_pins = pin_ids.size > 0
-    if has_pins:
-        x[pin_ids] = pin_values
-        check_node_field(g, x)  # the pinned values must be finite too
     engine.start(g, objs)
     if not 0.0 <= lam_metric < math.inf:
         raise ValueError(f"metric_lambda must be nonnegative and finite, got {lam_metric}")

@@ -28,11 +28,8 @@ class Graph:
         if not (n_vertices >= 1 and float(n_vertices).is_integer()):
             raise ValueError(f"n_vertices must be a whole number of at least 1, got {n_vertices}")
         n = self._n = int(n_vertices)
-        pairs = _edge_array(edges)
-        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        if outside.any():
-            bad = tuple(pairs[outside][0].tolist())
-            raise ValueError(f"edge {bad} references an unknown vertex")
+        pairs = _vertex_ids(n, edges)
+        pairs = pairs.reshape(len(pairs), 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-loop at vertex {pairs[loops][0, 0]} is not allowed")
@@ -78,13 +75,13 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """v's neighbours, ascending: the edges ending at v, then the run starting at v."""
-        (v,) = check_subset(self, [v])
+        (v,) = _vertex_ids(self._n, [v]).tolist()
         lo, hi = self._src.searchsorted([v, v + 1])
         return tuple(self._src[self._dst == v].tolist() + self._dst[lo:hi].tolist())
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``vertices``; returns (graph, sorted original ids)."""
-        kept = np.array(sorted(check_subset(self, vertices)), dtype=np.intp)
+        kept = np.flatnonzero(subset_mask(self, vertices))
         if not kept.size:
             raise InvalidSubsetError("induced subgraph needs at least one vertex")
         index = np.full(self._n, -1, dtype=np.intp)
@@ -96,12 +93,19 @@ class Graph:
         return f"Graph(n_vertices={self._n}, n_edges={self.n_edges})"
 
 
-def _edge_array(edges) -> np.ndarray:
-    """Edges as an (m, 2) integer array; anything but m pairs of integral ids raises ValueError."""
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-    if pairs.dtype.kind == "f" and not np.all(np.isfinite(pairs) & (pairs == np.trunc(pairs))):
-        raise ValueError("vertex ids must be integers")
-    return pairs.astype(np.intp, copy=False).reshape(len(pairs), 2)
+def _vertex_ids(n: int, ids) -> np.ndarray:
+    """``ids`` as intp ids in 0..n-1; InvalidSubsetError for a non-number or non-integral float."""
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if ids.dtype.kind not in "iuf":
+        raise InvalidSubsetError(f"vertex ids must be integers, not {ids.dtype.type.__name__}")
+    if ids.dtype.kind == "f":  # integer arrays need no float temporaries
+        bad = ids[~(np.isfinite(ids) & (ids == np.trunc(ids)))]
+        if bad.size:
+            raise InvalidSubsetError(f"vertex ids must be integers: {bad[0]} is not an integer")
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise InvalidSubsetError(f"unknown vertex id {ids[outside][0]}")
+    return ids.astype(np.intp, copy=False)
 
 
 def is_complete(g: Graph) -> bool:
@@ -120,28 +124,27 @@ def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarr
     return x
 
 
-def check_subset(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """The distinct ids as ints; an unknown or non-integral id raises InvalidSubsetError."""
-    subset = frozenset(vertices)
-    for v in subset:
-        if not 0 <= v < g.n_vertices:
-            raise InvalidSubsetError(f"unknown vertex id {v}")
-        if not float(v).is_integer():
-            raise InvalidSubsetError(f"vertex id {v} is not an integer")
-    return frozenset(map(int, subset))
+def subset_mask(g: Graph, vertices: Iterable[int]) -> np.ndarray:
+    """The boolean membership mask of ``vertices``, ids checked by ``_vertex_ids``."""
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[_vertex_ids(g.n_vertices, vertices)] = True
+    return mask
+
+
+def require_connected(g: Graph, what: str) -> None:
+    if not g.is_connected:
+        raise UnsupportedGraphError(f"{what} need a connected graph")
 
 
 def perimeter(g: Graph, subset: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in ``subset``."""
-    chosen = check_subset(g, subset)
-    mask = np.zeros(g.n_vertices, dtype=bool)
-    mask[list(chosen)] = True
+    mask = subset_mask(g, subset)
     return int(np.count_nonzero(mask[g.edge_src] != mask[g.edge_dst]))
 
 
 def connected_components(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
     """Maximal connected pieces of the subgraph induced by ``subset``, by smallest member."""
-    members = np.array(sorted(check_subset(g, subset)), dtype=np.intp)
+    members = np.flatnonzero(subset_mask(g, subset))
     local = np.full(g.n_vertices, -1, dtype=np.intp)
     local[members] = np.arange(members.size)
     src, dst = local[g.edge_src], local[g.edge_dst]
@@ -233,7 +236,7 @@ def load_edge_list(path: str) -> Graph:
     The vertex count is inferred as (largest id + 1); trailing isolated
     vertices therefore cannot be represented by this format.
     """
-    edges: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}  # each (low, high) pair -> its first line
     for lineno, raw, text in _records(path):
         parts = text.split()
         if len(parts) != 2:
@@ -244,10 +247,15 @@ def load_edge_list(path: str) -> Graph:
             raise ValueError(f"{path}:{lineno}: vertex ids must be integers") from exc
         if v < 0 or w < 0:
             raise ValueError(f"{path}:{lineno}: vertex ids must be nonnegative")
-        edges.append((v, w))
-    if not edges:
+        if v == w:
+            raise ValueError(f"{path}:{lineno}: self-loop at vertex {v} is not allowed")
+        pair = (min(v, w), max(v, w))
+        if pair in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate edge {pair}, first on line {seen[pair]}")
+        seen[pair] = lineno
+    if not seen:
         raise ValueError(f"{path}: no edges found")
-    return Graph(max(map(max, edges)) + 1, edges)
+    return Graph(max(hi for _, hi in seen) + 1, list(seen))
 
 
 def save_edge_list(g: Graph, path: str) -> None:

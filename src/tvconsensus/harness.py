@@ -17,7 +17,7 @@ from .config import ENGINES, OBJECTIVES, ExperimentConfig, build_graph, build_in
 from .dualnorm import center_field, dual_norm_algorithm0
 from .engines import GossipEngine, Trajectory, run
 from .errors import ConfigError, TvConsensusError, UnsupportedGraphError
-from .graph import Graph, write_text
+from .graph import Graph, perimeter, write_text
 # perfbench/tracer.py wraps harness.metrics_from_trajectory by name, so the import stays.
 from .metrics import emit_csv, metrics_from_trajectory  # noqa: F401
 from .objectives import Quadratic
@@ -89,12 +89,11 @@ def _resolve_lambda(
     return lam, info
 
 
-def _is_scenario1(g: Graph, pinned: dict[int, float], regular: list[int]) -> bool:
-    """Every stubborn agent adjacent to all regular agents, one common value."""
-    if len(set(pinned.values())) != 1:
-        return False
-    regular_set = set(regular)
-    return all(regular_set <= set(g.neighbors(s)) for s in pinned)
+def _is_scenario1(g: Graph, pinned: dict[int, float]) -> bool:
+    """One common value, every pin adjacent to every regular agent: the edges leaving the
+    pins S all end at regular agents R, so they number |S| * |R| exactly then."""
+    full = len(pinned) * (g.n_vertices - len(pinned))
+    return len(set(pinned.values())) == 1 and perimeter(g, pinned) == full
 
 
 def _median(x: np.ndarray) -> float:
@@ -197,7 +196,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if not pinned:
         summary["stubborn_analysis"] = None
     else:
-        scenario1 = _is_scenario1(g, pinned, regular)
+        scenario1 = _is_scenario1(g, pinned)
         block: dict = {"scenario1": scenario1}
         # The closed form minimizes the quadratic energy only; its lambda_ok reuses the
         # regular agents' critical level that resolved lambda.

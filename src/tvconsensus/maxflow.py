@@ -34,7 +34,7 @@ RESIDUAL_EPS = 1e-12
 
 def _check_cut_problem(lam: float) -> None:
     if not 0.0 < lam < np.inf:
-        raise DomainError(f"penalty level must be positive and finite, got {lam}")
+        raise DomainError(f"lam must be positive and finite, got {lam}")
 
 
 @dataclass(frozen=True)

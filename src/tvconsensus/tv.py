@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualnorm import center_field
-from .errors import UnsupportedGraphError
-from .graph import Graph, check_node_field, perimeter
+from .graph import Graph, check_node_field, perimeter, require_connected
 from .maxflow import maximize_cut_functional
 
 CERTIFICATE_RTOL = 1e-9  # relative tolerance of every certificate verdict
@@ -69,8 +68,7 @@ def is_dual_certificate(g: Graph, u, x) -> bool:
     <u, x - min(x)> (equal to <u, x> for mean-zero u, without the offset of x)
     to match tv_norm(x) within ``CERTIFICATE_RTOL`` * tv_norm(x).
     """
-    if not g.is_connected:
-        raise UnsupportedGraphError("dual certificates need a connected graph")
+    require_connected(g, "dual certificates")
     u = check_node_field(g, u)
     x = check_node_field(g, x)
     tol = CERTIFICATE_RTOL * float(np.abs(u).sum())

@@ -18,12 +18,16 @@ from tvconsensus import (
     StopRule,
     UnsupportedGraphError,
     ac_critical_lambda,
+    build_network,
     certify_consensus_minimizer,
     complete_graph,
     cycle_graph,
+    dual_feasibility_gap,
     dual_norm_algorithm0,
     dual_norm_bruteforce,
     erdos_renyi,
+    is_dual_certificate,
+    maximize_cut_functional,
     mc_lambda0_exact,
     mc_lambda0_upper,
     path_graph,
@@ -569,3 +573,54 @@ class TestStubbornLimit:
     def test_lam_must_be_positive_and_finite(self, lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             stubborn_limit(np.array([0.1, 0.2]), 10.0, lam, 1)
+
+
+def _spread(g):
+    """A nonzero mean-zero field on g."""
+    return np.arange(g.n_vertices) - (g.n_vertices - 1) / 2
+
+
+# Every entry point that needs a connected graph, given the graph and a mean-zero field.
+CONNECTED_ENTRY_POINTS = {
+    "dual_norm_algorithm0": lambda g: dual_norm_algorithm0(g, _spread(g)),
+    "dual_norm_bruteforce": lambda g: dual_norm_bruteforce(g, _spread(g)),
+    "dual_feasibility_gap": lambda g: dual_feasibility_gap(g, _spread(g), 1.0),
+    "is_dual_certificate": lambda g: is_dual_certificate(g, _spread(g), _spread(g)),
+    "certify_consensus_minimizer": lambda g: certify_consensus_minimizer(
+        g, Quadratic(g, _spread(g)), 0.0, 1.0),
+    "mc_lambda0_exact": mc_lambda0_exact,
+}
+
+DISCONNECTED = {
+    "two_pieces": Graph(4, [(0, 1), (2, 3)]),
+    "isolated_vertex": Graph(3, [(0, 1)]),
+}
+
+
+class TestConnectivityRule:
+    @pytest.mark.parametrize("graph", DISCONNECTED)
+    @pytest.mark.parametrize("entry", CONNECTED_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_disconnected_graph_alike(self, entry, graph):
+        with pytest.raises(UnsupportedGraphError, match="^[a-z ]+ need a connected graph$"):
+            CONNECTED_ENTRY_POINTS[entry](DISCONNECTED[graph])
+
+
+# Every entry point that takes a cut level lam, on a 3-vertex graph.
+LAM_ENTRY_POINTS = {
+    "maximize_cut_functional_kn": lambda lam: maximize_cut_functional(
+        complete_graph(3), _spread(complete_graph(3)), lam),
+    "maximize_cut_functional": lambda lam: maximize_cut_functional(
+        path_graph(3), _spread(path_graph(3)), lam),
+    "build_network": lambda lam: build_network(path_graph(3), _spread(path_graph(3)), lam),
+    "certify_consensus_minimizer": lambda lam: certify_consensus_minimizer(
+        path_graph(3), Quadratic(path_graph(3), _spread(path_graph(3))), 0.0, lam),
+    "stubborn_limit": lambda lam: stubborn_limit(np.array([0.1, 0.2]), 10.0, lam, 1),
+}
+
+
+class TestCutLevelRule:
+    @pytest.mark.parametrize("lam", [0.0, -0.0, np.nan, np.inf], ids=["0", "-0", "nan", "inf"])
+    @pytest.mark.parametrize("entry", LAM_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_bad_level_alike(self, entry, lam):
+        with pytest.raises(DomainError, match=f"^lam must be positive and finite, got {lam}$"):
+            LAM_ENTRY_POINTS[entry](lam)

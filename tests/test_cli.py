@@ -186,6 +186,19 @@ class TestSubcommands:
         assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 1
         assert "node field must have length 3, got shape (2,)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 1\n", ":2: self-loop at vertex 1 is not allowed"),
+        ("0 1\n1 2\n2 1\n", ":3: duplicate edge (1, 2), first on line 2"),
+    ], ids=["self-loop", "duplicate"])
+    def test_a_bad_edge_names_its_line(self, tmp_path, capsys, text, message):
+        gpath, upath = tmp_path / "g.txt", tmp_path / "u.txt"
+        gpath.write_text(text)
+        write_field(upath, [1.0, -1.0, 0.0])
+        assert main(["dualnorm", "--graph", str(gpath), "--field", str(upath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gpath}{message}\n"
+
     def test_malformed_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
         cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out") + "lambda: [unclosed\n")
@@ -638,6 +651,17 @@ stubborn: {{vertices: [8], values: [5.0]}}
         assert block["prediction"]["lambda_ok"] is None
         with pytest.raises(ConfigError, match="^lambda.multiplier: no positive reference level"):
             run_experiment(self.pinned_config(tmp_path, path3, [1], [5.0], {"multiplier": 2.0}))
+
+    @pytest.mark.parametrize("graph, vertices, expected", [
+        ({"generator": "path", "n": 4}, [0, 3], False),  # each pin misses one regular agent
+        ({"generator": "cycle", "n": 4}, [0, 2], True),  # each pin neighbours both 1 and 3
+        ({"generator": "complete", "n": 5}, [0, 1], True),  # the pins' own edge is not counted
+    ])
+    def test_scenario1_needs_every_pin_next_to_every_regular_agent(
+        self, tmp_path, graph, vertices, expected
+    ):
+        cfg = self.pinned_config(tmp_path, graph, vertices, [5.0, 5.0], {"value": 0.5})
+        assert run_experiment(cfg).summary["stubborn_analysis"]["scenario1"] is expected
 
     def test_distinct_pinned_values_get_no_prediction(self, tmp_path):
         k4 = {"generator": "complete", "n": 4}

@@ -27,6 +27,7 @@ from tvconsensus import (
     disagreement,
     erdos_renyi,
     gossip_limit,
+    path_graph,
     run,
     tv_norm,
     uniform_gossip_matrix,
@@ -280,6 +281,21 @@ class TestPins:
         assert spy.states == []
         with pytest.raises(InvalidSubsetError, match=message):
             gossip_limit(g, pins)
+
+    @pytest.mark.parametrize("value", [float("nan"), INF, -INF], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["run", "gossip_limit"])
+    def test_every_entry_point_rejects_a_non_finite_pin_alike(self, entry, value):
+        # gossip_limit used to return [nan, nan] with a RuntimeWarning for {1: nan}.
+        g = path_graph(3)
+        x0 = np.zeros(3)
+        spy = Spy(GossipEngine())
+        with pytest.raises(InvalidFieldError,
+                           match=f"^pinned value {value} at vertex 1 is not finite$"):
+            if entry == "run":
+                run(spy, g, x0, Quadratic(g, x0), {1: value})
+            else:
+                gossip_limit(g, {1: value})
+        assert spy.states == []
 
     def test_an_integral_float_id_pins_its_vertex(self):
         g = complete_graph(4)
@@ -822,6 +838,16 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="max_iterations must be a whole number"):
             run(spy, g, x0, Quadratic(g, x0), stop=StopRule(2.5))
         assert spy.states == []
+
+    def test_rejects_a_negative_iteration_cap(self):
+        # A cap of -5 used to return one row and no step without an error.
+        g = complete_graph(3)
+        x0 = np.array([0.0, 1.0, 2.0])
+        spy = Spy(SubgradientEngine(0.5))
+        with pytest.raises(ValueError, match="^max_iterations must be a whole number of at least 0"):
+            run(spy, g, x0, Quadratic(g, x0), stop=StopRule(max_iterations=-5))
+        assert spy.states == []
+        assert run(spy, g, x0, Quadratic(g, x0), stop=StopRule(max_iterations=0)).n_steps == 0
 
     def test_rejects_a_fractional_record_interval(self):
         g = complete_graph(3)

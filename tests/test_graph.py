@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from tvconsensus import (
+    GossipEngine,
     Graph,
     InvalidFieldError,
     InvalidSubsetError,
+    Quadratic,
     UnsupportedGraphError,
     complete_graph,
     connected_components,
     cycle_graph,
     erdos_renyi,
+    gossip_limit,
     load_edge_list,
     path_graph,
     perimeter,
     read_node_field,
+    run,
     save_edge_list,
 )
 
@@ -235,6 +239,50 @@ class TestCsrAdjacency:
         ]
 
 
+def _run_pinned(ids):
+    g = path_graph(3)
+    return run(GossipEngine(), g, np.zeros(3), Quadratic(g, np.zeros(3)), dict.fromkeys(ids, 0.0))
+
+
+# Every entry point that takes vertex ids, on a 3-vertex graph.  Graph gets each bad id at
+# both ends of an edge, so the pair keeps the id's type; the id rule runs before the
+# self-loop rule.  neighbors takes the first id alone.
+ID_ENTRY_POINTS = {
+    "Graph": lambda ids: Graph(3, [(v, v) for v in ids]),
+    "perimeter": lambda ids: perimeter(path_graph(3), ids),
+    "connected_components": lambda ids: connected_components(path_graph(3), ids),
+    "induced_subgraph": lambda ids: path_graph(3).induced_subgraph(ids),
+    "neighbors": lambda ids: path_graph(3).neighbors(ids[0]),
+    "run": _run_pinned,
+    "gossip_limit": lambda ids: gossip_limit(path_graph(3), dict.fromkeys(ids, 0.0)),
+}
+
+BAD_IDS = {
+    "mask": (np.array([True, False, True]), "integers, not bool"),  # as ids it reads {0, 1}
+    "bools": ([True, False], "integers, not bool"),
+    "string": (["a"], "integers, not str_"),
+    "none": ([None], "integers, not object_"),
+    "nan": ([float("nan")], "integers: nan is not an integer"),
+    "inf": ([float("inf")], "integers: inf is not an integer"),
+    "-inf": ([-float("inf")], "integers: -inf is not an integer"),
+    "negative": ([-1], "unknown vertex id -1"),
+    "n": ([3], "unknown vertex id 3"),
+}
+
+
+class TestVertexIdRule:
+    @pytest.mark.parametrize("case", BAD_IDS)
+    @pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_bad_id_alike(self, entry, case):
+        ids, message = BAD_IDS[case]
+        with pytest.raises(InvalidSubsetError, match=f"{message}$"):
+            ID_ENTRY_POINTS[entry](ids)
+
+    def test_a_mixed_list_is_read_as_integers(self):
+        # numpy makes [True, 2] an integer array, so True reads as vertex 1 (documented).
+        assert perimeter(path_graph(3), [True, 2]) == perimeter(path_graph(3), [1, 2])
+
+
 class TestPerimeter:
     def test_empty_and_full(self):
         g = complete_graph(5)
@@ -351,6 +399,8 @@ class TestGeneratorsAndIo:
         ("0 1\n1 x\n", ":2: vertex ids must be integers"),
         ("# header\n0 -1\n", ":2: vertex ids must be nonnegative"),
         ("# only comments\n\n", ": no edges found"),
+        ("0 1\n1 1\n", ":2: self-loop at vertex 1 is not allowed"),
+        ("0 1\n# repeat\n1 0\n", ":3: duplicate edge (0, 1), first on line 1"),
     ])
     def test_edge_list_rejections(self, tmp_path, text, message):
         path = tmp_path / "g.txt"
