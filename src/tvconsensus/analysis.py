@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorm import center_field, dual_norm_algorithm0
-from .errors import DomainError, InvalidFieldError, SizeCapError, UnsupportedGraphError
-from .graph import Graph, check_node_field, is_complete, require_connected
+from .dualnorm import center_field, dual_norm_algorithm0, subset_table
+from .errors import DomainError, UnsupportedGraphError
+from .graph import (Graph, check_node_field, finite_numbers, is_complete, require_connected,
+                    whole_number)
 from .maxflow import _check_cut_problem, maximize_cut_functional
 from .objectives import Absolute, Quadratic
 from .tv import CERTIFICATE_RTOL
@@ -125,15 +126,8 @@ def mc_lambda0_exact(g: Graph) -> float:
     if is_complete(g):
         k = np.arange(1, n)
         per = k * (n - k)
-    elif n > MEDIAN_PATTERN_MAX_VERTICES:
-        raise SizeCapError(
-            f"pattern enumeration capped at {MEDIAN_PATTERN_MAX_VERTICES} vertices, got {n}"
-        )
     else:
-        masks = np.arange(1, 2**n - 1)
-        inside = (masks[:, None] >> np.arange(n)) & 1
-        k = inside.sum(axis=1)
-        per = (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+        _, k, per = subset_table(g, MEDIAN_PATTERN_MAX_VERTICES)
     p, z = n // 2, n % 2
     h = np.minimum(k, p) - np.maximum(0, k - p - z)
     return float(np.max(h / per, initial=0.0))
@@ -174,29 +168,21 @@ def stubborn_limit(
     regular subgraph (``ac_critical_lambda``); pass it to have the
     precondition checked.
     """
-    x0_regular = np.asarray(x0_regular, dtype=float)
+    x0_regular = finite_numbers(x0_regular, "x0_regular")
     if x0_regular.ndim != 1 or x0_regular.size == 0:
         raise ValueError("need a nonempty vector of regular initial values")
-    if not np.all(np.isfinite(x0_regular)):
-        raise InvalidFieldError("regular initial values must be finite")
-    if not np.isfinite(a):
-        raise ValueError("pinned value a must be finite")
+    a = float(finite_numbers(a, "pinned value a"))
     _check_cut_problem(lam)
-    if not (s_count >= 1 and float(s_count).is_integer()):
-        raise ValueError(f"s_count must be a whole number of at least 1, got {s_count}")
+    s_count = whole_number(s_count, 1, "s_count")
     mean = float(x0_regular.mean())
     margin = lam * s_count
     lambda_ok = None if critical_level is None else lam >= critical_level
     if abs(mean - a) <= margin:
-        x_star, case = float(a), PULLED_TO_ANCHOR
+        x_star, case = a, PULLED_TO_ANCHOR
     elif mean + margin < a:
         x_star, case = mean + margin, CLIPPED_HIGH
     else:
         x_star, case = mean - margin, CLIPPED_LOW
     return StubbornPrediction(
-        x_star=x_star,
-        case=case,
-        margin=margin,
-        regular_mean=mean,
-        lambda_ok=lambda_ok,
+        x_star=x_star, case=case, margin=margin, regular_mean=mean, lambda_ok=lambda_ok
     )

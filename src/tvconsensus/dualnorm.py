@@ -74,6 +74,25 @@ class DualNormResult:
         return self.value
 
 
+def _mean_zero_field(g: Graph, u) -> np.ndarray:
+    """u as a node field of connected g; ``DomainError`` unless it sums to zero."""
+    require_connected(g, "dual norms")
+    u = check_node_field(g, u)
+    if not is_mean_zero(u):
+        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
+    return u
+
+
+def subset_table(g: Graph, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty proper vertex subsets of g in mask order (bit v of the mask is vertex v):
+    their boolean membership rows, sizes and perimeters; ``SizeCapError`` above ``cap`` vertices."""
+    n = g.n_vertices
+    if n > cap:
+        raise SizeCapError(f"subset enumeration capped at {cap} vertices, got {n}")
+    inside = ((np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1).astype(bool)
+    return inside, inside.sum(axis=1), (inside[:, g.edge_src] != inside[:, g.edge_dst]).sum(axis=1)
+
+
 def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     """Dual norm by ratio iteration over min cuts.
 
@@ -84,10 +103,7 @@ def dual_norm_algorithm0(g: Graph, u) -> DualNormResult:
     the maximum drops to zero, i.e. when the ratio stagnates.  The ratio is
     the dual norm only for a mean-zero u; any other field raises ``DomainError``.
     """
-    require_connected(g, "dual norms")
-    u = check_node_field(g, u)
-    if not is_mean_zero(u):
-        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
+    u = _mean_zero_field(g, u)
     if not np.any(u):
         return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 
@@ -133,37 +149,23 @@ def dual_norm_bruteforce(g: Graph, u) -> DualNormResult:
     disconnected maximizer is never better than its best component.  Like the
     iteration, it takes a mean-zero u only; any other field raises ``DomainError``.
     """
-    require_connected(g, "dual norms")
-    u = check_node_field(g, u)
-    if not is_mean_zero(u):
-        raise DomainError(f"node field must have zero mean, got mean {u.mean()}")
-    n = g.n_vertices
-    if n > BRUTEFORCE_MAX_VERTICES:
-        raise SizeCapError(
-            f"exhaustive enumeration capped at {BRUTEFORCE_MAX_VERTICES} vertices, got {n}"
-        )
+    u = _mean_zero_field(g, u)
+    inside, sizes, perims = subset_table(g, BRUTEFORCE_MAX_VERTICES)
     if not np.any(u):
         return DualNormResult(value=0.0, witness_subset=frozenset(), iterations=0)
 
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    sizes = np.zeros(masks.shape, dtype=np.int64)
-    subset_sums = np.zeros(masks.shape, dtype=float)
-    for v in range(n):
-        bit = (masks >> v) & 1
-        sizes += bit
-        subset_sums += bit * u[v]
-    perims = np.zeros(masks.shape, dtype=np.int64)
-    for v, w in zip(g.edge_src, g.edge_dst):
-        perims += ((masks >> int(v)) & 1) ^ ((masks >> int(w)) & 1)
+    subset_sums = np.zeros(len(inside))
+    for v in range(g.n_vertices):  # vertex by vertex, one sum per subset
+        subset_sums += inside[:, v] * u[v]
 
-    eligible = sizes <= (n / 2)
-    ratios = np.abs(subset_sums) / np.maximum(perims, 1)
+    eligible = sizes <= (g.n_vertices / 2)
+    ratios = np.abs(subset_sums) / perims  # a connected graph cuts every proper subset
 
     # Scanning eligible masks in decreasing ratio order, the first connected one realizes
     # the maximum over the whole family; a nonzero mean-zero u has n >= 2, so one exists.
     order = np.argsort(-ratios, kind="stable")
     for idx in order[eligible[order]]:
-        subset = np.flatnonzero((masks[idx] >> np.arange(n)) & 1).tolist()
+        subset = np.flatnonzero(inside[idx]).tolist()
         if len(connected_components(g, subset)) == 1:
             return DualNormResult(
                 value=float(ratios[idx]), witness_subset=frozenset(subset), iterations=0

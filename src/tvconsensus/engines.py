@@ -38,8 +38,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError, InvalidFieldError, UnsupportedGraphError
-from .graph import Graph, check_node_field, connected_components, is_complete, subset_mask
+from .errors import AssumptionError, DomainError, UnsupportedGraphError
+from .graph import (Graph, check_node_field, connected_components, finite_numbers, is_complete,
+                    subset_mask, whole_number)
 from .objectives import Absolute, Quadratic
 from .tv import _total_variation
 
@@ -57,14 +58,12 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
 
 
 def _pins(g: Graph, pinned: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The pinned ids in ascending order and their values as floats; an unknown or
-    non-integral id raises ``InvalidSubsetError`` and a non-finite value ``InvalidFieldError``."""
+    """The pinned ids in ascending order and their values as floats; the ids are checked by
+    ``subset_mask`` and each value by ``finite_numbers``."""
     ids = np.flatnonzero(subset_mask(g, pinned))
-    values = np.array([pinned[v] for v in ids.tolist()], dtype=float)
-    bad = ids[~np.isfinite(values)]
-    if bad.size:
-        raise InvalidFieldError(f"pinned value {pinned[bad[0]]} at vertex {bad[0]} is not finite")
-    return ids, values
+    values = [finite_numbers(pinned[v], f"pinned value {pinned[v]} at vertex {v}")
+              for v in ids.tolist()]
+    return ids, np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def run(
     """Iterate an engine and record metrics until the stop rule fires.
 
     ``pinned`` maps each stubborn vertex to its value; an unknown or non-integral
-    id raises ``InvalidSubsetError`` and a non-finite value ``InvalidFieldError``.
+    id raises ``InvalidSubsetError`` and a value that is not a finite number ``InvalidFieldError``.
     x(0) is x0 with those entries set to their pinned values, and every state the
     engine returns gets them again, so no engine handles the pins.  The stop rule
     reads the disagreement of the unpinned agents only; the recorded one covers
@@ -378,12 +377,8 @@ def run(
     between rows go to the engine's ``advance``, if any; ``run`` steps the rest,
     and steps every later round once ``advance`` has declined one.
     """
-    if not (record_every >= 1 and float(record_every).is_integer()):
-        raise ValueError(f"record_every must be a whole number of at least 1, got {record_every}")
-    cap = stop.max_iterations
-    if not (cap >= 0 and float(cap).is_integer()):
-        raise ValueError(f"max_iterations must be a whole number of at least 0, got {cap}")
-    record_every, max_iterations = int(record_every), int(cap)
+    record_every = whole_number(record_every, 1, "record_every")
+    max_iterations = whole_number(stop.max_iterations, 0, "max_iterations")
     lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
 
     x = check_node_field(g, x0).copy()

@@ -6,7 +6,7 @@ class TvConsensusError(Exception):
 
 
 class InvalidFieldError(TvConsensusError, ValueError):
-    """A node or edge field does not conform to its graph (length, finiteness)."""
+    """A node or edge field does not conform to its graph (number type, length, finiteness)."""
 
 
 class InvalidSubsetError(TvConsensusError, ValueError):

@@ -8,11 +8,12 @@ the input listed them.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidFieldError, InvalidSubsetError, UnsupportedGraphError
+from .errors import DomainError, InvalidFieldError, InvalidSubsetError, UnsupportedGraphError
 
 
 class Graph:
@@ -25,11 +26,11 @@ class Graph:
     __slots__ = ("_n", "_src", "_dst", "_degrees", "_connected")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> None:
-        if not (n_vertices >= 1 and float(n_vertices).is_integer()):
-            raise ValueError(f"n_vertices must be a whole number of at least 1, got {n_vertices}")
-        n = self._n = int(n_vertices)
+        n = self._n = whole_number(n_vertices, 1, "n_vertices")
         pairs = _vertex_ids(n, edges)
-        pairs = pairs.reshape(len(pairs), 2)
+        if pairs.size and pairs.shape[1:] != (2,):  # any empty input is the edgeless graph
+            raise InvalidSubsetError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValueError(f"self-loop at vertex {pairs[loops][0, 0]} is not allowed")
@@ -94,8 +95,12 @@ class Graph:
 
 
 def _vertex_ids(n: int, ids) -> np.ndarray:
-    """``ids`` as intp ids in 0..n-1; InvalidSubsetError for a non-number or non-integral float."""
-    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    """``ids`` as intp ids in 0..n-1; InvalidSubsetError for a non-number, a non-integral float
+    or a ragged nesting."""
+    try:
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    except ValueError:  # numpy's "inhomogeneous shape", as from [(0, 1), (2,)]
+        raise InvalidSubsetError("vertex ids must form an array, got a ragged nesting") from None
     if ids.dtype.kind not in "iuf":
         raise InvalidSubsetError(f"vertex ids must be integers, not {ids.dtype.type.__name__}")
     if ids.dtype.kind == "f":  # integer arrays need no float temporaries
@@ -108,19 +113,36 @@ def _vertex_ids(n: int, ids) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
+def whole_number(value, least: int, what: str) -> int:
+    """``value`` as an int; ``DomainError`` unless it is a whole real number >= ``least``
+    and not a bool (so not a string, None, NaN or ±inf)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= least:
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise DomainError(f"{what} must be a whole number of at least {least}, got {value!r}")
+
+
+def finite_numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; ``InvalidFieldError`` unless numpy reads them as ints or
+    floats (not booleans, strings or objects such as None) and all are finite."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "iuf":
+        raise InvalidFieldError(f"{what} must be int or float, not {x.dtype.type.__name__}")
+    x = x.astype(float, copy=False)
+    if not np.isfinite(x).all():
+        raise InvalidFieldError(f"{what} is not finite")
+    return x
+
+
 def is_complete(g: Graph) -> bool:
     return g.n_edges == g.n_vertices * (g.n_vertices - 1) // 2
 
 
 def check_node_field(g: Graph, values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate and return a node field as a float64 array of length |V|."""
-    x = np.asarray(values, dtype=float)
+    """``values`` checked by ``finite_numbers`` as a float64 array of length |V|."""
+    x = finite_numbers(values, "node field")
     if x.ndim != 1 or x.shape[0] != g.n_vertices:
-        raise InvalidFieldError(
-            f"node field must have length {g.n_vertices}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InvalidFieldError("node field must be finite")
+        raise InvalidFieldError(f"node field must have length {g.n_vertices}, got shape {x.shape}")
     return x
 
 

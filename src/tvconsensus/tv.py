@@ -50,13 +50,8 @@ def coarea_decompose(g: Graph, x) -> LevelSetDecomposition:
     """Exact level-set decomposition of x using its sorted distinct values."""
     x = check_node_field(g, x)
     levels = np.unique(x)
-    perims = []
-    for upper in levels[1:]:
-        perims.append(perimeter(g, np.nonzero(x >= upper)[0]))
-    return LevelSetDecomposition(
-        thresholds=tuple(float(t) for t in levels),
-        perimeters=tuple(perims),
-    )
+    perims = tuple(perimeter(g, np.flatnonzero(x >= upper)) for upper in levels[1:])
+    return LevelSetDecomposition(thresholds=tuple(levels.tolist()), perimeters=perims)
 
 
 def is_dual_certificate(g: Graph, u, x) -> bool:

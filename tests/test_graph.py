@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 
 from tvconsensus import (
+    DomainError,
     GossipEngine,
     Graph,
     InvalidFieldError,
     InvalidSubsetError,
     Quadratic,
+    StopRule,
     UnsupportedGraphError,
     complete_graph,
     connected_components,
     cycle_graph,
+    dual_norm_algorithm0,
     erdos_renyi,
     gossip_limit,
     load_edge_list,
+    maximize_cut_functional,
     path_graph,
     perimeter,
     read_node_field,
     run,
     save_edge_list,
+    stubborn_limit,
+    tv_norm,
 )
 
 from conftest import random_connected_graph
@@ -87,6 +93,25 @@ class TestConstruction:
         # Integral floats are still vertex ids.
         for edges in ([(0, 1.0), (2.0, 1)], np.array([[0.0, 1.0], [2.0, 1.0]])):
             assert Graph(3, edges).oriented_edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 2, 3)], r"edges must be \(u, v\) pairs, got shape \(1, 4\)"),
+        (np.zeros((2, 3), int), r"edges must be \(u, v\) pairs, got shape \(2, 3\)"),
+        ([0, 1], r"edges must be \(u, v\) pairs, got shape \(2,\)"),
+        ([[(0, 1)]], r"edges must be \(u, v\) pairs, got shape \(1, 1, 2\)"),
+        ([(0, 1), (2,)], "vertex ids must form an array, got a ragged nesting"),
+    ], ids=["one-quadruple", "triples", "flat", "nested", "ragged"])
+    def test_rejects_edges_of_the_wrong_shape(self, edges, message):
+        # numpy's reshape or inhomogeneous-shape ValueError used to escape, or, for a nested
+        # list, the pair was read as an edge.
+        with pytest.raises(InvalidSubsetError, match=f"^{message}$"):
+            Graph(4, edges)
+
+    @pytest.mark.parametrize("edges", [[], (), np.empty((0, 2), int), np.empty(0)],
+                             ids=["list", "tuple", "empty-pairs", "empty-flat"])
+    def test_any_empty_edge_input_builds_an_edgeless_graph(self, edges):
+        g = Graph(4, edges)
+        assert (g.n_vertices, g.n_edges, g.degrees.tolist()) == (4, 0, [0, 0, 0, 0])
 
     def test_canonical_orientation_is_low_to_high(self):
         g = Graph(3, [(2, 0), (1, 2)])
@@ -281,6 +306,110 @@ class TestVertexIdRule:
     def test_a_mixed_list_is_read_as_integers(self):
         # numpy makes [True, 2] an integer array, so True reads as vertex 1 (documented).
         assert perimeter(path_graph(3), [True, 2]) == perimeter(path_graph(3), [1, 2])
+
+
+def _run_p3(x0=(0.0, 1.0, 2.0), pinned=None, record_every=1, max_iterations=2):
+    """The final state and recorded iterations of a short gossip run on P3."""
+    g = path_graph(3)
+    traj = run(GossipEngine(), g, x0, Quadratic(g, np.zeros(3)), pinned or {},
+               StopRule(max_iterations=max_iterations), record_every)
+    return traj.final_x.tolist(), traj.iterations.tolist()
+
+
+# Every entry point that takes a count: (call, the count's name, its least value).
+COUNT_ENTRY_POINTS = {
+    "Graph": (lambda k: Graph(k, []).n_vertices, "n_vertices", 1),
+    "run(record_every)": (lambda k: _run_p3(record_every=k), "record_every", 1),
+    "StopRule(max_iterations)": (lambda k: _run_p3(max_iterations=k), "max_iterations", 0),
+    "stubborn_limit(s_count)": (lambda k: stubborn_limit([0.1, 0.2], 1.0, 0.1, k), "s_count", 1),
+}
+
+BAD_COUNTS = {
+    "true": True,
+    "string": "3",
+    "none": None,
+    "fraction": 2.5,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "below_least": None,  # least - 1, filled in per entry point
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("case", BAD_COUNTS)
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_bad_count_alike(self, entry, case):
+        # Graph(True, []) used to build one vertex, run(record_every=True) to run, and
+        # Graph("3", []) and stubborn_limit(..., s_count=None) to raise a bare TypeError.
+        call, name, least = COUNT_ENTRY_POINTS[entry]
+        value = least - 1 if case == "below_least" else BAD_COUNTS[case]
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be a whole number of at least {least}, got "):
+            call(value)
+
+    @pytest.mark.parametrize("value", [3.0, np.int64(3), np.float32(3)],
+                             ids=["float", "int64", "float32"])
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_a_whole_float_or_numpy_number_is_a_count(self, entry, value):
+        call = COUNT_ENTRY_POINTS[entry][0]
+        assert call(value) == call(3)
+
+
+# Every entry point that takes numbers, given a field on P3 and a scalar of the same kind.
+NUMBER_ENTRY_POINTS = {
+    "run(x0)": lambda field, value: _run_p3(x0=field),
+    "Quadratic": lambda field, value: Quadratic(path_graph(3), field).centers.tolist(),
+    "tv_norm": lambda field, value: tv_norm(path_graph(3), field),
+    "dual_norm_algorithm0": lambda field, value: dual_norm_algorithm0(path_graph(3), field).value,
+    "maximize_cut_functional": lambda field, value: maximize_cut_functional(
+        path_graph(3), field, 1.0),
+    "run(pinned)": lambda field, value: _run_p3(pinned={1: value}),
+    "gossip_limit": lambda field, value: gossip_limit(path_graph(3), {1: value}).tolist(),
+    "stubborn_limit(x0_regular)": lambda field, value: stubborn_limit(field, 1.0, 0.1, 1),
+    "stubborn_limit(a)": lambda field, value: stubborn_limit([0.1, 0.2], value, 0.1, 1),
+}
+
+BAD_NUMBERS = {
+    "string": (["1.5"] * 3, "1.5", "must be int or float, not str_"),
+    "bool": ([True] * 3, True, "must be int or float, not bool"),
+    "none": ([None] * 3, None, "must be int or float, not object_"),
+    "object_array": (np.full(3, 1.5, dtype=object), np.array(1.5, dtype=object),
+                     "must be int or float, not object_"),
+    "nan": ([float("nan")] * 3, float("nan"), "is not finite"),
+    "inf": ([float("inf")] * 3, float("inf"), "is not finite"),
+    "-inf": ([-float("inf")] * 3, -float("inf"), "is not finite"),
+}
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("case", BAD_NUMBERS)
+    @pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_bad_number_alike(self, entry, case):
+        # A list of strings used to be read as numbers, a boolean pin as 1.0, and None as a
+        # bare TypeError or as NaN.
+        field, value, message = BAD_NUMBERS[case]
+        with pytest.raises(InvalidFieldError, match=f"{message}$"):
+            NUMBER_ENTRY_POINTS[entry](field, value)
+
+    @pytest.mark.parametrize("field, value", [
+        (np.array([0.5, -1.0, 0.5], dtype=np.float32), np.float32(0.5)),
+        ([1, -2, 1], 2),
+        (np.array([1, -2, 1], dtype=np.int8), np.uint8(2)),
+    ], ids=["float32", "int", "numpy_int"])
+    @pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS)
+    def test_ints_and_float32_are_numbers(self, entry, field, value):
+        call = NUMBER_ENTRY_POINTS[entry]
+        assert call(field, value) == call(np.asarray(field, dtype=float), float(value))
+
+    def test_known_limits(self):
+        # numpy reads a mixed list as floats and an int beyond int64 as an object, and a
+        # mask passes as a field only once converted.
+        g = path_graph(3)
+        assert tv_norm(g, [True, 2.0, 0]) == tv_norm(g, [1.0, 2.0, 0.0])
+        with pytest.raises(InvalidFieldError, match="not object_$"):
+            tv_norm(g, [2**64, 0, 0])
+        mask = np.array([True, False, True])
+        assert tv_norm(g, mask.astype(float)) == 2.0
 
 
 class TestPerimeter:

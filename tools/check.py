@@ -12,8 +12,12 @@ The stages, in order:
   on ``PYTHONPATH``.
 
 Each stage that runs prints one ``PASS <stage> <seconds>s`` or ``FAIL <stage>
-<seconds>s`` line; a failing stage's output follows its line.  The exit status
-is 0 only if every stage passes, and 1 otherwise.
+<seconds>s`` line; a failing stage's output follows its line.  After the last
+stage passes, one ``src_lines <REV's count> -> <this checkout's count>`` line
+follows: the lines of ``src/tvconsensus/*.py``, counted as perfbench's
+``package.src_lines`` counts them, with REV's files read through git.  It only
+reports; it gates nothing.  The exit status is 0 only if every stage passes,
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tvconsensus"
 
 
 def stages(rev: str, dest: Path) -> list[tuple[str, list[str]]]:
@@ -36,6 +41,22 @@ def stages(rev: str, dest: Path) -> list[tuple[str, list[str]]]:
         ("selftest", [python, "-m", "pytest", "-q", "perfbench/selftest.py"]),
         ("tier1", [python, "-m", "pytest", "-q", "--continue-on-collection-errors"]),
     ]
+
+
+def src_lines(rev: str | None = None) -> int:
+    """Lines of ``src/tvconsensus/*.py`` in git revision ``rev``, or in this checkout when
+    ``rev`` is None, counted as perfbench's ``package.src_lines``: ``str.splitlines``."""
+    if rev is None:
+        texts = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    else:
+        names = git("ls-tree", "--name-only", rev, "src/tvconsensus/").splitlines()
+        texts = [git("show", f"{rev}:{name}") for name in names if name.endswith(".py")]
+    return sum(len(text.splitlines()) for text in texts)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True,
+                          encoding="utf-8").stdout
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             if not passed:
                 print(proc.stdout, end="")
                 return 1
+    print(f"src_lines {src_lines(args.rev)} -> {src_lines()}")
     return 0
 
 
