@@ -171,7 +171,7 @@ def stubborn_limit(
     x0_regular = finite_numbers(x0_regular, "x0_regular")
     if x0_regular.ndim != 1 or x0_regular.size == 0:
         raise ValueError("need a nonempty vector of regular initial values")
-    a = float(finite_numbers(a, "pinned value a"))
+    a = float(finite_numbers(a, "pinned value a", scalar=True))
     _check_cut_problem(lam)
     s_count = whole_number(s_count, 1, "s_count")
     mean = float(x0_regular.mean())

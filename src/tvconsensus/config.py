@@ -287,7 +287,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc

@@ -59,9 +59,9 @@ def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
 
 def _pins(g: Graph, pinned: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """The pinned ids in ascending order and their values as floats; the ids are checked by
-    ``subset_mask`` and each value by ``finite_numbers``."""
+    ``subset_mask`` and each value by ``finite_numbers`` as one number."""
     ids = np.flatnonzero(subset_mask(g, pinned))
-    values = [finite_numbers(pinned[v], f"pinned value {pinned[v]} at vertex {v}")
+    values = [finite_numbers(pinned[v], f"pinned value {pinned[v]} at vertex {v}", scalar=True)
               for v in ids.tolist()]
     return ids, np.array(values)
 
@@ -197,8 +197,8 @@ class SubgradientEngine:
     name = "subgradient"
 
     def __init__(self, lam: float, gamma0: float = 1.0):
-        self.lam = float(lam)
-        self.gamma0 = float(gamma0)
+        self.lam = float(finite_numbers(lam, "lam", scalar=True, finite=False))
+        self.gamma0 = float(finite_numbers(gamma0, "gamma0", scalar=True, finite=False))
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
         """Validate gamma0 and lam, fix the run's constants and reset the round counter."""
@@ -274,8 +274,8 @@ class AdmmEngine:
     name = "admm"
 
     def __init__(self, lam: float, rho: float = 1.0):
-        self.lam = float(lam)
-        self.rho = float(rho)
+        self.lam = float(finite_numbers(lam, "lam", scalar=True, finite=False))
+        self.rho = float(finite_numbers(rho, "rho", scalar=True, finite=False))
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
         """Validate rho, lam and the graph, fix the run's constants, zero the multipliers."""

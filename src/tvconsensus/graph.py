@@ -122,14 +122,17 @@ def whole_number(value, least: int, what: str) -> int:
     raise DomainError(f"{what} must be a whole number of at least {least}, got {value!r}")
 
 
-def finite_numbers(values, what: str) -> np.ndarray:
+def finite_numbers(values, what: str, *, scalar: bool = False, finite: bool = True) -> np.ndarray:
     """``values`` as a float64 array; ``InvalidFieldError`` unless numpy reads them as ints or
-    floats (not booleans, strings or objects such as None) and all are finite."""
+    floats (not booleans, strings or objects such as None), they are one number (a 0-d
+    array) if ``scalar``, and all are finite if ``finite``."""
     x = np.asarray(values)
     if x.dtype.kind not in "iuf":
         raise InvalidFieldError(f"{what} must be int or float, not {x.dtype.type.__name__}")
+    if scalar and x.ndim:
+        raise InvalidFieldError(f"{what} must be one number, got shape {x.shape}")
     x = x.astype(float, copy=False)
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise InvalidFieldError(f"{what} is not finite")
     return x
 
@@ -238,18 +241,22 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 
 def _records(path: str) -> Iterator[tuple[int, str, str]]:
-    """(number, raw line, text without ``#`` comment or outer blanks) of each line with text."""
+    """(number, raw line, text without ``#`` comment or outer blanks) of each line with text;
+    ``ValueError`` naming ``path`` if the file is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, raw, text
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                text = raw.split("#", 1)[0].strip()
+                if text:
+                    yield lineno, raw, text
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends on every platform."""
+def write_text(path: str, parts: Iterable[str]) -> None:
+    """Write ``parts`` to ``path`` as UTF-8 with ``\\n`` line ends on every platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def load_edge_list(path: str) -> Graph:
@@ -287,7 +294,7 @@ def save_edge_list(g: Graph, path: str) -> None:
             f"vertex {g.n_vertices - 1} has no edges; an edge list infers the vertex count "
             "from the largest id, so it cannot carry an isolated highest vertex"
         )
-    write_text(path, "".join(f"{v} {w}\n" for v, w in g.oriented_edges))
+    write_text(path, ["".join(f"{v} {w}\n" for v, w in g.oriented_edges)])
 
 
 def read_node_field(path: str) -> np.ndarray:

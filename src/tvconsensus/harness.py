@@ -223,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for key, traj in trajectories.items():
         emit_csv(traj, csv_paths[key])
     summary_path = os.path.join(cfg.output_dir, f"{cfg.prefix}_summary.json")
-    write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_text(summary_path, (json.dumps(summary, indent=2, sort_keys=True), "\n"))
 
     return ExperimentResult(
         config=cfg,

@@ -3,19 +3,22 @@
 Byte output is deterministic for fixed input: floats use 17 significant
 digits (exact round trip), the disagreement column stores the natural log
 with the literal string ``-inf`` when the disagreement is exactly zero.  A
-``Trajectory`` is written from its columns, without a ``MetricsRow`` per row;
+``Trajectory`` is written from its columns, without a ``MetricsRow`` per row, and
+``BLOCK_ROWS`` rows at a time, so the writer's memory does not grow with the run;
 ``parse_csv`` reads the rows back.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .engines import Trajectory
 from .graph import _records, write_text
 
 CSV_HEADER = "iter,disagreement_log,mean,objective,max_change"
+BLOCK_ROWS = 512  # rows formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -27,12 +30,12 @@ class MetricsRow:
     max_change: float
 
 
-def _columns(traj: Trajectory) -> tuple[list, ...]:
-    """The five CSV columns of a trajectory as Python lists, one ``tolist`` each."""
+def _columns(traj: Trajectory, rows: slice = slice(None)) -> tuple[list, ...]:
+    """The five CSV columns of a trajectory's ``rows`` as Python lists, one ``tolist`` each."""
     disagreement_log = [math.log(d) if d > 0.0 else -math.inf
-                        for d in traj.disagreement.tolist()]
-    return (traj.iterations.tolist(), disagreement_log, traj.mean.tolist(),
-            traj.objective.tolist(), traj.max_change.tolist())
+                        for d in traj.disagreement[rows].tolist()]
+    return (traj.iterations[rows].tolist(), disagreement_log, traj.mean[rows].tolist(),
+            traj.objective[rows].tolist(), traj.max_change[rows].tolist())
 
 
 def metrics_from_trajectory(traj: Trajectory) -> list[MetricsRow]:
@@ -40,17 +43,25 @@ def metrics_from_trajectory(traj: Trajectory) -> list[MetricsRow]:
 
 
 def _line(iteration, disagreement_log, mean, objective, max_change) -> str:
-    """One CSV row; ``.17g`` writes infinities as ``inf`` and ``-inf``."""
-    return f"{iteration},{disagreement_log:.17g},{mean:.17g},{objective:.17g},{max_change:.17g}"
+    """One CSV row with its line end; ``.17g`` writes infinities as ``inf`` and ``-inf``."""
+    return f"{iteration},{disagreement_log:.17g},{mean:.17g},{objective:.17g},{max_change:.17g}\n"
+
+
+def _parts(traj: Trajectory) -> Iterator[str]:
+    """The header line, then the text of each block of ``BLOCK_ROWS`` rows."""
+    yield CSV_HEADER + "\n"
+    for start in range(0, len(traj.iterations), BLOCK_ROWS):
+        yield "".join(map(_line, *_columns(traj, slice(start, start + BLOCK_ROWS))))
 
 
 def render_csv(traj: Trajectory) -> str:
     """The CSV text of a trajectory's rows, written from its columns."""
-    return "\n".join([CSV_HEADER, *map(_line, *_columns(traj))]) + "\n"
+    return "".join(_parts(traj))
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
-    write_text(path, render_csv(traj))
+    """Write the text of ``render_csv`` to ``path``, a block of rows at a time."""
+    write_text(path, _parts(traj))
 
 
 def parse_csv(path: str) -> list[MetricsRow]:

@@ -564,6 +564,18 @@ class TestStubbornLimit:
             with pytest.raises(ValueError, match="finite"):
                 stubborn_limit(np.ones(3), bad, 0.1, 1)
 
+    @pytest.mark.parametrize("a", [[5.0], np.array([5.0]), [5.0, 6.0]],
+                             ids=["1-element list", "1-element array", "list"])
+    def test_a_must_be_one_number(self, a):
+        # A 1-element list used to raise float()'s bare TypeError.
+        with pytest.raises(InvalidFieldError,
+                           match=r"^pinned value a must be one number, got shape"):
+            stubborn_limit(np.ones(3), a, 0.1, 1)
+
+    def test_a_0d_array_is_a(self):
+        assert stubborn_limit(np.ones(3), np.array(5.0), 0.1, 1) == stubborn_limit(
+            np.ones(3), 5.0, 0.1, 1)
+
     def test_rejects_a_fractional_pinned_count(self):
         # 1.5 pinned agents used to give the margin 1.5 * lam.
         with pytest.raises(ValueError, match="s_count must be a whole number"):

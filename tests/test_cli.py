@@ -199,6 +199,23 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == f"error: {gpath}{message}\n"
 
+    @pytest.mark.parametrize("command, prefix", [
+        (["run", "{bad}"], "cannot read {bad}: "),
+        (["dualnorm", "--graph", "{bad}", "--field", "{field}"], "{bad}: not UTF-8 text: "),
+        (["dualnorm", "--graph", "{graph}", "--field", "{bad}"], "{bad}: not UTF-8 text: "),
+    ], ids=["config", "edge list", "node field"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, command, prefix):
+        paths = {"bad": tmp_path / "bad.txt", "graph": tmp_path / "g.txt",
+                 "field": tmp_path / "u.txt"}
+        paths["bad"].write_bytes(b"0 1\n\xff\n")
+        paths["graph"].write_text("0 1\n")
+        write_field(paths["field"], [1.0, -1.0])
+        assert main([part.format(**paths) for part in command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + prefix.format(**paths))
+        assert "can't decode byte 0xff" in captured.err
+
     def test_malformed_yaml_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "broken.yaml"
         cfg_path.write_text(AC_CONFIG.format(outdir=tmp_path / "out") + "lambda: [unclosed\n")

@@ -297,6 +297,31 @@ class TestPins:
                 gossip_limit(g, {1: value})
         assert spy.states == []
 
+    @pytest.mark.parametrize("value", [[0.5, 0.7], [0.5], np.array([0.5])],
+                             ids=["list", "1-element list", "1-element array"])
+    @pytest.mark.parametrize("entry", ["run", "gossip_limit"])
+    def test_a_pinned_value_must_be_one_number(self, entry, value):
+        # gossip_limit used to return a (2, 1) array for {1: [0.5]}, and run raised numpy's
+        # bare "shape mismatch" for {1: [0.5, 0.7]}.
+        g = path_graph(3)
+        x0 = np.zeros(3)
+        spy = Spy(GossipEngine())
+        with pytest.raises(InvalidFieldError,
+                           match=r"^pinned value .* at vertex 1 must be one number, got shape"):
+            if entry == "run":
+                run(spy, g, x0, Quadratic(g, x0), {1: value})
+            else:
+                gossip_limit(g, {1: value})
+        assert spy.states == []
+
+    def test_a_0d_array_pins_its_value(self):
+        g = path_graph(3)
+        x0 = np.zeros(3)
+        traj = run(GossipEngine(), g, x0, Quadratic(g, x0), {1: np.array(0.5)},
+                   stop=StopRule(max_iterations=0))
+        assert traj.final_x.tolist() == [0.0, 0.5, 0.0]
+        assert gossip_limit(g, {1: np.array(0.5)}).tolist() == [0.5, 0.5]
+
     def test_an_integral_float_id_pins_its_vertex(self):
         g = complete_graph(4)
         x0 = np.zeros(4)
@@ -355,6 +380,21 @@ class TestEngineContract:
         objs = Quadratic(g, np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             engine(lam).start(g, objs)
+
+    @pytest.mark.parametrize("make, level", [
+        (lambda v: SubgradientEngine(v), "lam"),
+        (lambda v: SubgradientEngine(1.0, gamma0=v), "gamma0"),
+        (lambda v: AdmmEngine(v), "lam"),
+        (lambda v: AdmmEngine(0.1, rho=v), "rho"),
+    ], ids=["subgradient-lam", "subgradient-gamma0", "admm-lam", "admm-rho"])
+    @pytest.mark.parametrize("value, rule", [
+        ("0.5", "int or float"), ("2", "int or float"), (True, "int or float"),
+        (None, "int or float"), ([0.5], "one number"),
+    ], ids=["str", "int str", "bool", "None", "list"])
+    def test_a_level_must_be_a_number_at_construction(self, make, level, value, rule):
+        # float() used to read "0.5" as 0.5 and True as 1.0.
+        with pytest.raises(InvalidFieldError, match=f"^{level} must be {rule}"):
+            make(value)
 
     def test_admm_start_validation(self):
         g = complete_graph(3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from tvconsensus import (
     gossip_limit,
     load_edge_list,
     maximize_cut_functional,
+    parse_csv,
     path_graph,
     perimeter,
     read_node_field,
@@ -573,6 +576,15 @@ class TestGeneratorsAndIo:
         with pytest.raises(error) as info:
             read_node_field(str(path))
         assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("read", [load_edge_list, read_node_field, parse_csv],
+                             ids=["edge list", "node field", "metrics csv"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, read):
+        # The byte 0xff used to raise a bare UnicodeDecodeError without the path.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: .*0xff"):
+            read(str(path))
 
     def test_node_field_file(self, tmp_path):
         path = tmp_path / "x.txt"

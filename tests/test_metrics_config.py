@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,43 @@ class TestMetricsCsv:
             [repr(v) for v in vars(r).values()] for r in metrics_from_trajectory(traj)
         ]
 
+    @staticmethod
+    def long_trajectory(n_rows):
+        """``n_rows`` rows of random values with a zero disagreement, ``inf`` and ``-inf``."""
+        rng = np.random.default_rng(n_rows)
+        values = rng.normal(size=(4, n_rows)) * 10.0 ** rng.integers(-300, 300, size=(4, n_rows))
+        values[0] = np.abs(values[0])
+        values[0, 0] = 0.0
+        values[:, n_rows // 2] = [np.inf, -np.inf, np.inf, 0.0]
+        values[1:, -1] = [-np.inf, np.inf, np.inf]
+        return trajectory(*zip(range(0, 7 * n_rows, 7), *values))
+
+    @pytest.mark.parametrize("n_rows", [1, 511, 512, 513, 1025])
+    def test_block_boundaries_keep_every_row(self, tmp_path, n_rows):
+        traj = self.long_trajectory(n_rows)
+        rows = [",".join([str(it), "-inf" if d == 0.0 else "%.17g" % math.log(d),
+                          *("%.17g" % v for v in others)])
+                for it, d, *others in zip(traj.iterations.tolist(), traj.disagreement.tolist(),
+                                          traj.mean.tolist(), traj.objective.tolist(),
+                                          traj.max_change.tolist())]
+        expected = "\n".join([CSV_HEADER, *rows]) + "\n"
+        path = tmp_path / "m.csv"
+        emit_csv(traj, str(path))
+        assert path.read_bytes() == expected.encode()
+        assert render_csv(traj) == expected
+        assert {"-inf", "inf"} <= set(expected.replace("\n", ",").split(","))
+
+    def test_writer_memory_does_not_grow_with_the_run(self, tmp_path):
+        traj = self.long_trajectory(20_000)
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            emit_csv(traj, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
 
 BASE_CONFIG = {
     "graph": {"generator": "complete", "n": 5},
@@ -245,6 +283,13 @@ class TestConfigParsing:
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "missing.yaml"
         with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_config(str(path))
+
+    def test_a_file_that_is_not_utf8_is_unreadable(self, tmp_path):
+        # It used to raise a bare UnicodeDecodeError without the path.
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"graph:\n  \xff\n")
+        with pytest.raises(ConfigError, match=f"^cannot read {re.escape(str(path))}: .*0xff"):
             load_config(str(path))
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n"])

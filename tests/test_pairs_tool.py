@@ -37,6 +37,11 @@ def test_one_smoke_pair_against_head_gives_every_metric_a_verdict(tmp_path):
     assert [line.split()[0] for line in lines[2:]] == names
     for line in lines[2:]:
         assert re.search(r", change won [01]/1: (better|worse|unresolved)$", line), line
+    # --seconds 0 runs the two passes every run makes, on both sides.
+    assert lines[0].endswith(", passes 2 -> 2")
+    for line in lines[2:]:
+        assert re.search(r"\) (\w+) at 2 passes -> \S+ \(\S+\) \1 at 2 passes, change won",
+                         line), line
 
 
 @needs_git

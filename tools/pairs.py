@@ -7,7 +7,9 @@ The script extracts ``src``, ``perfbench`` and ``tools`` of REV into a
 temporary directory and runs N pairs of ``perfbench/run.py --trace 0``, each
 tree its own, swapping from pair to pair which side goes first.  For each
 end-to-end metric of ``BENCHMARK.json`` it prints each side's median and
-Q1-Q3, the pairs the change won (ties count for neither) and a verdict:
+Q1-Q3, each side's median pass count (``peak_rss_mb`` is a maximum over
+passes, so it is read at known pass counts), the pairs the change won (ties
+count for neither) and a verdict:
 
 - ``better``: the change won at least 9 of every 10 pairs, and its median is
   better than REV's by more than REV's Q3 - Q1;
@@ -38,16 +40,19 @@ from artifacts import git_archive  # noqa: E402
 
 
 def run_once(tree: Path, args: argparse.Namespace) -> dict[str, float]:
-    """The end-to-end metrics of one untraced run of ``tree``'s benchmark; a failed run
-    exits 1 with its output."""
+    """The end-to-end metrics of one untraced run of ``tree``'s benchmark and, as
+    ``passes``, its pass count; a failed run exits 1 with its output."""
     command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
                "--scale", args.scale]
     proc = subprocess.run(command, capture_output=True, text=True)
-    result = json.loads(proc.stdout.splitlines()[-1]) if proc.returncode == 0 else None
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 else None
     if result is None or result["failed"]:
         sys.exit(f"run of {tree} failed (exit {proc.returncode}):\n{proc.stdout}{proc.stderr}")
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    # The line before the result holds the environment and the list of pass times.
+    passes = len(json.loads(lines[-2])["passes"])
+    return {"passes": passes, **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,15 +98,18 @@ def main(argv: list[str] | None = None) -> int:
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 runs[side].append(run_once(trees[side], args))
             print(f"pair {k + 1}/{args.pairs}: " + ", ".join(
-                f"{m['name']} {runs['parent'][-1][m['name']]:.4g} -> "
-                f"{runs['change'][-1][m['name']]:.4g}" for m in metrics), flush=True)
+                f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
+                for name in [m["name"] for m in metrics] + ["passes"]), flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, {args.rev} -> this checkout")
+    p_passes, c_passes = (statistics.median(run["passes"] for run in runs[side])
+                          for side in ("parent", "change"))
     for m in metrics:
         parent, change = ([run[m["name"]] for run in runs[side]] for side in ("parent", "change"))
         wins, word = verdict(parent, change, m["better"], m["bound"])
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
-        print(f"{m['name']:12s} {pm:.5g} ({p1:.5g}-{p3:.5g}) -> {cm:.5g} ({c1:.5g}-{c3:.5g}) "
-              f"{m['unit']}, change won {wins}/{args.pairs}: {word}")
+        print(f"{m['name']:12s} {pm:.5g} ({p1:.5g}-{p3:.5g}) {m['unit']} at {p_passes:g} passes "
+              f"-> {cm:.5g} ({c1:.5g}-{c3:.5g}) {m['unit']} at {c_passes:g} passes, "
+              f"change won {wins}/{args.pairs}: {word}")
     return 0
 
 
