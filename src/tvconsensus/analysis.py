@@ -18,9 +18,9 @@ import numpy as np
 
 from .dualnorm import center_field, dual_norm_algorithm0, subset_table
 from .errors import DomainError, UnsupportedGraphError
-from .graph import (Graph, check_node_field, finite_numbers, is_complete, require_connected,
-                    whole_number)
-from .maxflow import _check_cut_problem, maximize_cut_functional
+from .graph import (Graph, check_node_field, finite_numbers, is_complete, level,
+                    require_connected, whole_number)
+from .maxflow import maximize_cut_functional
 from .objectives import Absolute, Quadratic
 from .tv import CERTIFICATE_RTOL
 
@@ -60,11 +60,11 @@ def certify_consensus_minimizer(
     mean of u to tol * ||u||_inf.  Shifting the data keeps it too: the mean test
     also allows n * eps * |x*|, the rounding that forming u at the offset x* can
     leave, and no more.  A non-finite x* or a lam outside (0, inf) raises
-    ``DomainError``.
+    ``DomainError``, and a lam that is not one number ``InvalidFieldError``.
     """
     if not np.isfinite(x_star):
         raise DomainError(f"x_star must be finite, got {x_star}")
-    _check_cut_problem(lam)
+    lam = level(lam, "lam", positive=True)
     require_connected(g, "certificates")
     lo, hi = objs.subgradient_box(float(x_star))
 
@@ -172,7 +172,7 @@ def stubborn_limit(
     if x0_regular.ndim != 1 or x0_regular.size == 0:
         raise ValueError("need a nonempty vector of regular initial values")
     a = float(finite_numbers(a, "pinned value a", scalar=True))
-    _check_cut_problem(lam)
+    lam = level(lam, "lam", positive=True)
     s_count = whole_number(s_count, 1, "s_count")
     mean = float(x0_regular.mean())
     margin = lam * s_count

@@ -2,12 +2,12 @@
 
 Every engine advances a full round at a time: the update of each vertex reads
 only round-n values of its neighbors, so per-vertex updates inside a round
-are independent.  An engine is two calls: ``start(g, objs)`` checks its
-parameters and precomputes its constants, and ``step(x)`` returns x(n + 1) as
-a new array.  Pinned (stubborn) agents are a property of the network, not of
-the engine: ``run`` takes them as one vertex -> pinned value mapping, validates
-x(0), the ids and the values, writes the pinned values into x(0), and writes them
-again into every state an engine returns.
+are independent.  An engine's constructor checks its levels; ``start(g, objs)``
+checks what it needs of the graph and precomputes its constants, and ``step(x)``
+returns x(n + 1) as a new array.  Pinned (stubborn) agents are a property of the
+network, not of the engine: ``run`` takes them as one vertex -> pinned value
+mapping, validates x(0), the ids and the values, writes the pinned values into
+x(0), and writes them again into every state an engine returns.
 
 When no agent is pinned and the stop rule cannot fire, nothing reads the rounds
 strictly between two recorded rows, so ``run`` hands each such stretch to the
@@ -40,14 +40,14 @@ import numpy as np
 
 from .errors import AssumptionError, DomainError, UnsupportedGraphError
 from .graph import (Graph, check_node_field, connected_components, finite_numbers, is_complete,
-                    subset_mask, whole_number)
+                    level, subset_mask, whole_number)
 from .objectives import Absolute, Quadratic
 from .tv import _total_variation
 
 
 def disagreement(x) -> float:
     """Euclidean norm of the component of x orthogonal to consensus."""
-    return _mean_and_disagreement(np.asarray(x, dtype=float).ravel())[1]
+    return _mean_and_disagreement(finite_numbers(x, "x", finite=False).ravel())[1]
 
 
 def _mean_and_disagreement(x: np.ndarray) -> tuple[np.float64, float]:
@@ -197,15 +197,11 @@ class SubgradientEngine:
     name = "subgradient"
 
     def __init__(self, lam: float, gamma0: float = 1.0):
-        self.lam = float(finite_numbers(lam, "lam", scalar=True, finite=False))
-        self.gamma0 = float(finite_numbers(gamma0, "gamma0", scalar=True, finite=False))
+        self.lam = level(lam, "lam")
+        self.gamma0 = level(gamma0, "gamma0", positive=True)
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
-        """Validate gamma0 and lam, fix the run's constants and reset the round counter."""
-        if not 0.0 < self.gamma0 < np.inf:
-            raise ValueError("gamma0 must be positive and finite")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lam must be nonnegative and finite")
+        """Fix the run's constants for ``g`` and ``objs`` and reset the round counter."""
         self.n = 0
         self._objs = objs
         self._ranked = is_complete(g)
@@ -274,15 +270,11 @@ class AdmmEngine:
     name = "admm"
 
     def __init__(self, lam: float, rho: float = 1.0):
-        self.lam = float(finite_numbers(lam, "lam", scalar=True, finite=False))
-        self.rho = float(finite_numbers(rho, "rho", scalar=True, finite=False))
+        self.lam = level(lam, "lam")
+        self.rho = level(rho, "rho", positive=True)
 
     def start(self, g: Graph, objs: Quadratic | Absolute) -> None:
-        """Validate rho, lam and the graph, fix the run's constants, zero the multipliers."""
-        if not 0.0 < self.rho < np.inf:
-            raise ValueError("rho must be positive and finite")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lam must be nonnegative and finite")
+        """Validate the graph, fix the run's constants, zero the multipliers."""
         if int(g.degrees.min()) < 1:
             raise UnsupportedGraphError("ADMM needs every vertex to have a neighbor")
         if not math.isfinite(self.rho * int(g.degrees.max())):  # Python floats: no warning
@@ -369,8 +361,9 @@ def run(
     engine returns gets them again, so no engine handles the pins.  The stop rule
     reads the disagreement of the unpinned agents only; the recorded one covers
     all agents.  The recorded objective is F(x) + metric_lambda * tv(x);
-    metric_lambda defaults to the engine's own regularization level, and a level
-    outside [0, inf) raises ``ValueError`` before the first step.  Iteration 0
+    metric_lambda defaults to the engine's own level and is checked as one by ``level``;
+    a stop tolerance must be one number and not NaN, and may be ±inf or <= 0.  Both
+    raise before the first step.  Iteration 0
     carries the initial metrics with zero change; the final iteration is always
     recorded.  A state or a row metric that overflows or turns NaN raises
     ``DomainError``.  Without pins or a stop rule that can fire, the rounds
@@ -379,15 +372,16 @@ def run(
     """
     record_every = whole_number(record_every, 1, "record_every")
     max_iterations = whole_number(stop.max_iterations, 0, "max_iterations")
-    lam_metric = engine.lam if metric_lambda is None else float(metric_lambda)
+    for name in ("disagreement_tol", "change_tol"):
+        if math.isnan(finite_numbers(getattr(stop, name), name, scalar=True, finite=False)):
+            raise DomainError(f"{name} must not be NaN")
+    lam_metric = engine.lam if metric_lambda is None else level(metric_lambda, "metric_lambda")
 
     x = check_node_field(g, x0).copy()
     pin_ids, pin_values = _pins(g, pinned)
     x[pin_ids] = pin_values
     has_pins = pin_ids.size > 0
     engine.start(g, objs)
-    if not 0.0 <= lam_metric < math.inf:
-        raise ValueError(f"metric_lambda must be nonnegative and finite, got {lam_metric}")
 
     its: list[int] = []
     dis: list[float] = []

@@ -137,6 +137,16 @@ def finite_numbers(values, what: str, *, scalar: bool = False, finite: bool = Tr
     return x
 
 
+def level(value, what: str, *, positive: bool = False) -> float:
+    """``value`` as a float, read by ``finite_numbers`` as one number; ``DomainError`` unless
+    it is finite and > 0 if ``positive``, >= 0 otherwise (so not NaN)."""
+    x = float(finite_numbers(value, what, scalar=True, finite=False))
+    if not (0.0 < x if positive else 0.0 <= x) or x == math.inf:
+        rule = "positive" if positive else "nonnegative"
+        raise DomainError(f"{what} must be {rule} and finite, got {x}")
+    return x
+
+
 def is_complete(g: Graph) -> bool:
     return g.n_edges == g.n_vertices * (g.n_vertices - 1) // 2
 

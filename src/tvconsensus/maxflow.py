@@ -25,16 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .graph import Graph, check_node_field, is_complete, perimeter
+from .graph import Graph, check_node_field, is_complete, level, perimeter
 
 # Residual capacities at or below this fraction of the largest one count as saturated.
 RESIDUAL_EPS = 1e-12
-
-
-def _check_cut_problem(lam: float) -> None:
-    if not 0.0 < lam < np.inf:
-        raise DomainError(f"lam must be positive and finite, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -77,14 +71,14 @@ class CutResult:
 def build_network(g: Graph, u, lam: float) -> FlowNetwork:
     """Assemble the min-cut network for (g, u, lam)."""
     u = check_node_field(g, u)
-    _check_cut_problem(lam)
+    lam = level(lam, "lam", positive=True)
     n = g.n_vertices
     terminal = np.flatnonzero(u)
     from_source = u[terminal] > 0.0
     fwd = np.concatenate([g.edge_src, np.where(from_source, n, terminal)])
     bwd = np.concatenate([g.edge_dst, np.where(from_source, terminal, n + 1)])
     terminal_cap = np.column_stack([np.abs(u[terminal]), np.zeros(terminal.size)])
-    cap = np.concatenate([np.full(2 * g.n_edges, float(lam)), terminal_cap.ravel()])
+    cap = np.concatenate([np.full(2 * g.n_edges, lam), terminal_cap.ravel()])
     tail = np.column_stack([fwd, bwd]).ravel()
     head = np.column_stack([bwd, fwd]).ravel()
     return FlowNetwork(n_graph_vertices=n, tail=tail, head=head, cap=cap)
@@ -167,8 +161,8 @@ def maximize_cut_functional(g: Graph, u, lam: float) -> tuple[frozenset[int], fl
     The subset is the smallest maximizer, the source side of the canonical cut.
     """
     u = check_node_field(g, u)
+    lam = level(lam, "lam", positive=True)
     if is_complete(g):
-        _check_cut_problem(lam)
         subset = _complete_graph_side(u, lam)
     else:
         subset = min_cut(build_network(g, u, lam)).source_side

@@ -48,10 +48,10 @@ def _line(iteration, disagreement_log, mean, objective, max_change) -> str:
 
 
 def _parts(traj: Trajectory) -> Iterator[str]:
-    """The header line, then the text of each block of ``BLOCK_ROWS`` rows."""
-    yield CSV_HEADER + "\n"
-    for start in range(0, len(traj.iterations), BLOCK_ROWS):
-        yield "".join(map(_line, *_columns(traj, slice(start, start + BLOCK_ROWS))))
+    """Each block of ``BLOCK_ROWS`` rows as text, the first led by the header (alone if none)."""
+    for start in range(0, max(len(traj.iterations), 1), BLOCK_ROWS):
+        head = "" if start else CSV_HEADER + "\n"
+        yield head + "".join(map(_line, *_columns(traj, slice(start, start + BLOCK_ROWS))))
 
 
 def render_csv(traj: Trajectory) -> str:

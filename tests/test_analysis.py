@@ -636,3 +636,22 @@ class TestCutLevelRule:
     def test_every_entry_point_rejects_a_bad_level_alike(self, entry, lam):
         with pytest.raises(DomainError, match=f"^lam must be positive and finite, got {lam}$"):
             LAM_ENTRY_POINTS[entry](lam)
+
+    # True used to run as lam = 1, an array of shape (1,) on K_N, and the others raised a
+    # bare TypeError.
+    @pytest.mark.parametrize("lam, rule", [
+        (True, "int or float, not bool"), ("0.5", "int or float, not str"),
+        (None, "int or float, not object"), ([0.5], "one number, got shape \\(1,\\)"),
+        (np.array([0.5]), "one number, got shape \\(1,\\)"),
+    ], ids=["bool", "str", "None", "list", "array"])
+    @pytest.mark.parametrize("entry", LAM_ENTRY_POINTS)
+    def test_every_entry_point_rejects_a_level_that_is_not_one_number_alike(self, entry, lam,
+                                                                           rule):
+        with pytest.raises(InvalidFieldError, match=f"^lam must be {rule}"):
+            LAM_ENTRY_POINTS[entry](lam)
+
+    @pytest.mark.parametrize("lam", [np.array(0.5), np.float32(0.5), 1],
+                             ids=["0-d array", "float32", "int"])
+    @pytest.mark.parametrize("entry", LAM_ENTRY_POINTS)
+    def test_every_entry_point_reads_one_number_as_its_float(self, entry, lam):
+        assert repr(LAM_ENTRY_POINTS[entry](lam)) == repr(LAM_ENTRY_POINTS[entry](float(lam)))

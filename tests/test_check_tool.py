@@ -68,3 +68,28 @@ def test_passing_stages_end_with_the_line_counts(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"PASS noop \d+\.\ds", lines[0])
     assert lines[1:] == [f"src_lines {tool.src_lines('HEAD')} -> {tool.src_lines()}"]
+
+
+@needs_git
+def test_a_passing_pytest_stage_ends_its_line_with_the_count(monkeypatch, capsys):
+    tool = load_tool()
+    summary = "print('....'); print('1309 passed, 1 skipped in 36.10s')"
+    monkeypatch.setattr(tool, "stages", lambda rev, dest: [
+        ("tier1", [sys.executable, "-c", summary]),
+        ("artifacts", [sys.executable, "-c", "print('wrote 208 files')"]),
+    ])
+    assert tool.main(["HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"PASS tier1 \d+\.\ds 1309 passed, 1 skipped", lines[0])
+    assert re.fullmatch(r"PASS artifacts \d+\.\ds", lines[1])
+
+
+@pytest.mark.parametrize("output, count", [
+    ("....\n1310 passed in 36.10s\n", "1310 passed"),
+    ("== 3 passed, 2 warnings in 0.12s ==\n", "3 passed, 2 warnings"),
+    ("1 passed in 1.0s\n2 passed in 2.0s\n", "2 passed"),
+    ("all 208 artifacts match\n", ""),
+    ("not 5 passed in 1.0s\n", ""),
+])
+def test_passed_count_takes_the_last_pytest_count_line(output, count):
+    assert load_tool().passed_count(output) == count

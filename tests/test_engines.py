@@ -381,19 +381,28 @@ class TestEngineContract:
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             engine(lam).start(g, objs)
 
-    @pytest.mark.parametrize("make, level", [
-        (lambda v: SubgradientEngine(v), "lam"),
-        (lambda v: SubgradientEngine(1.0, gamma0=v), "gamma0"),
-        (lambda v: AdmmEngine(v), "lam"),
-        (lambda v: AdmmEngine(0.1, rho=v), "rho"),
+    @pytest.mark.parametrize("make, level, least", [
+        (lambda v: SubgradientEngine(v), "lam", "nonnegative"),
+        (lambda v: SubgradientEngine(1.0, gamma0=v), "gamma0", "positive"),
+        (lambda v: AdmmEngine(v), "lam", "nonnegative"),
+        (lambda v: AdmmEngine(0.1, rho=v), "rho", "positive"),
     ], ids=["subgradient-lam", "subgradient-gamma0", "admm-lam", "admm-rho"])
-    @pytest.mark.parametrize("value, rule", [
-        ("0.5", "int or float"), ("2", "int or float"), (True, "int or float"),
-        (None, "int or float"), ([0.5], "one number"),
-    ], ids=["str", "int str", "bool", "None", "list"])
-    def test_a_level_must_be_a_number_at_construction(self, make, level, value, rule):
-        # float() used to read "0.5" as 0.5 and True as 1.0.
-        with pytest.raises(InvalidFieldError, match=f"^{level} must be {rule}"):
+    @pytest.mark.parametrize("value, error, rule", [
+        ("0.5", InvalidFieldError, "int or float"), ("2", InvalidFieldError, "int or float"),
+        (True, InvalidFieldError, "int or float"), (None, InvalidFieldError, "int or float"),
+        ([0.5], InvalidFieldError, "one number"),
+        (0.0, DomainError, "{least} and finite, got 0.0$"),
+        (-1.0, DomainError, "{least} and finite, got -1.0$"),
+        (float("nan"), DomainError, "{least} and finite, got nan$"),
+        (INF, DomainError, "{least} and finite, got inf$"),
+    ], ids=["str", "int str", "bool", "None", "list", "0", "-1", "nan", "inf"])
+    def test_a_level_must_be_a_number_at_construction(self, make, level, least, value, error,
+                                                      rule):
+        # float() used to read "0.5" as 0.5 and True as 1.0, and start checked the range.
+        if least == "nonnegative" and value == 0.0:  # lam = 0 is legal
+            assert make(value).lam == 0.0
+            return
+        with pytest.raises(error, match=f"^{level} must be {rule.format(least=least)}"):
             make(value)
 
     def test_admm_start_validation(self):
@@ -410,13 +419,13 @@ class TestEngineContract:
             AdmmEngine(0.5, 1.0).start(isolated, Quadratic(isolated, x0))
 
     def test_admm_rejects_an_infinite_rho_before_the_first_step(self):
-        # rho = inf used to pass start and fail at step 1 on the NaN of prox(inf, x).
+        # rho = inf used to pass start and fail at step 1 on the NaN of prox(inf, x).  The
+        # constructor rejects it, so no engine is left to step.
         g = complete_graph(3)
         x0 = np.array([0.0, 1.0, 2.0])
-        spy = Spy(AdmmEngine(0.5, INF))
         with pytest.raises(ValueError, match="rho must be positive and finite"):
+            spy = Spy(AdmmEngine(0.5, INF))
             run(spy, g, x0, Quadratic(g, x0))
-        assert spy.states == []
 
     def test_admm_rejects_a_rho_whose_degree_product_overflows(self):
         # rho * degree = inf used to leak numpy's overflow warning from start, then fail
@@ -950,14 +959,51 @@ class TestRunDriver:
         assert traj.mean.tolist() == [float(x.mean()) for x in states]
 
     @pytest.mark.parametrize("engine", [SubgradientEngine, AdmmEngine, GossipEngine])
-    @pytest.mark.parametrize("metric_lambda", [-1.0, -5e-324, INF, -INF, float("nan")])
-    def test_metric_lambda_outside_zero_to_infinity_is_rejected(self, engine, metric_lambda):
+    @pytest.mark.parametrize("metric_lambda, error, rule", [
+        *((value, DomainError, "nonnegative and finite")
+          for value in (-1.0, -5e-324, INF, -INF, float("nan"))),
+        # float() used to read "0.5" as 0.5 and True as 1.0; None is the engine's level.
+        ("0.5", InvalidFieldError, "int or float"), (True, InvalidFieldError, "int or float"),
+        ([0.5], InvalidFieldError, "one number"),
+    ], ids=["-1", "-tiny", "inf", "-inf", "nan", "str", "bool", "list"])
+    def test_metric_lambda_outside_zero_to_infinity_is_rejected(self, engine, metric_lambda,
+                                                               error, rule):
         g = complete_graph(4)
         x0 = np.full(4, 2.0)  # constant, so tv = 0 and inf * tv would record a NaN objective
         spy = Spy(engine() if engine is GossipEngine else engine(0.5))
-        with pytest.raises(ValueError, match="metric_lambda must be nonnegative and finite"):
+        with pytest.raises(error, match=f"^metric_lambda must be {rule}"):
             run(spy, g, x0, Quadratic(g, x0), metric_lambda=metric_lambda)
         assert spy.states == []
+
+    @pytest.mark.parametrize("engine", [SubgradientEngine, AdmmEngine, GossipEngine])
+    @pytest.mark.parametrize("field", ["disagreement_tol", "change_tol"])
+    @pytest.mark.parametrize("tol, error, rule", [
+        # NaN used to run every step, as no change is below it; the others raised a bare
+        # TypeError at the first comparison, and True was read as 1.0.
+        (float("nan"), DomainError, "{field} must not be NaN"),
+        ("1e-3", InvalidFieldError, "{field} must be int or float"),
+        (None, InvalidFieldError, "{field} must be int or float"),
+        (True, InvalidFieldError, "{field} must be int or float"),
+        ([1e-3], InvalidFieldError, "{field} must be one number"),
+    ], ids=["nan", "str", "None", "bool", "list"])
+    def test_a_stop_tolerance_that_is_not_a_number_raises_before_the_first_step(
+            self, engine, field, tol, error, rule):
+        g = complete_graph(4)
+        x0 = np.arange(4.0)
+        spy = Spy(engine() if engine is GossipEngine else engine(0.5))
+        stop = StopRule(**{"max_iterations": 50, "disagreement_tol": 1e-3, "change_tol": 1e-3,
+                           field: tol})
+        with pytest.raises(error, match="^" + rule.format(field=field)):
+            run(spy, g, x0, Quadratic(g, x0), stop=stop)
+        assert spy.states == []
+
+    @pytest.mark.parametrize("x", [["1", "2"], [True, False], None],
+                             ids=["str", "bool", "None"])
+    def test_disagreement_takes_numbers_only(self, x):
+        # ["1", "2"] used to give 0.707, and booleans were read as 0 and 1.
+        with pytest.raises(InvalidFieldError, match="^x must be int or float"):
+            disagreement(x)
+        assert disagreement([1, 2]) == disagreement(np.array([[1.0], [2.0]])) == 0.5**0.5
 
     def test_an_overflowing_metric_term_names_the_engine_and_step(self):
         # tv(x0) = 10 on K4, so 1e308 * tv overflows while every state stays finite.

@@ -27,7 +27,7 @@ from tvconsensus.config import (
     parse_config,
     reads_file,
 )
-from tvconsensus.metrics import CSV_HEADER, render_csv
+from tvconsensus.metrics import BLOCK_ROWS, CSV_HEADER, _parts, render_csv
 
 
 def trajectory(*rows):
@@ -161,6 +161,17 @@ class TestMetricsCsv:
         assert path.read_bytes() == expected.encode()
         assert render_csv(traj) == expected
         assert {"-inf", "inf"} <= set(expected.replace("\n", ",").split(","))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 512, 513, 1025])
+    def test_one_part_per_block_led_by_the_header(self, n_rows):
+        # The header used to be a part of its own: one more write than the rows need.
+        traj = self.long_trajectory(n_rows) if n_rows else trajectory()
+        parts = list(_parts(traj))
+        assert len(parts) == max(1, math.ceil(n_rows / BLOCK_ROWS))
+        assert parts[0].startswith(CSV_HEADER + "\n")
+        assert "".join(parts) == render_csv(traj)
+        assert [part.count("\n") for part in parts[1:]] == [
+            min(BLOCK_ROWS, n_rows - start) for start in range(BLOCK_ROWS, n_rows, BLOCK_ROWS)]
 
     def test_writer_memory_does_not_grow_with_the_run(self, tmp_path):
         traj = self.long_trajectory(20_000)

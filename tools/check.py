@@ -12,7 +12,9 @@ The stages, in order:
   on ``PYTHONPATH``.
 
 Each stage that runs prints one ``PASS <stage> <seconds>s`` or ``FAIL <stage>
-<seconds>s`` line; a failing stage's output follows its line.  After the last
+<seconds>s`` line; a failing stage's output follows its line.  A passing stage whose
+output ends with pytest's count, such as ``1310 passed in 36.10s``, ends its line with
+that count: ``PASS tier1 36.1s 1310 passed``.  After the last
 stage passes, one ``src_lines <REV's count> -> <this checkout's count>`` line
 follows: the lines of ``src/tvconsensus/*.py``, counted as perfbench's
 ``package.src_lines`` counts them, with REV's files read through git.  It only
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,6 +44,13 @@ def stages(rev: str, dest: Path) -> list[tuple[str, list[str]]]:
         ("selftest", [python, "-m", "pytest", "-q", "perfbench/selftest.py"]),
         ("tier1", [python, "-m", "pytest", "-q", "--continue-on-collection-errors"]),
     ]
+
+
+def passed_count(output: str) -> str:
+    """The last count line of pytest's output without its time, such as ``1310 passed`` or
+    ``1309 passed, 1 skipped``; '' if the output has none."""
+    counts = re.findall(r"^=* *(\d+ passed(?:, \d+ \w+)*) in [\d.]+s\b", output, re.M)
+    return counts[-1] if counts else ""
 
 
 def src_lines(rev: str | None = None) -> int:
@@ -71,8 +81,9 @@ def main(argv: list[str] | None = None) -> int:
             proc = subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                                   stderr=subprocess.STDOUT, text=True)
             passed = proc.returncode == 0
-            print(f"{'PASS' if passed else 'FAIL'} {name} {time.perf_counter() - start:.1f}s",
-                  flush=True)
+            line = f"{'PASS' if passed else 'FAIL'} {name} {time.perf_counter() - start:.1f}s"
+            count = passed_count(proc.stdout) if passed else ""
+            print(f"{line} {count}" if count else line, flush=True)
             if not passed:
                 print(proc.stdout, end="")
                 return 1
